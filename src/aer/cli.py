@@ -296,7 +296,6 @@ def cmd_invert(cfg: RunConfig, out: str) -> int:
     if res.smoothing is not None:
         g = cfg.obs_grid
         for name, reg in (("lower", res.smoothing.lower), ("upper", res.smoothing.upper)):
-            sub = Grid2D(g.x0, g.x1, g.a, g.n, g.m)
             lines = ["y\\x," + ",".join(_fmt(x) for x in g.xs)]
             for jj, j in enumerate(reg.rows):
                 lines.append(_fmt(g.ys[j]) + "," +

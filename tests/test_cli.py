@@ -126,6 +126,20 @@ def test_cmd_asymptote_assumption_violation_exit_code(tmp_path):
     assert not report["assumption1"]["ok"]
 
 
+def test_cmd_asymptote_nan_radicand_exit_code(tmp_path):
+    # ln(x + 1.5) is undefined on part of the strip, so the branch radicands
+    # are nan there; that must fail Assumption 2, not pass it
+    bad = TINY.replace("f = 0.3*cos(pi*x)", "f = 0.1*ln(x+1.5)").replace(
+        "x0 = -1\nx1 = 1", "x0 = -2\nx1 = 2")
+    path = tmp_path / "nan.ini"
+    path.write_text(bad)
+    out = str(tmp_path / "asy_nan")
+    assert main(["asymptote", "--config", str(path), "--out", out]) == 2
+    report = json.load(open(os.path.join(out, "assumptions.json")))
+    assert report["assumption1"]["ok"]
+    assert not report["assumption2"]["ok"]
+
+
 def test_malformed_expression_exit_code(tmp_path):
     path = tmp_path / "syntax.ini"
     path.write_text(TINY.replace("0.3*cos(pi*x)", "0.3*cos(pi*x"))
