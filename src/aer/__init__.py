@@ -20,7 +20,6 @@ from .asymptotics import (
 from .errors import (
     AerError,
     AssumptionViolation,
-    CGError,
     ConfigError,
     DiscrepancyUnreachable,
     ExprError,

@@ -78,9 +78,11 @@ class ProblemSpec:
         for name, tr in (("u_minus_a", self.u_minus_a), ("u_plus_a", self.u_plus_a)):
             xs = self.x0 + (self.x1 - self.x0) * np.linspace(0.0, 1.0, 65)
             v0 = np.atleast_1d(tr(xs, 0.0 * xs))
+            if not np.all(np.isfinite(v0)):
+                raise AssumptionViolation(f"{name} is not finite on [x0, x1]")
             v1 = np.atleast_1d(tr(xs + (self.x1 - self.x0), 0.0 * xs))
             scale = max(1.0, float(np.max(np.abs(v0))))
-            if np.max(np.abs(v1 - v0)) > 1e-9 * scale:
+            if not np.max(np.abs(v1 - v0)) <= 1e-9 * scale:
                 raise ValueError(f"{name} is not periodic with period L = {self.length}")
 
     @property

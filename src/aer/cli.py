@@ -137,7 +137,7 @@ def load_config(preset: str | None, path: str | None, seed_override: int | None 
     prob = raw.get("problem", {})
     fwd = raw.get("forward", {})
     inv = raw.get("inverse", {})
-    spec = asymptotics.ProblemSpec(
+    fields = dict(
         mu=_get(prob, "mu", float),
         k=_get(prob, "k", float),
         x0=_get(prob, "x0", float),
@@ -150,6 +150,10 @@ def load_config(preset: str | None, path: str | None, seed_override: int | None 
         h0_star=_get(prob, "h0_star", float),
         t0=_get(prob, "t0", float),
     )
+    try:
+        spec = asymptotics.ProblemSpec(**fields)
+    except ValueError as exc:     # a range or periodicity error in [problem]
+        raise ConfigError(f"[problem] {exc}") from exc
     seed = seed_override if seed_override is not None else _get(inv, "seed", int, 1)
     mask_mode = _get(inv, "mask_mode", str, "global")
     if mask_mode != "global":
@@ -337,8 +341,10 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
     workers = int(os.environ.get("AER_MAX_WORKERS", "4"))
     base_spec = cfg.spec
 
-    # the forward snapshot and front depend only on (mu, n): compute each
-    # group once in the parent instead of per (delta, seed) combination
+    # the forward snapshot, front and u0 depend only on (mu, n): compute each
+    # group once in the parent instead of per (delta, seed) combination (the
+    # first u0 on a grid fills a cache; workers filling it at once each hold
+    # the quadrature's transient memory)
     shared = {}
     for params in runs:
         key = (params.get("mu", base_spec.mu), params.get("n", cfg.n))
@@ -355,16 +361,17 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
         snapshot = forward_solve(spec, sc)[0]
         front = asymptotics.solve_front(spec, 200, obs_grid, t_end=spec.t0,
                                         extra_times=(spec.t0,))
-        shared[key] = (spec, sc, obs_grid, snapshot, front)
+        u0 = asymptotics.assemble_u0(spec, front, obs_grid, spec.t0)
+        shared[key] = (spec, sc, obs_grid, snapshot, front, u0)
 
     def one(params: dict) -> dict:
-        spec, sc, obs_grid, snapshot, front = shared[
+        spec, sc, obs_grid, snapshot, front, u0 = shared[
             (params.get("mu", base_spec.mu), params.get("n", cfg.n))]
         res = inverse.run_aer_pipeline(
             spec, sc, params.get("delta", cfg.delta), params.get("seed", cfg.seed),
             obs_grid=obs_grid, noise_kind=cfg.noise,
             gradient_measured=cfg.gradient_measured, discrepancy=cfg.discrepancy,
-            snapshot=snapshot, front=front)
+            snapshot=snapshot, front=front, u0=u0)
         h0, h0x = res.front.sample(spec.t0, np.array([0.5 * (spec.x0 + spec.x1)]))
         width0 = float(np.asarray(
             asymptotics.transition_width(spec, 0.5 * (spec.x0 + spec.x1), h0[0], h0x[0])))

@@ -41,10 +41,6 @@ class SolverBlowUp(NumericalError):
     """Time integration produced non-finite values."""
 
 
-class CGError(NumericalError):
-    """Conjugate gradient failed to reach the requested residual."""
-
-
 class DiscrepancyUnreachable(NumericalError):
     """The discrepancy target cannot be bracketed by the smoothing sweep."""
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import ProblemSpec, initial_condition
-from .errors import SolverBlowUp
+from .errors import AssumptionViolation, SolverBlowUp
 from .grid import Field2D, Grid2D
 
 
@@ -45,7 +45,9 @@ def forward_solve(spec: ProblemSpec, cfg: SolverConfig, u_init: Field2D | None =
 
     Steps are clipped so snapshots land exactly on their times; values are
     never interpolated between steps.  A trailing snapshot at t_end is not
-    implied: only cfg.snapshot_times are returned.
+    implied: only cfg.snapshot_times are returned.  A source or boundary
+    trace that is not finite on the grid raises AssumptionViolation before
+    the first step.
     """
     grid = cfg.grid
     if cfg.t_end > spec.T:
@@ -59,6 +61,9 @@ def forward_solve(spec: ProblemSpec, cfg: SolverConfig, u_init: Field2D | None =
     trace_hi = np.atleast_1d(spec.u_plus_a(xs, 0.0 * xs)) + np.zeros(n)
     X, Y = np.meshgrid(xs, grid.ys, indexing="ij")
     f_vals = spec.f(X, Y) + np.zeros((n, m + 1))
+    for name, vals in (("source f", f_vals), ("u_minus_a", trace_lo), ("u_plus_a", trace_hi)):
+        if not np.all(np.isfinite(vals)):
+            raise AssumptionViolation(f"{name} is not finite on the solver grid")
 
     u = u_init.values[:-1, :].copy()   # periodic core: columns 0..n-1
     u[:, 0] = trace_lo

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import grid as gridmod
 from .asymptotics import FrontCurve, ProblemSpec, assemble_u0, solve_front, transition_width
-from .errors import CGError, DiscrepancyUnreachable, LayerTooWide
+from .errors import DiscrepancyUnreachable, LayerTooWide
 from .forward import SolverConfig, forward_solve
 from .grid import Field2D, Grid2D, RegionMask, rel_l2_error
 
@@ -94,45 +95,30 @@ def layer_band(front: FrontCurve, spec: ProblemSpec, t0: float, grid: Grid2D) ->
 # ---------------------------------------------------------------------------
 # sparse stencil operators (flattened (n, R) unknowns, C order, x periodic)
 
-def _circ_second_diff(n, d):
-    main = np.full(n, -2.0)
-    one = np.ones(n - 1)
-    A = sp.diags([one, main, one], [-1, 0, 1], format="lil")
-    A[0, n - 1] = 1.0
-    A[n - 1, 0] = 1.0
-    return (A / d ** 2).tocsr()
-
-
 def _circ_first_diff(n, d):
-    one = np.ones(n - 1)
-    A = sp.diags([-one, one], [-1, 1], format="lil")
-    A[0, n - 1] = -1.0
-    A[n - 1, 0] = 1.0
-    return (A / (2.0 * d)).tocsr()
+    shift = sp.diags([1.0, 1.0], [1, 1 - n], shape=(n, n))   # v -> v[(i + 1) % n]
+    return ((shift - shift.T) / (2.0 * d)).tocsr()
+
+
+def _rows_stencil(r, centred, first, last):
+    """r x r matrix with the three-point `centred` stencil on the inner rows,
+    `first` at the start of row 0 and `last` at the end of row r - 1."""
+    inner = np.ones(r)
+    inner[[0, -1]] = 0.0
+    w = len(first)
+    edges = sp.csr_matrix((np.r_[first, last],
+                           (np.repeat([0, r - 1], w), np.r_[0:w, r - w:r])), shape=(r, r))
+    return sp.diags(inner) @ sp.diags(centred, [-1, 0, 1], shape=(r, r)) + edges
 
 
 def _rows_second_diff(r, d):
-    A = sp.lil_matrix((r, r))
-    for j in range(1, r - 1):
-        A[j, j - 1:j + 2] = [1.0, -2.0, 1.0]
-    if r >= 4:
-        A[0, :4] = [2.0, -5.0, 4.0, -1.0]
-        A[r - 1, r - 4:] = [-1.0, 4.0, -5.0, 2.0]
-    else:
-        A[0, :3] = [1.0, -2.0, 1.0]
-        A[r - 1, r - 3:] = [1.0, -2.0, 1.0]
-    return (A / d ** 2).tocsr()
+    edge = [2.0, -5.0, 4.0, -1.0] if r >= 4 else [1.0, -2.0, 1.0]
+    return (_rows_stencil(r, [1.0, -2.0, 1.0], edge, edge[::-1]) / d ** 2).tocsr()
 
 
 def _rows_first_diff(r, d):
-    A = sp.lil_matrix((r, r))
-    for j in range(1, r - 1):
-        A[j, j - 1] = -1.0
-        A[j, j + 1] = 1.0
-    A *= 1.0
-    A[0, :3] = [-3.0, 4.0, -1.0]
-    A[r - 1, r - 3:] = [1.0, -4.0, 3.0]
-    return (A / (2.0 * d)).tocsr()
+    return (_rows_stencil(r, [-1.0, 0.0, 1.0], [-3.0, 4.0, -1.0], [1.0, -4.0, 3.0])
+            / (2.0 * d)).tocsr()
 
 
 def _penalty_matrix(ops, weights):
@@ -142,46 +128,6 @@ def _penalty_matrix(ops, weights):
         term = op.T @ w @ op
         K = term if K is None else K + term
     return K.tocsr()
-
-
-def conjugate_gradient(A, b, x0=None, tol=1e-10, max_iter=20000, precond=None, callback=None):
-    """Preconditioned CG for SPD sparse A.
-
-    Terminates on the preconditioned residual, ||M^-1 r|| <= tol * ||M^-1 b||,
-    so that badly scaled equation blocks (the penalty-only rows of the
-    reconstruction at a tiny regularization floor) are resolved rather than
-    drowned by the well scaled ones.  Without a preconditioner this is the
-    plain relative-residual rule.
-    """
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b - A @ x
-
-    def scaled(v):
-        return v if precond is None else precond * v
-
-    ref = float(np.linalg.norm(scaled(b)))
-    if ref == 0.0:
-        return x, 0
-    z = scaled(r)
-    p = z.copy()
-    rz = float(r @ z)
-    for it in range(max_iter):
-        if np.linalg.norm(z) <= tol * ref:
-            return x, it
-        Ap = A @ p
-        alpha = rz / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        if callback is not None:
-            callback(x)
-        z = scaled(r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    if np.linalg.norm(z) <= 100.0 * tol * ref:
-        return x, max_iter
-    raise CGError(f"conjugate gradient stalled: scaled rel residual "
-                  f"{np.linalg.norm(z) / ref:.3e} after {max_iter} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +142,7 @@ class RegionSmoothing:
     eps: float
     misfit: float               # achieved mean-square data misfit
     target: float
-    cg_iterations: int
+    cg_iterations: int = 0      # the solves are direct; kept for run summaries
 
 
 @dataclass
@@ -235,8 +181,49 @@ def noise_misfit_target(obs: Observation, region: str) -> float:
     return ms / 3.0 if obs.noise_kind == "uniform" else ms
 
 
+def _smoothing_solver(n: int, r: int, d1: float, d2: float):
+    """Exact solver of the normal equations (C + eps K) v = b of smooth_region.
+
+    Unknowns are v[i, j], i < n the periodic x columns, j < r the region rows.
+    K = (Cxx^T Cxx) (x) T + I_n (x) Q with Cxx the circulant second difference,
+    T = d1 d2 diag(trapezoid in y) and Q = Ryy^T T Ryy, and
+    C = (diag(2, 1, ..., 1) (x) I_r) / N, N = (n + 1) r, because column n
+    folds onto column 0.  An rfft along x turns the periodic part into the
+    real SPD r x r blocks B_k = I/N + eps (p_k T + Q), p_k the squared
+    eigenvalues of Cxx; the doubled column 0 is the rank-r update
+    U U^T / N, U = e_0 (x) I_r, removed exactly by the Woodbury identity with
+    capacitance S = N I + (1/n) sum_k mult_k B_k^-1 (the (0, 0) block of
+    B^-1; modes 0 and n/2 count once, the others twice).
+
+    Returns solve(eps, b) for b of shape (n, r).
+    """
+    n_data = (n + 1) * r
+    trap = np.full(r, 1.0)
+    trap[0] = trap[-1] = 0.5
+    t_w = d1 * d2 * trap
+    r_yy = _rows_second_diff(r, d2).toarray()
+    q_w = r_yy.T @ (t_w[:, None] * r_yy)
+    k = np.arange(n // 2 + 1)
+    p = ((2.0 * np.cos(2.0 * np.pi * k / n) - 2.0) / d1 ** 2) ** 2
+    penalty = p[:, None, None] * np.diag(t_w) + q_w          # p_k T + Q per mode
+    mult = np.full(k.size, 2.0)
+    mult[0] = 1.0
+    if n % 2 == 0:
+        mult[-1] = 1.0
+    eye = np.eye(r)
+
+    def solve(eps, b):
+        b_inv = np.linalg.inv(eye / n_data + eps * penalty)
+        y = np.fft.irfft((b_inv @ np.fft.rfft(b, axis=0)[..., None])[..., 0], n, axis=0)
+        cap = n_data * eye + np.tensordot(mult, b_inv, axes=1) / n
+        z = np.linalg.solve(cap, y[0])
+        return y - np.fft.irfft(b_inv @ z, n, axis=0)
+
+    return solve
+
+
 def smooth_region(obs: Observation, region: str, discrepancy: str = "calibrated",
-                  target: float | None = None, cg_tol: float = 1e-10) -> RegionSmoothing:
+                  target: float | None = None) -> RegionSmoothing:
     """Curvature-penalized least squares fit to one region of the data.
 
     Minimizes  mean((v - u^delta)^2) + eps (||v_xx||^2 + ||v_yy||^2)  over
@@ -249,7 +236,9 @@ def smooth_region(obs: Observation, region: str, discrepancy: str = "calibrated"
       * 'delta4':               target = delta^4 as stated for the method,
       * explicit target= overrides either.
 
-    The normal equations are SPD and solved by Jacobi-preconditioned CG.
+    Each trial weight solves the SPD normal equations directly and exactly
+    (Fourier in x, Woodbury for the folded seam column; see
+    _smoothing_solver), so cg_iterations is 0.
     """
     g = obs.grid
     rows = _region_rows(obs.mask, g.m, region)
@@ -267,35 +256,22 @@ def smooth_region(obs: Observation, region: str, discrepancy: str = "calibrated"
     n = g.n
     data = obs.u_delta.values[:, rows]          # (n+1, R)
     N = (n + 1) * r
-    counts = np.ones(n)
-    counts[0] = 2.0                             # column n duplicates column 0
-    b_data = data[:n, :].copy()
-    b_data[0, :] += data[n, :]
+    rhs = data[:n, :].copy()
+    rhs[0, :] += data[n, :]                     # column n duplicates column 0
+    rhs /= N
+    solve = _smoothing_solver(n, r, g.d1, g.d2)
 
-    trap = np.full(r, 1.0)
-    trap[0] = trap[-1] = 0.5
-    weights = g.d1 * g.d2 * np.tile(trap, n)
-
-    Dxx = sp.kron(_circ_second_diff(n, g.d1), sp.identity(r), format="csr")
-    Dyy = sp.kron(sp.identity(n), _rows_second_diff(r, g.d2), format="csr")
-    K = _penalty_matrix([Dxx, Dyy], weights)
-    C = sp.diags(np.repeat(counts, r) / N)
-    rhs = (b_data / N).ravel()
-
-    def solve_at(eps, x0):
-        A = (C + eps * K).tocsr()
-        precond = 1.0 / A.diagonal()
-        v, iters = conjugate_gradient(A, rhs, x0=x0, tol=cg_tol, precond=precond)
-        vm = v.reshape(n, r)
+    def solve_at(eps):
+        vm = solve(eps, rhs)
         misfit = (np.sum((vm - data[:n, :]) ** 2) + np.sum((vm[0] - data[n]) ** 2)) / N
-        return vm, float(misfit), iters
+        return vm, float(misfit)
 
-    eps, vm, misfit, iters = _discrepancy_bisect(solve_at, target)
+    eps, vm, misfit = _discrepancy_bisect(solve_at, target)
     v_full = np.vstack([vm, vm[:1, :]])
     ux_core = (np.roll(vm, -1, axis=0) - np.roll(vm, 1, axis=0)) / (2.0 * g.d1)
     ux = np.vstack([ux_core, ux_core[:1, :]])
     uy = (_rows_first_diff(r, g.d2) @ v_full.T).T
-    return RegionSmoothing(rows, v_full, ux, uy, eps, misfit, target, iters)
+    return RegionSmoothing(rows, v_full, ux, uy, eps, misfit, target)
 
 
 def _discrepancy_bisect(solve_at, target, bracket=LOG_EPS_BRACKET, max_iter=60):
@@ -307,30 +283,28 @@ def _discrepancy_bisect(solve_at, target, bracket=LOG_EPS_BRACKET, max_iter=60):
     (the least smoothing consistent with the discrepancy level).
     """
     lo, hi = bracket
-    v_lo, m_lo, it_lo = solve_at(10.0 ** lo, None)
+    v_lo, m_lo = solve_at(10.0 ** lo)
     if m_lo >= target * (1.0 - MISFIT_RTOL):
         # floor rule: smallest weight already at or above the target
         if m_lo <= max(target * (1.0 + MISFIT_RTOL), 1e-13):
-            return 10.0 ** lo, v_lo, m_lo, it_lo
+            return 10.0 ** lo, v_lo, m_lo
         raise DiscrepancyUnreachable(
             f"misfit at bracket floor is {m_lo:.3e}, above target {target:.3e}")
-    v_hi, m_hi, it_hi = solve_at(10.0 ** hi, None)
+    v_hi, m_hi = solve_at(10.0 ** hi)
     if m_hi < target * (1.0 - MISFIT_RTOL):
         raise DiscrepancyUnreachable(
             f"misfit at bracket top is {m_hi:.3e}, below target {target:.3e}")
-    best = (10.0 ** hi, v_hi, m_hi, it_hi) if m_hi <= target * (1.0 + MISFIT_RTOL) else None
-    x0 = v_lo.ravel()
+    best = (10.0 ** hi, v_hi, m_hi) if m_hi <= target * (1.0 + MISFIT_RTOL) else None
     for _ in range(max_iter):
         if hi - lo <= np.log10(1.01):
             break
         mid = 0.5 * (lo + hi)
-        v, m, iters = solve_at(10.0 ** mid, x0)
-        x0 = v.ravel()
+        v, m = solve_at(10.0 ** mid)
         if m >= target * (1.0 - MISFIT_RTOL):
             # inside or above the window: the admissible edge moves down
             hi = mid
             if m <= target * (1.0 + MISFIT_RTOL):
-                best = (10.0 ** mid, v, m, iters)
+                best = (10.0 ** mid, v, m)
         else:
             lo = mid
     if best is None:
@@ -355,7 +329,7 @@ class ReconstructionResult:
     eps: float
     rel_error: float | None
     residual: float
-    cg_iterations: int = 0
+    cg_iterations: int = 0      # the solve is direct; kept for run summaries
 
 
 def _data_product(u, ux, uy, k):
@@ -364,14 +338,15 @@ def _data_product(u, ux, uy, k):
 
 def reconstruct_source(obs: Observation, spec: ProblemSpec,
                        smoothing: SmoothingResult | None = None,
-                       eps: float | None = None, cg_tol: float = 1e-10) -> ReconstructionResult:
+                       eps: float | None = None) -> ReconstructionResult:
     """H1-penalized least squares fit of the source to u (k u_x + u_y).
 
     The data product is formed on the retained rows only (from measured
     gradients when provided, otherwise from the smoothed regions); the fit
     runs over the full grid with penalty eps (||f||^2 + ||f_x||^2 +
     ||f_y||^2), eps = delta^2 with a small floor, so the excluded band is
-    filled in smoothly by the H1 coupling.
+    filled in smoothly by the H1 coupling.  The sparse normal equations are
+    solved directly (sparse LU), so cg_iterations is 0.
     """
     g = obs.grid
     n, m = g.n, g.m
@@ -412,10 +387,9 @@ def reconstruct_source(obs: Observation, spec: ProblemSpec,
     Dy = sp.kron(sp.identity(n), _rows_first_diff(m + 1, g.d2), format="csr")
     mass = sp.diags(weights.ravel())
     K = (mass + _penalty_matrix([Dx, Dy], weights)).tocsr()
-    A = (sp.diags(cnt.ravel()) + eps * K).tocsr()
-    precond = 1.0 / A.diagonal()
-    fvec, iters = conjugate_gradient(A, bmat.ravel(), tol=cg_tol, precond=precond)
-    fm = fvec.reshape(n, m + 1)
+    A = (sp.diags(cnt.ravel()) + eps * K).tocsc()
+    # A is symmetric, so order the LU on the pattern of A^T + A
+    fm = spla.spsolve(A, bmat.ravel(), permc_spec="MMD_AT_PLUS_A").reshape(n, m + 1)
     f_full = np.vstack([fm, fm[:1, :]])
     f_field = Field2D(g, f_full, obs.t0)
 
@@ -430,7 +404,7 @@ def reconstruct_source(obs: Observation, spec: ProblemSpec,
             rel_error = rel_l2_error(f_field, exact)
         except ZeroNormError:
             rel_error = None
-    return ReconstructionResult(f_field, eps, rel_error, residual, iters)
+    return ReconstructionResult(f_field, eps, rel_error, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +448,14 @@ def run_aer_pipeline(spec: ProblemSpec, cfg: SolverConfig, delta: float, seed: i
                      obs_grid: Grid2D | None = None, noise_kind: str = "uniform",
                      gradient_measured: bool = False, discrepancy: str = "calibrated",
                      snapshot: Field2D | None = None, front: FrontCurve | None = None,
-                     front_nt: int = 200) -> PipelineResult:
+                     front_nt: int = 200, u0: Field2D | None = None) -> PipelineResult:
     """Full recovery chain: forward snapshot at t0, noise injection, band
     exclusion, per-region smoothing (skipped when gradients are measured),
     and source reconstruction with error metrics against the exact source.
 
-    A precomputed snapshot or front curve may be passed to avoid repeating
-    the expensive stages across sweeps; they must correspond to the same problem.
+    A precomputed snapshot, front curve or asymptotic field u0 (on obs_grid
+    at t0) may be passed to avoid repeating the expensive stages across
+    sweeps; they must correspond to the same problem.
     """
     from .errors import AerError
 
@@ -506,7 +481,8 @@ def run_aer_pipeline(spec: ProblemSpec, cfg: SolverConfig, delta: float, seed: i
     smoothing = None if gradient_measured else _stage("smoothing", smooth_observation,
                                                       obs, discrepancy)
     recon = _stage("reconstruction", reconstruct_source, obs, spec, smoothing)
-    u0 = _stage("asymptotic-field", assemble_u0, spec, front, obs_grid, spec.t0)
+    if u0 is None:
+        u0 = _stage("asymptotic-field", assemble_u0, spec, front, obs_grid, spec.t0)
     u0_err = rel_l2_error(u0, snapshot)
     metrics = {
         "delta": delta,

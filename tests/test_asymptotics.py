@@ -148,13 +148,16 @@ def test_assumption1_violations():
     assert not rep2.ok  # the gap condition is a strict inequality
     assert rep2.details["gap_margin"] == pytest.approx(0.0, abs=1e-15)
     # a trace undefined on part of the period (sqrt of negative x) is nan
-    # there, and nan must not pass the sign and gap tests
-    s3 = ProblemSpec(mu=mu, k=1.0, x0=-1.0, x1=1.0, a=1.0, T=1.0,
-                     u_minus_a=parse("-1 + 0*sqrt(x)"), u_plus_a=parse("2"),
-                     f=parse("0"), h0_star=0.0, t0=0.5)
-    rep3 = check_assumption1(s3)
-    assert not rep3.ok
-    assert any("not negative" in m for m in rep3.messages)
+    # there; nan must not pass as data, so the spec itself is rejected
+    with pytest.raises(AssumptionViolation, match="u_minus_a is not finite"):
+        ProblemSpec(mu=mu, k=1.0, x0=-1.0, x1=1.0, a=1.0, T=1.0,
+                    u_minus_a=parse("-1 + 0*sqrt(x)"), u_plus_a=parse("2"),
+                    f=parse("0"), h0_star=0.0, t0=0.5)
+    # finite on [x0, x1] but nan one period on: not periodic, never passed
+    with pytest.raises(ValueError, match="not periodic"):
+        ProblemSpec(mu=mu, k=1.0, x0=0.0, x1=1.0, a=1.0, T=1.0,
+                    u_minus_a=parse("-1 + 0*sqrt(1 - x)"), u_plus_a=parse("2"),
+                    f=parse("0"), h0_star=0.0, t0=0.5)
 
 
 def test_assumption2_example1(ex1):

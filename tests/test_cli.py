@@ -140,6 +140,27 @@ def test_cmd_asymptote_nan_radicand_exit_code(tmp_path):
     assert not report["assumption2"]["ok"]
 
 
+@pytest.mark.parametrize("command", ["forward", "invert"])
+def test_nan_source_exit_code(tmp_path, command):
+    # the same nan source must stop the forward solve before its first step
+    bad = TINY.replace("f = 0.3*cos(pi*x)", "f = 0.1*ln(x+1.5)").replace(
+        "x0 = -1\nx1 = 1", "x0 = -2\nx1 = 2")
+    path = tmp_path / "nan.ini"
+    path.write_text(bad)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command", ["forward", "asymptote", "invert"])
+@pytest.mark.parametrize("old, new, code", [
+    pytest.param("mu = 0.05", "mu = -0.05", 4, id="negative-mu"),
+    pytest.param("u_minus_a = -3", "u_minus_a = -3 + 0*sqrt(x)", 2, id="nan-trace"),
+])
+def test_invalid_problem_data_exit_codes(tmp_path, command, old, new, code):
+    path = tmp_path / "bad.ini"
+    path.write_text(TINY.replace(old, new))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == code
+
+
 def test_malformed_expression_exit_code(tmp_path):
     path = tmp_path / "syntax.ini"
     path.write_text(TINY.replace("0.3*cos(pi*x)", "0.3*cos(pi*x"))

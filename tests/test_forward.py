@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from aer import Field2D, ProblemSpec, initial_condition, parse, rel_l2_error
+from aer.errors import AssumptionViolation
 from aer.forward import SolverConfig, forward_solve
 
 
@@ -29,6 +30,15 @@ def test_config_validation():
         SolverConfig(g, 1.0, 0.4, [2.0])  # snapshot beyond t_end
     with pytest.raises(ValueError):
         forward_solve(s, SolverConfig(g, 5.0, 0.4, []))  # beyond horizon T
+
+
+def test_non_finite_source_rejected_before_stepping():
+    # ln(x + 1.5) is nan on x < -1.5; this must not surface as a blow-up
+    s = ProblemSpec(mu=0.08, k=2.0, x0=-2.0, x1=2.0, a=2.0, T=1.0,
+                    u_minus_a=parse("-4"), u_plus_a=parse("2"),
+                    f=parse("0.1*ln(x+1.5)"), h0_star=0.0, t0=0.5)
+    with pytest.raises(AssumptionViolation, match="source f is not finite"):
+        forward_solve(s, SolverConfig(s.grid(20, 20), 0.5, 0.4, [0.5]))
 
 
 def test_discrete_maximum_principle_without_source():

@@ -18,8 +18,11 @@ from aer.errors import DiscrepancyUnreachable, LayerTooWide
 from aer.forward import SolverConfig
 from aer.inverse import (
     Observation,
+    _circ_first_diff,
     _data_product,
-    conjugate_gradient,
+    _rows_first_diff,
+    _rows_second_diff,
+    _smoothing_solver,
     make_observation,
     noise_misfit_target,
     smooth_observation,
@@ -179,22 +182,56 @@ def test_smoothing_error_monotone_in_delta():
     assert errors[2] <= errors[1] * 1.1
 
 
-def test_cg_objective_monotone():
-    rng = np.random.default_rng(0)
-    import scipy.sparse as sp
-    n = 120
-    B = rng.standard_normal((n, n)) * 0.1
-    A = sp.csr_matrix(B @ B.T + np.eye(n))
-    b = rng.standard_normal(n)
-    objectives = []
+def _dense_rows_second_diff(r, d):
+    """Reference loop for _rows_second_diff: centred inside, one-sided rows."""
+    A = np.zeros((r, r))
+    for j in range(1, r - 1):
+        A[j, j - 1:j + 2] = [1.0, -2.0, 1.0]
+    edge = [2.0, -5.0, 4.0, -1.0] if r >= 4 else [1.0, -2.0, 1.0]
+    A[0, :len(edge)] = edge
+    A[r - 1, r - len(edge):] = edge[::-1]
+    return A / d ** 2
 
-    def cb(x):
-        objectives.append(0.5 * x @ (A @ x) - b @ x)
 
-    x, iters = conjugate_gradient(A, b, tol=1e-12, callback=cb)
-    diffs = np.diff(objectives)
-    assert np.all(diffs <= 1e-10 * max(1.0, abs(objectives[0])))
-    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b) * 100
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("r", [3, 4, 6])
+@pytest.mark.parametrize("eps", [1e-14, 1e-4, 1e2])
+def test_smoothing_solver_matches_dense_solve(n, r, eps):
+    # dense C + eps K in the smoothing's unknown order (x outer, row inner);
+    # odd and even n exercise the rfft with and without a Nyquist mode
+    d1, d2 = 4.0 / n, 0.2
+    N = (n + 1) * r
+    cxx = (np.roll(np.eye(n), 1, axis=0) - 2.0 * np.eye(n) + np.roll(np.eye(n), -1, axis=0)) / d1 ** 2
+    trap = np.ones(r)
+    trap[[0, -1]] = 0.5
+    T = d1 * d2 * np.diag(trap)
+    ryy = _dense_rows_second_diff(r, d2)
+    K = np.kron(cxx.T @ cxx, T) + np.kron(np.eye(n), ryy.T @ T @ ryy)
+    counts = np.ones(n)
+    counts[0] = 2.0
+    A = np.kron(np.diag(counts), np.eye(r)) / N + eps * K
+    b = np.random.default_rng(n * r).standard_normal((n, r))
+    want = np.linalg.solve(A, b.ravel()).reshape(n, r)
+    got = _smoothing_solver(n, r, d1, d2)(eps, b)
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_stencils_match_dense(r):
+    d = 0.3
+    second = {4: [[2, -5, 4, -1], [1, -2, 1, 0], [0, 1, -2, 1], [-1, 4, -5, 2]],
+              5: [[2, -5, 4, -1, 0], [1, -2, 1, 0, 0], [0, 1, -2, 1, 0], [0, 0, 1, -2, 1],
+                  [0, -1, 4, -5, 2]]}[r]
+    first = {4: [[-3, 4, -1, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 1, -4, 3]],
+             5: [[-3, 4, -1, 0, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 1, 0], [0, 0, -1, 0, 1],
+                 [0, 0, 1, -4, 3]]}[r]
+    circ = {4: [[0, 1, 0, -1], [-1, 0, 1, 0], [0, -1, 0, 1], [1, 0, -1, 0]],
+            5: [[0, 1, 0, 0, -1], [-1, 0, 1, 0, 0], [0, -1, 0, 1, 0], [0, 0, -1, 0, 1],
+                [1, 0, 0, -1, 0]]}[r]
+    assert np.array_equal(_rows_second_diff(r, d).toarray(), np.array(second, float) / d ** 2)
+    assert np.array_equal(_rows_first_diff(r, d).toarray(), np.array(first, float) / (2 * d))
+    assert np.array_equal(_circ_first_diff(r, d).toarray(), np.array(circ, float) / (2 * d))
+    assert np.array_equal(_dense_rows_second_diff(r, d), np.array(second, float) / d ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +283,42 @@ def test_reconstruct_band_infill_is_smooth():
     assert np.max(np.abs(band - exact[:, 13:18])) < 0.15
     assert band.min() > 1.0 + g.ys[12] - 0.15
     assert band.max() < 1.0 + g.ys[18] + 0.15
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-12])
+def test_reconstruction_satisfies_normal_equations(eps):
+    # the gradient of  sum_retained (f - g)^2 + eps sum w (f^2 + f_x^2 + f_y^2)
+    # over the periodic core, assembled densely here, vanishes at the result
+    g = Grid2D(0.0, 2.0, 1.0, 16, 14)
+    n, m = g.n, g.m
+    rng = np.random.default_rng(5)
+    u = Field2D(g, 1.0 + rng.random((n + 1, m + 1)))
+    ux = Field2D(g, rng.standard_normal((n + 1, m + 1)))
+    uy = Field2D(g, rng.standard_normal((n + 1, m + 1)))
+    obs = Observation(g, 0.1, u, 0.0, 1, RegionMask(5, 9), ux_delta=ux, uy_delta=uy)
+
+    class _Spec:
+        k = 1.5
+        f = None
+
+    f = reconstruct_source(obs, _Spec(), eps=eps).f_delta.values
+    assert np.array_equal(f[n], f[0])
+    data = _data_product(u.values, ux.values, uy.values, _Spec.k)
+    retained = np.r_[0:6, 9:m + 1]
+    grad = np.zeros((n + 1, m + 1))
+    grad[:, retained] = f[:, retained] - data[:, retained]
+    grad[0] += grad[n]                      # column n is column 0
+    b = np.zeros((n + 1, m + 1))
+    b[:, retained] = data[:, retained]
+    b[0] += b[n]
+    fc, bc, grad = f[:n], b[:n], grad[:n]
+    eye_x, eye_y = np.eye(n), np.eye(m + 1)
+    dx = (np.roll(eye_x, -1, axis=0) - np.roll(eye_x, 1, axis=0)) / (2 * g.d1)
+    dy = np.gradient(eye_y, g.d2, axis=0, edge_order=2)
+    wy = np.full(m + 1, g.d1 * g.d2)
+    wy[[0, -1]] *= 0.5
+    grad += eps * (wy * fc + dx.T @ (wy * (dx @ fc)) + (wy * (fc @ dy.T)) @ dy)
+    assert np.linalg.norm(grad) <= 1e-10 * np.linalg.norm(bc)
 
 
 def test_data_product_scales_quadratically():
