@@ -160,7 +160,7 @@ def load_config(preset: str | None, path: str | None, seed_override: int | None 
         raise ConfigError(
             f"mask_mode {mask_mode!r} is not supported; the global band matches "
             "the reference row-index convention")
-    return RunConfig(
+    run = RunConfig(
         spec=spec,
         n=_get(fwd, "n", int, 50),
         m=_get(fwd, "m", int, 50),
@@ -176,6 +176,14 @@ def load_config(preset: str | None, path: str | None, seed_override: int | None 
         study=raw.get("study", {}),
         raw=raw,
     )
+    # out-of-range [forward] values exit 4 here instead of ending in a traceback
+    try:
+        for grid in (run.obs_grid, run.forward_grid):
+            SolverConfig(grid, spec.T, run.cfl, run.snapshots)
+    except ValueError as exc:     # n, m, refine, cfl or a snapshot time
+        raise ConfigError(f"[forward] n = {run.n}, m = {run.m}, refine = {run.refine}, "
+                          f"cfl = {run.cfl}: {exc}") from exc
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -345,19 +353,24 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
     # group once in the parent instead of per (delta, seed) combination (the
     # first u0 on a grid fills a cache; workers filling it at once each hold
     # the quadrature's transient memory)
-    shared = {}
+    # every (mu, n) group is checked before the first forward solve
+    groups = {}
     for params in runs:
         key = (params.get("mu", base_spec.mu), params.get("n", cfg.n))
-        if key in shared:
+        if key in groups:
             continue
         mu, n = key
-        spec = base_spec if mu == base_spec.mu else asymptotics.ProblemSpec(
-            mu, base_spec.k, base_spec.x0, base_spec.x1, base_spec.a, base_spec.T,
-            base_spec.u_minus_a, base_spec.u_plus_a, base_spec.f,
-            base_spec.h0_star, base_spec.t0)
-        obs_grid = spec.grid(n, n)
-        sc = SolverConfig(spec.grid(cfg.refine * n, cfg.refine * n), spec.t0,
-                          cfg.cfl, [spec.t0])
+        try:
+            spec = base_spec if mu == base_spec.mu else asymptotics.ProblemSpec(
+                mu, base_spec.k, base_spec.x0, base_spec.x1, base_spec.a, base_spec.T,
+                base_spec.u_minus_a, base_spec.u_plus_a, base_spec.f,
+                base_spec.h0_star, base_spec.t0)
+            groups[key] = (spec, spec.grid(n, n), SolverConfig(
+                spec.grid(cfg.refine * n, cfg.refine * n), spec.t0, cfg.cfl, [spec.t0]))
+        except ValueError as exc:     # a mus or grids value out of range
+            raise ConfigError(f"[study] mu = {mu}, n = {n}: {exc}") from exc
+    shared = {}
+    for key, (spec, obs_grid, sc) in groups.items():
         snapshot = forward_solve(spec, sc)[0]
         front = asymptotics.solve_front(spec, 200, obs_grid, t_end=spec.t0,
                                         extra_times=(spec.t0,))

@@ -12,8 +12,11 @@ Accepted grammar (whitespace insensitive):
 '^' binds tighter than unary minus, so -x^2 means -(x^2), and 2^3^2 means
 2^(3^2) = 512.  Evaluation is numpy-aware: scalars or arrays may be passed
 for x and y.  Mathematically forced non-finite results (ln of a negative,
-0 division, ...) are returned as nan/inf by eval() and rejected with an
-exception by eval_checked(), which is what the solvers use.
+0 division, ...) are returned as nan/inf by a call and rejected with
+NonFiniteValueError by eval_checked().  The solvers call the expression
+directly and check the values they use: ProblemSpec (boundary traces) and
+forward_solve (source and traces on its grid) raise AssumptionViolation,
+and check_assumption1/2 report a non-finite value as a failed check.
 """
 
 from __future__ import annotations

@@ -161,6 +161,23 @@ def test_invalid_problem_data_exit_codes(tmp_path, command, old, new, code):
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == code
 
 
+@pytest.mark.parametrize("command, old, new", [
+    pytest.param("forward", "cfl = 0.4", "cfl = 2", id="cfl"),
+    pytest.param("forward", "cfl = 0.4", "cfl = 0", id="cfl-zero"),
+    pytest.param("forward", "n = 24", "n = 1", id="n"),
+    pytest.param("invert", "m = 24", "m = 1", id="m"),
+    pytest.param("invert", "refine = 2", "refine = 0", id="refine"),
+    pytest.param("forward", "snapshots = 0.15 0.3", "snapshots = 0.15 5", id="snapshot-past-T"),
+    pytest.param("forward", "snapshots = 0.15 0.3", "snapshots = -0.1", id="negative-snapshot"),
+    pytest.param("study", "[inverse]", "[study]\nmus = 0.05 -0.05\n\n[inverse]", id="study-mus"),
+    pytest.param("study", "[inverse]", "[study]\ngrids = 24 1\n\n[inverse]", id="study-grids"),
+])
+def test_out_of_range_run_settings_exit_code(tmp_path, command, old, new):
+    path = tmp_path / "range.ini"
+    path.write_text(TINY.replace(old, new))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+
+
 def test_malformed_expression_exit_code(tmp_path):
     path = tmp_path / "syntax.ini"
     path.write_text(TINY.replace("0.3*cos(pi*x)", "0.3*cos(pi*x"))

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from aer import Field2D, ProblemSpec, initial_condition, parse, rel_l2_error
-from aer.errors import AssumptionViolation
+from aer.errors import AssumptionViolation, SolverBlowUp
 from aer.forward import SolverConfig, forward_solve
 
 
@@ -39,6 +41,93 @@ def test_non_finite_source_rejected_before_stepping():
                     f=parse("0.1*ln(x+1.5)"), h0_star=0.0, t0=0.5)
     with pytest.raises(AssumptionViolation, match="source f is not finite"):
         forward_solve(s, SolverConfig(s.grid(20, 20), 0.5, 0.4, [0.5]))
+
+
+def _reference_solve(spec, cfg, u_init):
+    """The textbook form of forward_solve: np.roll for the x wrap, fresh
+    arrays every stage.  Returns the snapshot values and the dt history."""
+    grid = cfg.grid
+    d1, d2, n, m = grid.d1, grid.d2, grid.n, grid.m
+    xs = grid.xs[:-1]
+    lo = spec.u_minus_a(xs, 0.0 * xs) + np.zeros(n)
+    hi = spec.u_plus_a(xs, 0.0 * xs) + np.zeros(n)
+    X, Y = np.meshgrid(xs, grid.ys, indexing="ij")
+    f = spec.f(X, Y) + np.zeros((n, m + 1))
+    diff_bound = 1.0 / (2.0 * spec.mu * (1.0 / d1 ** 2 + 1.0 / d2 ** 2))
+
+    def rhs(v):
+        ve = np.roll(v, -1, axis=0)
+        fx = -0.25 * spec.k * (v ** 2 + ve ** 2) \
+            - 0.5 * spec.k * np.maximum(np.abs(v), np.abs(ve)) * (ve - v)
+        adv_x = -(fx - np.roll(fx, 1, axis=0)) / d1
+        vn, vs = v[:, 1:], v[:, :-1]
+        fy = -0.25 * (vs ** 2 + vn ** 2) - 0.5 * np.maximum(np.abs(vs), np.abs(vn)) * (vn - vs)
+        adv_y = np.zeros_like(v)
+        adv_y[:, 1:-1] = -(fy[:, 1:] - fy[:, :-1]) / d2
+        lap = np.zeros_like(v)
+        lap[:, 1:-1] = (ve[:, 1:-1] - 2.0 * v[:, 1:-1] + np.roll(v, 1, axis=0)[:, 1:-1]) / d1 ** 2 \
+            + (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / d2 ** 2
+        out = spec.mu * lap + adv_x + adv_y - f
+        out[:, [0, -1]] = 0.0
+        return out
+
+    u = u_init.values[:-1].copy()
+    u[:, 0], u[:, -1] = lo, hi
+    snaps, dts, pending, t = [], [], list(cfg.snapshot_times), 0.0
+    while t < cfg.t_end - 1e-13:
+        umax = np.max(np.abs(u))
+        dt = min(cfg.cfl * diff_bound, cfg.cfl * d1 / (spec.k * umax), cfg.cfl * d2 / umax,
+                 pending[0] - t if pending else np.inf, cfg.t_end - t)
+        r1 = rhs(u)
+        u_star = u + dt * r1
+        u_star[:, 0], u_star[:, -1] = lo, hi
+        u = u + 0.5 * dt * (r1 + rhs(u_star))
+        u[:, 0], u[:, -1] = lo, hi
+        t += dt
+        dts.append(dt)
+        while pending and abs(t - pending[0]) <= 1e-12:
+            snaps.append(np.vstack([u, u[:1]]))
+            pending.pop(0)
+    return snaps, dts
+
+
+@pytest.mark.parametrize("case", ["ex1-even-n-ne-m", "ex2-odd-n", "k1.5-u_init"])
+def test_matches_textbook_form_bit_for_bit(case, ex1, ex2):
+    """forward_solve reorganises memory, not arithmetic: every snapshot and
+    every dt equals the np.roll form exactly."""
+    u_init = None
+    if case == "ex1-even-n-ne-m":
+        spec, grid = ex1, ex1.grid(24, 17)
+    elif case == "ex2-odd-n":
+        spec, grid = ex2, ex2.grid(25, 30)
+    else:
+        spec = ProblemSpec(mu=0.05, k=1.5, x0=0.0, x1=2.0, a=1.0, T=1.0,
+                           u_minus_a=parse("-3 + 0.5*sin(pi*x)"), u_plus_a=parse("2"),
+                           f=parse("sin(pi*x)*y"), h0_star=0.0, t0=0.5)
+        grid = spec.grid(15, 21)
+        X, Y = grid.meshgrid()
+        u_init = Field2D(grid, 2.5 * np.tanh(4.0 * Y) - 0.5 + 0.3 * np.cos(np.pi * X))
+    # 0.013 falls inside a CFL step, so the step before it is clipped
+    cfg = SolverConfig(grid, 0.06, 0.4, [0.013, 0.03, 0.06])
+    snaps, dts = forward_solve(spec, cfg, u_init=u_init, record_dt=True)
+    ref_snaps, ref_dts = _reference_solve(
+        spec, cfg, u_init if u_init is not None else initial_condition(spec, grid))
+    assert dts == ref_dts
+    assert len(set(dts)) > 1            # a clipped step occurred
+    assert [f.time for f in snaps] == cfg.snapshot_times
+    for f, ref in zip(snaps, ref_snaps, strict=True):
+        assert np.array_equal(f.values, ref)
+
+
+def test_nan_in_start_raises_blow_up_after_first_step(ex1):
+    g = ex1.grid(16, 16)
+    start = initial_condition(ex1, g)
+    start.values[5, 7] = np.nan         # Field2D checks finiteness only at construction
+    # the first step has nan max|u|, so it takes the diffusion cap; the
+    # check after it must stop the march
+    dt = 0.4 / (2.0 * ex1.mu * (1.0 / g.d1 ** 2 + 1.0 / g.d2 ** 2))
+    with pytest.raises(SolverBlowUp, match=re.escape(f"solver blow-up at t = {dt:.6g}") + "$"):
+        forward_solve(ex1, SolverConfig(g, 0.1, 0.4, [0.1]), u_init=start)
 
 
 def test_discrete_maximum_principle_without_source():
