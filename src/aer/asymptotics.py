@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
-from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from .errors import AssumptionViolation, NumericalError
 from .expr import Expr
@@ -315,12 +313,90 @@ def _aligned_branch_integral(spec: ProblemSpec, side: str, nx: int, ny: int, p: 
     return out
 
 
+def _not_a_knot_curvature(y: np.ndarray, h: float) -> np.ndarray:
+    """Second derivatives M, along axis 0, of the not-a-knot cubic spline
+    through y on n + 1 uniform nodes of spacing h, n >= 4.
+
+    The inner rows are the C2 conditions M[i-1] + 4 M[i] + M[i+1] = r[i],
+    r = 6 (second difference of y) / h^2.  The not-a-knot end row
+    M[0] - 2 M[1] + M[2] = 0 (third derivative continuous at the second
+    node; de Boor, A Practical Guide to Splines, ch. IV) subtracted from the
+    first inner row gives M[1] = r[1] / 6, and likewise at the other end, so
+    what is left is a (1, 4, 1) tridiagonal system for M[2..n-2], solved by
+    elimination in a loop over rows (vectorised over the other axes).
+    """
+    n = y.shape[0] - 1
+    r = (y[:-2] - 2.0 * y[1:-1] + y[2:]) * (6.0 / h ** 2)     # rows 1..n-1
+    m = np.empty_like(y)
+    m[1] = r[0] / 6.0
+    m[n - 1] = r[-1] / 6.0
+    rhs = r[1:-1].copy()                                      # rows 2..n-2
+    rhs[0] -= m[1]
+    rhs[-1] -= m[n - 1]
+    diag = np.full(n - 3, 4.0)
+    for i in range(1, n - 3):
+        diag[i] -= 1.0 / diag[i - 1]
+        rhs[i] -= rhs[i - 1] / diag[i - 1]
+    m[n - 2] = rhs[-1] / diag[-1]
+    for i in range(n - 5, -1, -1):
+        m[i + 2] = (rhs[i] - m[i + 3]) / diag[i]
+    m[0] = 2.0 * m[1] - m[2]
+    m[n] = 2.0 * m[n - 1] - m[n - 2]
+    return m
+
+
+def _cell_cubics(y, m, h):
+    """Power-basis coefficients (1, t, t^2, t^3) along axis 0 of the cubic on
+    each cell of width h, from the end values y and second derivatives m;
+    t is the offset in the cell over h."""
+    c = h ** 2 / 6.0
+    return [y[:-1],
+            y[1:] - y[:-1] - c * (2.0 * m[:-1] + m[1:]),
+            3.0 * c * m[:-1],
+            c * (m[1:] - m[:-1])]
+
+
+class _BicubicSpline:
+    """Not-a-knot tensor cubic spline through values[i, j] at
+    (x0 + i hx, y0 + j hy): the s = 0 bicubic of FITPACK (de Boor, ch. XVII).
+
+    Stored as 16 power-basis coefficients per cell, so a query is one gather
+    and two Horner passes.  Queries must lie on the grid's rectangle.
+    """
+
+    def __init__(self, values: np.ndarray, x0: float, y0: float, hx: float, hy: float):
+        self.x0, self.y0, self.hx, self.hy = x0, y0, hx, hy
+        nx, ny = (s - 1 for s in values.shape)
+        self.nx, self.ny = nx, ny
+        # second derivatives at the nodes (in x, in y and mixed), then the
+        # cubics along x of the values and of their y derivatives, then the
+        # cubics along y of each of those coefficients
+        m_y = _not_a_knot_curvature(values.T, hy).T
+        in_x = zip(_cell_cubics(values, _not_a_knot_curvature(values, hx), hx),
+                   _cell_cubics(m_y, _not_a_knot_curvature(m_y, hx), hx))
+        coef = [q for v, m in in_x for q in _cell_cubics(v.T, m.T, hy)]
+        self._coef = np.stack(coef, axis=-1).transpose(1, 0, 2).reshape(nx * ny, 16)
+
+    def __call__(self, x, y):
+        tx, ty = np.broadcast_arrays((np.asarray(x, dtype=float) - self.x0) / self.hx,
+                                     (np.asarray(y, dtype=float) - self.y0) / self.hy)
+        i = np.clip(tx.astype(np.intp), 0, self.nx - 1)
+        j = np.clip(ty.astype(np.intp), 0, self.ny - 1)
+        t = (tx - i)[..., None]
+        u = (ty - j)[..., None]
+        c = self._coef[i * self.ny + j].reshape(tx.shape + (4, 4))
+        in_y = ((c[..., 3] * u + c[..., 2]) * u + c[..., 1]) * u + c[..., 0]
+        return (((in_y[..., 3:] * t + in_y[..., 2:3]) * t + in_y[..., 1:2]) * t
+                + in_y[..., :1])[..., 0]
+
+
 class PhiTable:
     """Bicubic lookup for one outer branch on [x0, x1] x [-a, a].
 
     Node values come from the aligned row recursion (or per-node quadrature
     when no aligned layout exists); queries wrap x into the period, clip y
-    to [-a, a] and evaluate the interpolating bicubic spline.
+    to [-a, a] and evaluate the not-a-knot tensor cubic spline through the
+    nodes (_BicubicSpline).
     """
 
     def __init__(self, spec: ProblemSpec, side: str, n: int):
@@ -353,13 +429,14 @@ class PhiTable:
         sign_ok = np.all(self.values < 0) if side == "minus" else np.all(self.values > 0)
         if not sign_ok:
             raise AssumptionViolation(f"outer branch '{side}' changes sign on the table grid")
-        self._spline = RectBivariateSpline(self.xs, self.ys, self.values, kx=3, ky=3, s=0)
+        self._spline = _BicubicSpline(self.values, spec.x0, -spec.a,
+                                      spec.length / self.nx, 2.0 * spec.a / self.ny)
 
     def __call__(self, x, y):
         spec = self.spec
         xw = spec.x0 + np.mod(np.asarray(x, dtype=float) - spec.x0, spec.length)
         yc = np.clip(np.asarray(y, dtype=float), -spec.a, spec.a)
-        return self._spline.ev(xw, yc)
+        return self._spline(xw, yc)
 
 
 _table_cache: dict = {}
@@ -419,11 +496,24 @@ class FrontCurve:
             w = (t - self.times[j - 1]) / (self.times[j] - self.times[j - 1])
             row_h = (1 - w) * self.h[j - 1] + w * self.h[j]
             row_hx = (1 - w) * self.hx[j - 1] + w * self.hx[j]
-        xs_closed = np.append(self.xs, self.xs[0] + self.length)
-        sp_h = CubicSpline(xs_closed, np.append(row_h, row_h[0]), bc_type="periodic")
-        sp_hx = CubicSpline(xs_closed, np.append(row_hx, row_hx[0]), bc_type="periodic")
-        xw = self.xs[0] + np.mod(np.asarray(xq, dtype=float) - self.xs[0], self.length)
-        return sp_h(xw), sp_hx(xw)
+        # periodic cubic spline through the uniform nodes: the cyclic system
+        # M[i-1] + 4 M[i] + M[i+1] = 6 (second difference) / d^2 is diagonal
+        # in Fourier space
+        n = self.xs.size
+        d = self.length / n
+        rows = np.stack([row_h, row_hx])
+        second = np.roll(rows, 1, axis=-1) - 2.0 * rows + np.roll(rows, -1, axis=-1)
+        symbol = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
+        curv = np.fft.irfft(np.fft.rfft(second, axis=-1) / symbol, n, axis=-1) * (6.0 / d ** 2)
+        s = np.mod(np.asarray(xq, dtype=float) - self.xs[0], self.length) / d
+        left = np.minimum(s.astype(np.intp), n - 1)
+        right = (left + 1) % n
+        t = s - left
+        t_left = 1.0 - t
+        vals = (t_left * rows[:, left] + t * rows[:, right]
+                + (d ** 2 / 6.0) * ((t_left ** 3 - t_left) * curv[:, left]
+                                    + (t ** 3 - t) * curv[:, right]))
+        return vals[0], vals[1]
 
     def check_invariants(self, a: float, k: float):
         if not (np.all(self.h > -a) and np.all(self.h < a)):
@@ -637,6 +727,26 @@ def eval_u1(spec: ProblemSpec, side: str, x, y, tol: float = 1e-8, max_level=12)
     return float(out) if shape == () else out
 
 
+def _simpson(y, h):
+    """Composite Simpson rule along the last axis: an even number of
+    intervals of width h."""
+    return h / 3.0 * np.sum(y[..., :-2:2] + 4.0 * y[..., 1::2] + y[..., 2::2], axis=-1)
+
+
+def _cumulative_simpson(y, h):
+    """Running Simpson integral along the last axis from 0 (an even number
+    of intervals of width h).  Each pair of intervals (y0, y1, y2) is split
+    into h/12 (5 y0 + 8 y1 - y2) and h/12 (-y0 + 8 y1 + 5 y2), the quadratic
+    through the three nodes integrated over each half."""
+    y0, y1, y2 = y[..., :-2:2], y[..., 1::2], y[..., 2::2]
+    parts = np.empty(y.shape[:-1] + (y.shape[-1] - 1,))
+    parts[..., 0::2] = h / 12.0 * (5.0 * y0 + 8.0 * y1 - y2)
+    parts[..., 1::2] = h / 12.0 * (-y0 + 8.0 * y1 + 5.0 * y2)
+    out = np.zeros(y.shape)
+    np.cumsum(parts, axis=-1, out=out[..., 1:])
+    return out
+
+
 def _u1_quadrature(spec, side, xf, yf, s_b, tol, max_level):
     # integrate on the unit parameter so the plus side (whose anchoring
     # boundary lies at larger s) is handled by the signed span; points that
@@ -652,10 +762,10 @@ def _u1_quadrature(spec, side, xf, yf, s_b, tol, max_level):
         s = s_b[idx][:, None] + t[None, :] * span
         sigma = yf[idx][:, None] + (s - xf[idx][:, None]) / spec.k
         p, w = transport_coefficients(spec, side, s, sigma)
-        g = cumulative_simpson(p * span / spec.k, x=t, axis=-1, initial=0.0)
+        g = _cumulative_simpson(p * span / spec.k, 1.0 / n)
         expo = np.clip(g - g[:, -1:], -_EXP_CLIP, _EXP_CLIP)
         integrand = np.exp(expo) * w * span / spec.k
-        val = simpson(integrand, x=t, axis=-1)
+        val = _simpson(integrand, 1.0 / n)
         out[idx] = val
         done = np.abs(val - prev[idx]) <= tol
         prev[idx] = val

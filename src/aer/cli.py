@@ -45,7 +45,7 @@ PRESETS = {
         "forward": {"n": "50", "m": "50", "cfl": "0.4", "refine": "4",
                     "snapshots": "0.7"},
         "inverse": {"delta": "0.01", "seed": "1", "noise": "uniform",
-                    "mask_mode": "global", "gradient_measured": "false",
+                    "gradient_measured": "false",
                     "discrepancy": "calibrated"},
         "study": {},
     },
@@ -58,11 +58,13 @@ PRESETS = {
         "forward": {"n": "50", "m": "50", "cfl": "0.4", "refine": "4",
                     "snapshots": "0.2"},
         "inverse": {"delta": "0.01", "seed": "1", "noise": "uniform",
-                    "mask_mode": "global", "gradient_measured": "false",
+                    "gradient_measured": "false",
                     "discrepancy": "calibrated"},
         "study": {},
     },
 }
+NOISE_KINDS = ("uniform", "gaussian")
+DISCREPANCY_MODES = ("calibrated", "delta4")
 
 
 @dataclass
@@ -78,7 +80,6 @@ class RunConfig:
     delta: float
     seed: int
     noise: str
-    mask_mode: str
     gradient_measured: bool
     discrepancy: str
     study: dict
@@ -132,6 +133,15 @@ def _ints(text: str) -> list:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
+def _check_noise(section: str, deltas: list, seeds: list):
+    for delta in deltas:
+        if not (np.isfinite(delta) and delta >= 0.0):
+            raise ConfigError(f"[{section}] delta = {delta}: must be finite and nonnegative")
+    for seed in seeds:
+        if seed < 0:
+            raise ConfigError(f"[{section}] seed = {seed}: must be nonnegative")
+
+
 def load_config(preset: str | None, path: str | None, seed_override: int | None = None) -> RunConfig:
     raw = _merge(preset, path)
     prob = raw.get("problem", {})
@@ -155,11 +165,6 @@ def load_config(preset: str | None, path: str | None, seed_override: int | None 
     except ValueError as exc:     # a range or periodicity error in [problem]
         raise ConfigError(f"[problem] {exc}") from exc
     seed = seed_override if seed_override is not None else _get(inv, "seed", int, 1)
-    mask_mode = _get(inv, "mask_mode", str, "global")
-    if mask_mode != "global":
-        raise ConfigError(
-            f"mask_mode {mask_mode!r} is not supported; the global band matches "
-            "the reference row-index convention")
     run = RunConfig(
         spec=spec,
         n=_get(fwd, "n", int, 50),
@@ -170,13 +175,19 @@ def load_config(preset: str | None, path: str | None, seed_override: int | None 
         delta=_get(inv, "delta", float, 0.01),
         seed=seed,
         noise=_get(inv, "noise", str, "uniform"),
-        mask_mode=mask_mode,
         gradient_measured=_get(inv, "gradient_measured", bool, False),
         discrepancy=_get(inv, "discrepancy", str, "calibrated"),
         study=raw.get("study", {}),
         raw=raw,
     )
-    # out-of-range [forward] values exit 4 here instead of ending in a traceback
+    # out-of-range [inverse] and [forward] values exit 4 here, before any
+    # work, instead of ending in a traceback
+    _check_noise("inverse", [run.delta], [run.seed])
+    if run.noise not in NOISE_KINDS:
+        raise ConfigError(f"[inverse] noise = {run.noise!r}; have {list(NOISE_KINDS)}")
+    if run.discrepancy not in DISCREPANCY_MODES:
+        raise ConfigError(f"[inverse] discrepancy = {run.discrepancy!r}; "
+                          f"have {list(DISCREPANCY_MODES)}")
     try:
         for grid in (run.obs_grid, run.forward_grid):
             SolverConfig(grid, spec.T, run.cfl, run.snapshots)
@@ -344,7 +355,11 @@ def _study_runs(cfg: RunConfig, axes: dict) -> list:
 
 def cmd_study(cfg: RunConfig, out: str) -> int:
     t_start = time.perf_counter()
-    axes = _study_axes(cfg)
+    try:
+        axes = _study_axes(cfg)
+    except ValueError as exc:     # a token that is not a number
+        raise ConfigError(f"[study] {exc}") from exc
+    _check_noise("study", axes.get("delta", []), axes.get("seed", []))
     runs = _study_runs(cfg, axes)
     workers = int(os.environ.get("AER_MAX_WORKERS", "4"))
     base_spec = cfg.spec

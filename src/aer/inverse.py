@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import grid as gridmod
 from .asymptotics import FrontCurve, ProblemSpec, assemble_u0, solve_front, transition_width
@@ -93,41 +91,62 @@ def layer_band(front: FrontCurve, spec: ProblemSpec, t0: float, grid: Grid2D) ->
 
 
 # ---------------------------------------------------------------------------
-# sparse stencil operators (flattened (n, R) unknowns, C order, x periodic)
-
-def _circ_first_diff(n, d):
-    shift = sp.diags([1.0, 1.0], [1, 1 - n], shape=(n, n))   # v -> v[(i + 1) % n]
-    return ((shift - shift.T) / (2.0 * d)).tocsr()
-
+# y stencils and the folded periodic solver
 
 def _rows_stencil(r, centred, first, last):
     """r x r matrix with the three-point `centred` stencil on the inner rows,
     `first` at the start of row 0 and `last` at the end of row r - 1."""
-    inner = np.ones(r)
-    inner[[0, -1]] = 0.0
-    w = len(first)
-    edges = sp.csr_matrix((np.r_[first, last],
-                           (np.repeat([0, r - 1], w), np.r_[0:w, r - w:r])), shape=(r, r))
-    return sp.diags(inner) @ sp.diags(centred, [-1, 0, 1], shape=(r, r)) + edges
+    out = np.zeros((r, r))
+    j = np.arange(1, r - 1)
+    for offset, c in zip((-1, 0, 1), centred):
+        out[j, j + offset] = c
+    out[0, :len(first)] = first
+    out[r - 1, r - len(last):] = last
+    return out
 
 
 def _rows_second_diff(r, d):
     edge = [2.0, -5.0, 4.0, -1.0] if r >= 4 else [1.0, -2.0, 1.0]
-    return (_rows_stencil(r, [1.0, -2.0, 1.0], edge, edge[::-1]) / d ** 2).tocsr()
+    return _rows_stencil(r, [1.0, -2.0, 1.0], edge, edge[::-1]) / d ** 2
 
 
 def _rows_first_diff(r, d):
-    return (_rows_stencil(r, [-1.0, 0.0, 1.0], [-3.0, 4.0, -1.0], [1.0, -4.0, 3.0])
-            / (2.0 * d)).tocsr()
+    return _rows_stencil(r, [-1.0, 0.0, 1.0], [-3.0, 4.0, -1.0], [1.0, -4.0, 3.0]) / (2.0 * d)
 
 
-def _penalty_matrix(ops, weights):
-    w = sp.diags(weights.ravel())
-    K = None
-    for op in ops:
-        term = op.T @ w @ op
-        K = term if K is None else K + term
-    return K.tocsr()
+def _folded_periodic_solver(n: int, weight: np.ndarray, penalty: np.ndarray):
+    """Exact solver of (diag(2, 1, ..., 1) (x) diag(weight) + eps K) v = b.
+
+    Unknowns are v[i, j], i < n the periodic x columns (column n folded onto
+    column 0, hence its doubled data weight), j < r the rows.  K is block
+    circulant in x and penalty[k] its real symmetric r x r block for Fourier
+    mode k = 0..n/2.  An rfft along x turns the uniform part into the blocks
+    B_k = diag(weight) + eps penalty[k]; the extra weight of column 0 is the
+    update U diag(w_s) U^T, U = e_0 (x) (the rows s with nonzero weight),
+    removed exactly by the Woodbury identity with capacitance
+    diag(1/w_s) + G[s, s], where G = (1/n) sum_k mult_k B_k^-1 is the (0, 0)
+    block of B^-1 (modes 0 and n/2 count once, the others twice).
+
+    Returns solve(eps, b) for b of shape (n, r).
+    """
+    k = np.arange(n // 2 + 1)
+    mult = np.full(k.size, 2.0)
+    mult[0] = 1.0
+    if n % 2 == 0:
+        mult[-1] = 1.0
+    seam = np.flatnonzero(weight)
+    inv_weight = np.diag(1.0 / weight[seam])
+    base = np.diag(weight)
+
+    def solve(eps, b):
+        b_inv = np.linalg.inv(base + eps * penalty)
+        y = np.fft.irfft((b_inv @ np.fft.rfft(b, axis=0)[..., None])[..., 0], n, axis=0)
+        g = np.tensordot(mult, b_inv, axes=1) / n
+        z = np.zeros(weight.size)
+        z[seam] = np.linalg.solve(inv_weight + g[np.ix_(seam, seam)], y[0, seam])
+        return y - np.fft.irfft(b_inv @ z, n, axis=0)
+
+    return solve
 
 
 # ---------------------------------------------------------------------------
@@ -188,38 +207,20 @@ def _smoothing_solver(n: int, r: int, d1: float, d2: float):
     K = (Cxx^T Cxx) (x) T + I_n (x) Q with Cxx the circulant second difference,
     T = d1 d2 diag(trapezoid in y) and Q = Ryy^T T Ryy, and
     C = (diag(2, 1, ..., 1) (x) I_r) / N, N = (n + 1) r, because column n
-    folds onto column 0.  An rfft along x turns the periodic part into the
-    real SPD r x r blocks B_k = I/N + eps (p_k T + Q), p_k the squared
-    eigenvalues of Cxx; the doubled column 0 is the rank-r update
-    U U^T / N, U = e_0 (x) I_r, removed exactly by the Woodbury identity with
-    capacitance S = N I + (1/n) sum_k mult_k B_k^-1 (the (0, 0) block of
-    B^-1; modes 0 and n/2 count once, the others twice).
+    folds onto column 0.  Mode k of K is p_k T + Q, p_k the squared
+    eigenvalues of Cxx; see _folded_periodic_solver.
 
     Returns solve(eps, b) for b of shape (n, r).
     """
-    n_data = (n + 1) * r
     trap = np.full(r, 1.0)
     trap[0] = trap[-1] = 0.5
     t_w = d1 * d2 * trap
-    r_yy = _rows_second_diff(r, d2).toarray()
+    r_yy = _rows_second_diff(r, d2)
     q_w = r_yy.T @ (t_w[:, None] * r_yy)
     k = np.arange(n // 2 + 1)
     p = ((2.0 * np.cos(2.0 * np.pi * k / n) - 2.0) / d1 ** 2) ** 2
     penalty = p[:, None, None] * np.diag(t_w) + q_w          # p_k T + Q per mode
-    mult = np.full(k.size, 2.0)
-    mult[0] = 1.0
-    if n % 2 == 0:
-        mult[-1] = 1.0
-    eye = np.eye(r)
-
-    def solve(eps, b):
-        b_inv = np.linalg.inv(eye / n_data + eps * penalty)
-        y = np.fft.irfft((b_inv @ np.fft.rfft(b, axis=0)[..., None])[..., 0], n, axis=0)
-        cap = n_data * eye + np.tensordot(mult, b_inv, axes=1) / n
-        z = np.linalg.solve(cap, y[0])
-        return y - np.fft.irfft(b_inv @ z, n, axis=0)
-
-    return solve
+    return _folded_periodic_solver(n, np.full(r, 1.0 / ((n + 1) * r)), penalty)
 
 
 def smooth_region(obs: Observation, region: str, discrepancy: str = "calibrated",
@@ -345,8 +346,10 @@ def reconstruct_source(obs: Observation, spec: ProblemSpec,
     gradients when provided, otherwise from the smoothed regions); the fit
     runs over the full grid with penalty eps (||f||^2 + ||f_x||^2 +
     ||f_y||^2), eps = delta^2 with a small floor, so the excluded band is
-    filled in smoothly by the H1 coupling.  The sparse normal equations are
-    solved directly (sparse LU), so cg_iterations is 0.
+    filled in smoothly by the H1 coupling.  After the seam fold the normal
+    equations are uniform in x apart from the doubled data count of column 0,
+    so they are solved exactly by _folded_periodic_solver (Fourier in x,
+    Woodbury for the retained rows of the seam column); cg_iterations is 0.
     """
     g = obs.grid
     n, m = g.n, g.m
@@ -373,23 +376,22 @@ def reconstruct_source(obs: Observation, spec: ProblemSpec,
     if eps is None:
         eps = max(obs.delta ** 2, EPS_FLOOR)
 
-    counts_x = np.ones(n)
-    counts_x[0] = 2.0
-    cnt = np.zeros((n, m + 1))
-    cnt[:, retained] = counts_x[:, None]
     bmat = np.zeros((n, m + 1))
     bmat[:, retained] = gdata[:n, retained]
     bmat[0, retained] += gdata[n, retained]
+    counts = np.zeros(m + 1)
+    counts[retained] = 1.0
 
-    weights = g.trapezoid_weights[:n, :].copy()
-    weights[0, :] *= 2.0                        # fold the duplicated column
-    Dx = sp.kron(_circ_first_diff(n, g.d1), sp.identity(m + 1), format="csr")
-    Dy = sp.kron(sp.identity(n), _rows_first_diff(m + 1, g.d2), format="csr")
-    mass = sp.diags(weights.ravel())
-    K = (mass + _penalty_matrix([Dx, Dy], weights)).tocsr()
-    A = (sp.diags(cnt.ravel()) + eps * K).tocsc()
-    # A is symmetric, so order the LU on the pattern of A^T + A
-    fm = spla.spsolve(A, bmat.ravel(), permc_spec="MMD_AT_PLUS_A").reshape(n, m + 1)
+    # penalty eps (||f||^2 + ||f_x||^2 + ||f_y||^2) with the y trapezoid
+    # weights (uniform in x after the fold); mode k of the circulant central
+    # difference in x has squared modulus sin^2(2 pi k / n) / d1^2
+    t_w = g.trapezoid_weights[1, :]
+    r_y = _rows_first_diff(m + 1, g.d2)
+    k = np.arange(n // 2 + 1)
+    sx2 = np.sin(2.0 * np.pi * k / n) ** 2 / g.d1 ** 2
+    penalty = ((1.0 + sx2)[:, None, None] * np.diag(t_w)
+               + r_y.T @ (t_w[:, None] * r_y))
+    fm = _folded_periodic_solver(n, counts, penalty)(eps, bmat)
     f_full = np.vstack([fm, fm[:1, :]])
     f_field = Field2D(g, f_full, obs.t0)
 

@@ -16,7 +16,14 @@ from aer import (
     transport_coefficients,
 )
 import aer.asymptotics as asymptotics
-from aer.asymptotics import PhiTable, phi_table
+from aer.asymptotics import (
+    FrontCurve,
+    PhiTable,
+    _BicubicSpline,
+    _cumulative_simpson,
+    _simpson,
+    phi_table,
+)
 from aer.errors import AssumptionViolation
 from conftest import CLOSED_FORMS
 
@@ -124,6 +131,35 @@ def test_phi_table_fast_path_equals_generic(ex1):
     assert np.max(np.abs(table.values[ii, jj] - direct)) < 1e-9
 
 
+@pytest.mark.parametrize("shape", [(8, 11), (11, 8)])
+def test_bicubic_spline_matches_fitpack(shape):
+    # the not-a-knot tensor spline is FITPACK's s = 0 bicubic; odd and even
+    # node counts in each direction, every edge cell and the four corners
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(shape[0])
+    values = rng.standard_normal(shape)
+    x0, y0, hx, hy = -1.0, 2.0, 0.3, 0.7
+    xs = x0 + hx * np.arange(shape[0])
+    ys = y0 + hy * np.arange(shape[1])
+    x = rng.uniform(xs[0], xs[-1], 4000)
+    y = rng.uniform(ys[0], ys[-1], 4000)
+    ex = np.r_[xs[0], xs[0] + 0.4 * hx, xs[-1] - 0.4 * hx, xs[-1]]
+    ey = np.r_[ys[0], ys[0] + 0.4 * hy, ys[-1] - 0.4 * hy, ys[-1]]
+    edge_x, edge_y = np.meshgrid(ex, ey, indexing="ij")
+    side = rng.uniform(0.0, 1.0, 200)
+    x = np.r_[x, edge_x.ravel(), xs[0] + 0 * side, xs[-1] + 0 * side,
+              xs[0] + (xs[-1] - xs[0]) * side, xs[0] + (xs[-1] - xs[0]) * side]
+    y = np.r_[y, edge_y.ravel(), ys[0] + (ys[-1] - ys[0]) * side,
+              ys[0] + (ys[-1] - ys[0]) * side, ys[0] + 0 * side, ys[-1] + 0 * side]
+    want = interpolate.RectBivariateSpline(xs, ys, values, kx=3, ky=3, s=0).ev(x, y)
+    got = _BicubicSpline(values, x0, y0, hx, hy)(x, y)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # and it interpolates
+    grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
+    np.testing.assert_allclose(_BicubicSpline(values, x0, y0, hx, hy)(grid_x, grid_y),
+                               values, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # assumption checkers
 
@@ -210,6 +246,22 @@ def test_front_closed_form_drift():
         h, hx = front.sample(t, np.linspace(-2, 2, 9))
         assert np.max(np.abs(h - t)) < 1e-4
         assert np.max(np.abs(hx)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [9, 16])
+def test_front_sample_matches_periodic_cubic_spline(n):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(n)
+    xs = -2.0 + 4.0 / n * np.arange(n)
+    h, hx = rng.standard_normal((2, n))
+    front = FrontCurve(xs, 4.0, np.array([0.0]), h[None], hx[None])
+    xq = np.r_[rng.uniform(-7.0, 9.0, 2000), xs, 2.0, -2.0 - 1e-15]
+    got_h, got_hx = front.sample(0.0, xq)
+    xw = xs[0] + np.mod(xq - xs[0], 4.0)
+    for got, row in ((got_h, h), (got_hx, hx)):
+        want = interpolate.CubicSpline(np.append(xs, 2.0), np.append(row, row[0]),
+                                       bc_type="periodic")(xw)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_front_exits_domain_raises():
@@ -387,6 +439,18 @@ def _u1_ode_oracle(spec, side, x, y, n=4000):
         v += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         s += h
     return v
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_simpson_rules_match_scipy(n):
+    integrate = pytest.importorskip("scipy.integrate")
+    y = np.random.default_rng(n).standard_normal((5, n + 1))
+    t = np.linspace(0.0, 1.0, n + 1)
+    np.testing.assert_allclose(_simpson(y, 1.0 / n), integrate.simpson(y, x=t, axis=-1),
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(
+        _cumulative_simpson(y, 1.0 / n),
+        integrate.cumulative_simpson(y, x=t, axis=-1, initial=0.0), rtol=0, atol=1e-14)
 
 
 def test_u1_matches_characteristic_ode_oracle(ex1):

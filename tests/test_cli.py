@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import aer
 from aer.cli import (
     load_config,
     main,
@@ -171,6 +175,15 @@ def test_invalid_problem_data_exit_codes(tmp_path, command, old, new, code):
     pytest.param("forward", "snapshots = 0.15 0.3", "snapshots = -0.1", id="negative-snapshot"),
     pytest.param("study", "[inverse]", "[study]\nmus = 0.05 -0.05\n\n[inverse]", id="study-mus"),
     pytest.param("study", "[inverse]", "[study]\ngrids = 24 1\n\n[inverse]", id="study-grids"),
+    pytest.param("invert", "delta = 0.01", "delta = -0.01", id="delta"),
+    pytest.param("invert", "delta = 0.01", "delta = nan", id="delta-nan"),
+    pytest.param("invert", "seed = 1", "seed = -1", id="seed"),
+    pytest.param("invert", "seed = 1", "seed = 1\nnoise = bogus", id="noise"),
+    pytest.param("invert", "seed = 1", "seed = 1\ndiscrepancy = bogus", id="discrepancy"),
+    pytest.param("study", "[inverse]", "[study]\ndeltas = 0.01 -0.01\n\n[inverse]",
+                 id="study-deltas"),
+    pytest.param("study", "[inverse]", "[study]\nseeds = 1 -1\n\n[inverse]", id="study-seeds"),
+    pytest.param("study", "[inverse]", "[study]\nseeds = 1 x\n\n[inverse]", id="study-seed-token"),
 ])
 def test_out_of_range_run_settings_exit_code(tmp_path, command, old, new):
     path = tmp_path / "range.ini"
@@ -236,3 +249,22 @@ def test_cmd_study_single_point(tmp_path):
     assert len(rows) == 2
     summary = json.load(open(os.path.join(out, "study_summary.json")))
     assert summary["fits"] == {}
+
+
+def test_runs_without_scipy(tiny_config, tmp_path):
+    # a fresh interpreter, so no other test's import can hide one of aer's
+    code = textwrap.dedent(f"""
+        import sys
+        from aer.cli import main
+        for command in ("asymptote", "invert"):
+            out = {str(tmp_path)!r} + "/" + command
+            assert main([command, "--config", {tiny_config!r}, "--out", out]) == 0
+        print(sorted(name for name in sys.modules if name.startswith("scipy")))
+    """)
+    src = os.path.dirname(os.path.dirname(aer.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-1] == "[]"
