@@ -24,7 +24,6 @@ from .errors import (
     DiscrepancyUnreachable,
     ExprError,
     LayerTooWide,
-    NonFiniteValueError,
     NumericalError,
     SolverBlowUp,
     ZeroNormError,

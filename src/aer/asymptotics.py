@@ -9,7 +9,12 @@ The solution forms a moving front y = h0(x, t) separating two smooth outer
 branches.  This module computes, to leading order:
 
   * the outer branches phi (one per side) by integrating f along the
-    straight characteristics dy/dx = 1/k that emanate from the y boundary,
+    straight characteristics dy/dx = 1/k that emanate from the y boundary;
+    every point value (eval_phi, the assumption check, the branches on a
+    grid, the layer jump, the transport coefficients) comes from one
+    vectorised composite 16-point Gauss-Legendre engine, _char_integral,
+    and the bicubic lookup tables that the front equation reads are built
+    by an aligned row recursion and checked against it,
   * the front motion h0(x, t) from a first order evolution equation,
   * the logistic layer profile joining the branches across the front and
     the resulting layer width,
@@ -34,8 +39,7 @@ from .errors import AssumptionViolation, NumericalError
 from .expr import Expr
 from .grid import Field2D, Grid2D
 
-QUAD_TOL = 1e-10        # characteristic-integral tolerance for point evaluation
-TABLE_QUAD_TOL = 1e-8   # cheaper tolerance while filling lookup tables
+QUAD_TOL = 1e-10         # characteristic-integral tolerance
 TABLE_INTERP_TOL = 1e-6  # required bicubic interpolation accuracy
 _EXP_CLIP = 700.0
 
@@ -107,54 +111,62 @@ class AssumptionReport:
 # ---------------------------------------------------------------------------
 # characteristic-line quadrature
 
-def _char_integral(fxy, X, Y, E, k, tol, max_level=14, block=8192):
+# positive nodes and their weights of the 16-point Gauss-Legendre rule on
+# [-1, 1]; the rule is symmetric
+_GL16_HALF_NODES = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499])
+_GL16_HALF_WEIGHTS = np.array([
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176])
+_GL16_NODES = np.concatenate([-_GL16_HALF_NODES[::-1], _GL16_HALF_NODES])
+_GL16_WEIGHTS = np.concatenate([_GL16_HALF_WEIGHTS[::-1], _GL16_HALF_WEIGHTS])
+QUAD_MAX_LEVEL = 10          # at most 2^10 panels, 16384 nodes per point
+QUAD_CALL_POINTS = 1 << 20   # at most this many evaluation points per call of f
+
+
+def _char_integral(fxy, X, Y, E, k):
     """integral of f(s, Y + (s - X)/k) ds from s = X to s = E, elementwise.
 
-    Trapezoid doubling with Richardson extrapolation (composite Simpson
-    values); each block of points refines until its own tolerance is met.
+    Composite 16-point Gauss-Legendre rule on 1, 2, 4, ... equal panels of
+    the unit parameter t, s = X + t (E - X).  A point stops refining when
+    two successive levels agree to QUAD_TOL, or when its value is not
+    finite (it cannot converge; it is returned as it is and rejected by the
+    radicand checks).  The points still refining are evaluated in chunks of
+    at most QUAD_CALL_POINTS nodes per call of f.
     """
     X = np.asarray(X, dtype=float).ravel()
     Y = np.asarray(Y, dtype=float).ravel()
-    E = np.asarray(E, dtype=float).ravel()
+    L = np.asarray(E, dtype=float).ravel() - X
     out = np.empty_like(X)
-    for lo in range(0, X.size, block):
-        sl = slice(lo, min(lo + block, X.size))
-        out[sl] = _char_integral_block(fxy, X[sl], Y[sl], E[sl], k, tol, max_level)
+    active = np.arange(X.size)
+    prev = None
+    for level in range(QUAD_MAX_LEVEL + 1):
+        panels = 2 ** level
+        t = ((np.arange(panels)[:, None] + 0.5 + 0.5 * _GL16_NODES) / panels).ravel()
+        w = np.tile(_GL16_WEIGHTS, panels) / (2.0 * panels)
+        val = np.empty(active.size)
+        chunk = max(1, QUAD_CALL_POINTS // t.size)
+        for lo in range(0, active.size, chunk):
+            idx = active[lo:lo + chunk]
+            S = X[idx, None] + t * L[idx, None]
+            # einsum, not a BLAS product: no thread pool for a weighted sum
+            val[lo:lo + chunk] = np.einsum(
+                "ij,j->i", fxy(S, Y[idx, None] + (S - X[idx, None]) / k), w)
+        done = ~np.isfinite(val)
+        with np.errstate(invalid="ignore"):     # inf - inf, inf * 0: nan, as meant
+            if prev is not None:
+                done |= np.abs((val - prev) * L[active]) <= QUAD_TOL
+            out[active[done]] = val[done] * L[active[done]]
+        active, prev = active[~done], val[~done]
+        if active.size == 0:
+            return out
+    warnings.warn("characteristic integral did not reach requested tolerance")
+    out[active] = prev * L[active]
     return out
 
 
-def _char_integral_block(fxy, X, Y, E, k, tol, max_level):
-    # trapezoid doubling with up to three Richardson columns (Romberg);
-    # the deepest column is the returned value, tested level to level
-    L = E - X
-    f_lo = np.atleast_1d(fxy(X, Y))
-    f_hi = np.atleast_1d(fxy(E, Y + L / k))
-    cols = [0.5 * (f_lo + f_hi)]    # trapezoid value on the unit parameter
-    best_prev = None
-    n = 1
-    for _ in range(max_level):
-        n *= 2
-        t = (2.0 * np.arange(n // 2) + 1.0) / n
-        S = X[:, None] + t[None, :] * L[:, None]
-        mid_sum = fxy(S, Y[:, None] + (S - X[:, None]) / k).sum(axis=1)
-        new_cols = [0.5 * cols[0] + mid_sum / n]
-        for j in range(min(len(cols), 3)):
-            fac = 4.0 ** (j + 1)
-            new_cols.append((fac * new_cols[j] - cols[j]) / (fac - 1.0))
-        best = new_cols[-1]
-        if best_prev is not None and n >= 16:
-            # a non-finite value cannot converge; it is returned as it is
-            # and rejected by the radicand checks
-            done = (np.abs((best - best_prev) * L) <= tol) | ~np.isfinite(best)
-            if np.all(done):
-                return best * L
-        best_prev = best
-        cols = new_cols
-    warnings.warn("characteristic integral did not reach requested tolerance")
-    return best * L
-
-
-def _radicand(spec: ProblemSpec, side: str, X, Y, tol):
+def _radicand(spec: ProblemSpec, side: str, X, Y):
     """Quantity under the square root of the outer-branch formula."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -167,19 +179,19 @@ def _radicand(spec: ProblemSpec, side: str, X, Y, tol):
         trace = spec.u_plus_a(endpoint, 0.0 * endpoint)
     else:
         raise ValueError("side must be 'minus' or 'plus'")
-    integral = _char_integral(spec.f, X, Y, endpoint, spec.k, tol)
+    integral = _char_integral(spec.f, X, Y, endpoint, spec.k)
     rad = np.asarray(trace, dtype=float).ravel() ** 2 - (2.0 / spec.k) * integral
     return rad.reshape(X.shape), X, Y
 
 
-def eval_phi(spec: ProblemSpec, side: str, x, y, tol: float = QUAD_TOL):
+def eval_phi(spec: ProblemSpec, side: str, x, y):
     """Outer branch of the reduced (mu = 0) equation on the given side.
 
     side 'minus' is the negative branch anchored at y = -a, side 'plus'
     the positive branch anchored at y = a.  Raises AssumptionViolation
     where the radicand is not positive.
     """
-    rad, X, Y = _radicand(spec, side, x, y, tol)
+    rad, X, Y = _radicand(spec, side, x, y)
     flat = np.atleast_1d(rad)
     if not np.all(flat > 0.0):      # nan radicands fail as well
         i = int(np.argmin(flat))    # argmin picks the first nan, if any
@@ -221,8 +233,8 @@ def check_assumption2(spec: ProblemSpec, spot: int = 64) -> AssumptionReport:
     gx = spec.x0 + spec.length * np.arange(spot) / spot
     gy = np.linspace(-spec.a, spec.a, spot + 1)
     X, Y = np.meshgrid(gx, gy, indexing="ij")
-    rad_minus, _, _ = _radicand(spec, "minus", X, Y, TABLE_QUAD_TOL)
-    rad_plus, _, _ = _radicand(spec, "plus", X, Y, TABLE_QUAD_TOL)
+    rad_minus, _, _ = _radicand(spec, "minus", X, Y)
+    rad_plus, _, _ = _radicand(spec, "plus", X, Y)
     details = {
         "min_radicand_minus": float(np.min(rad_minus)),
         "min_radicand_plus": float(np.min(rad_plus)),
@@ -425,7 +437,7 @@ class PhiTable:
             self.xs = np.linspace(spec.x0, spec.x1, n + 1)
             self.ys = np.linspace(-spec.a, spec.a, n + 1)
             X, Y = np.meshgrid(self.xs, self.ys, indexing="ij")
-            self.values = np.asarray(eval_phi(spec, side, X, Y, tol=TABLE_QUAD_TOL))
+            self.values = np.asarray(eval_phi(spec, side, X, Y))
         sign_ok = np.all(self.values < 0) if side == "minus" else np.all(self.values > 0)
         if not sign_ok:
             raise AssumptionViolation(f"outer branch '{side}' changes sign on the table grid")
@@ -589,10 +601,10 @@ def solve_front(spec: ProblemSpec, nt: int, grid: Grid2D, t_end: float | None = 
 # ---------------------------------------------------------------------------
 # layer profile, width, zeroth-order field
 
-def _layer_jump(spec: ProblemSpec, x, h0, tol=QUAD_TOL):
+def _layer_jump(spec: ProblemSpec, x, h0):
     """Half-distance between the branches along the front: (phi+ - phi-)/2."""
-    pp = eval_phi(spec, "plus", x, h0, tol)
-    pm = eval_phi(spec, "minus", x, h0, tol)
+    pp = eval_phi(spec, "plus", x, h0)
+    pm = eval_phi(spec, "minus", x, h0)
     return 0.5 * (np.asarray(pp) - np.asarray(pm))
 
 

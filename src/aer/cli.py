@@ -118,11 +118,16 @@ def _get(section: dict, key: str, conv, default=None):
             raise ConfigError(f"missing config key {key!r}")
         return default
     try:
-        if conv is bool:
-            return section[key].strip().lower() in ("1", "true", "yes", "on")
         return conv(section[key])
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {section[key]!r} ({exc})") from exc
+
+
+def _bool(text: str) -> bool:
+    word = text.strip().lower()
+    if word not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError("expected one of 1/true/yes/on or 0/false/no/off")
+    return configparser.ConfigParser.BOOLEAN_STATES[word]
 
 
 def _floats(text: str) -> list:
@@ -175,7 +180,7 @@ def load_config(preset: str | None, path: str | None, seed_override: int | None 
         delta=_get(inv, "delta", float, 0.01),
         seed=seed,
         noise=_get(inv, "noise", str, "uniform"),
-        gradient_measured=_get(inv, "gradient_measured", bool, False),
+        gradient_measured=_get(inv, "gradient_measured", _bool, False),
         discrepancy=_get(inv, "discrepancy", str, "calibrated"),
         study=raw.get("study", {}),
         raw=raw,
@@ -200,17 +205,42 @@ def load_config(preset: str | None, path: str | None, seed_override: int | None 
 # ---------------------------------------------------------------------------
 # file output
 
+CSV_BLOCK_ROWS = 4096     # rows formatted, and written, per block
+
+
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _write_csv(path: str, header: str, rows):
+    """CSV of a header line and the rows of a 2-D float array.
+
+    Each block of rows is converted with .tolist() and formatted by one
+    "%.17g,...\\n" template (the text of _fmt for every value), then
+    streamed into the file, so no whole-file string is ever built.
+    """
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+
+    def blocks():
+        yield header + "\n"
+        for lo in range(0, rows.shape[0], CSV_BLOCK_ROWS):
+            block = rows[lo:lo + CSV_BLOCK_ROWS]
+            yield (line * block.shape[0]) % tuple(block.ravel().tolist())
+
+    _atomic_write(path, blocks())
+
+
+def _matrix_csv(path: str, xs, ys, values):
+    """Matrix CSV: header row = x coordinates, first column = y, cell =
+    values[i, j] at (xs[i], ys[j])."""
+    _write_csv(path, "y\\x," + ",".join(_fmt(x) for x in xs),
+               np.column_stack([ys, np.asarray(values).T]))
+
+
 def write_field_csv(path: str, f: Field2D):
     """Matrix CSV: header row = x coordinates, first column = y, cell = value."""
-    g = f.grid
-    lines = ["y\\x," + ",".join(_fmt(x) for x in g.xs)]
-    for j in range(g.m + 1):
-        lines.append(_fmt(g.ys[j]) + "," + ",".join(_fmt(f.values[i, j]) for i in range(g.n + 1)))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _matrix_csv(path, f.grid.xs, f.grid.ys, f.values)
 
 
 def read_field_csv(path: str, grid: Grid2D | None = None) -> Field2D:
@@ -226,22 +256,22 @@ def read_field_csv(path: str, grid: Grid2D | None = None) -> Field2D:
 
 
 def write_front_csv(path: str, front: asymptotics.FrontCurve):
-    lines = ["t,x,h0,h0_x"]
-    for it, t in enumerate(front.times):
-        for ix, x in enumerate(front.xs):
-            lines.append(",".join(_fmt(v) for v in (t, x, front.h[it, ix], front.hx[it, ix])))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    nt, nx = front.h.shape
+    _write_csv(path, "t,x,h0,h0_x", np.column_stack([
+        np.repeat(front.times, nx), np.tile(front.xs, nt), front.h.ravel(), front.hx.ravel()]))
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, chunks):
+    """Write the strings of chunks in turn to path + ".tmp", then rename it
+    to path."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
     os.replace(tmp, path)
 
 
 def _write_json(path: str, payload: dict):
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n")
+    _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n"])
 
 
 def _summary(cfg: RunConfig, extra: dict) -> dict:
@@ -283,19 +313,17 @@ def cmd_asymptote(cfg: RunConfig, out: str) -> int:
         _write_json(os.path.join(out, "assumptions.json"), _summary(cfg, report))
         print("assumption violation; see assumptions.json", file=sys.stderr)
         return 2
-    X, Y = grid.meshgrid()
     for side in ("minus", "plus"):
-        phi = Field2D(grid, np.asarray(asymptotics.eval_phi(spec, side, X, Y)))
+        # the cached grid values, which assemble_u0 reuses below
+        phi = Field2D(grid, asymptotics._phi_on_grid(spec, side, grid))
         write_field_csv(os.path.join(out, f"phi_{side}.csv"), phi)
     front = asymptotics.solve_front(spec, 200, grid, t_end=spec.T,
                                     extra_times=(spec.t0,))
     write_front_csv(os.path.join(out, "front.csv"), front)
     h0, h0x = front.sample(spec.t0, grid.xs)
     width = np.asarray(asymptotics.transition_width(spec, grid.xs, h0, h0x))
-    lines = ["x,h0,h0_x,width"]
-    for i, x in enumerate(grid.xs):
-        lines.append(",".join(_fmt(v) for v in (x, h0[i], h0x[i], width[i])))
-    _atomic_write(os.path.join(out, "width_profile.csv"), "\n".join(lines) + "\n")
+    _write_csv(os.path.join(out, "width_profile.csv"), "x,h0,h0_x,width",
+               np.column_stack([grid.xs, h0, h0x, width]))
     u0 = asymptotics.assemble_u0(spec, front, grid, spec.t0)
     write_field_csv(os.path.join(out, f"u0_t{spec.t0:g}.csv"), u0)
     report["front_range"] = [float(front.h.min()), float(front.h.max())]
@@ -319,11 +347,8 @@ def cmd_invert(cfg: RunConfig, out: str) -> int:
     if res.smoothing is not None:
         g = cfg.obs_grid
         for name, reg in (("lower", res.smoothing.lower), ("upper", res.smoothing.upper)):
-            lines = ["y\\x," + ",".join(_fmt(x) for x in g.xs)]
-            for jj, j in enumerate(reg.rows):
-                lines.append(_fmt(g.ys[j]) + "," +
-                             ",".join(_fmt(reg.u_eps[i, jj]) for i in range(g.n + 1)))
-            _atomic_write(os.path.join(out, f"u_eps_{name}.csv"), "\n".join(lines) + "\n")
+            _matrix_csv(os.path.join(out, f"u_eps_{name}.csv"), g.xs, g.ys[reg.rows],
+                        reg.u_eps)
     write_field_csv(os.path.join(out, "f_delta.csv"), res.reconstruction.f_delta)
     metrics = dict(res.metrics)
     metrics["branch"] = "measured-gradients" if cfg.gradient_measured else "smoothed"
@@ -361,7 +386,13 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
         raise ConfigError(f"[study] {exc}") from exc
     _check_noise("study", axes.get("delta", []), axes.get("seed", []))
     runs = _study_runs(cfg, axes)
-    workers = int(os.environ.get("AER_MAX_WORKERS", "4"))
+    text = os.environ.get("AER_MAX_WORKERS", "4")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"AER_MAX_WORKERS = {text!r}: must be a positive integer")
     base_spec = cfg.spec
 
     # the forward snapshot, front and u0 depend only on (mu, n): compute each
@@ -424,7 +455,7 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
     for row in rows:
         lines.append(",".join(_fmt(row[c]) if isinstance(row[c], float) else str(row[c])
                               for c in cols))
-    _atomic_write(os.path.join(out, "study.csv"), "\n".join(lines) + "\n")
+    _atomic_write(os.path.join(out, "study.csv"), ["\n".join(lines) + "\n"])
 
     fits = {}
     for axis in axes:

@@ -21,10 +21,6 @@ class ExprError(ConfigError):
         self.offset = offset
 
 
-class NonFiniteValueError(AerError):
-    """An evaluation produced NaN or infinity where a finite value is required."""
-
-
 class ZeroNormError(AerError):
     """Relative error requested against a zero-norm reference field."""
 

@@ -12,11 +12,10 @@ Accepted grammar (whitespace insensitive):
 '^' binds tighter than unary minus, so -x^2 means -(x^2), and 2^3^2 means
 2^(3^2) = 512.  Evaluation is numpy-aware: scalars or arrays may be passed
 for x and y.  Mathematically forced non-finite results (ln of a negative,
-0 division, ...) are returned as nan/inf by a call and rejected with
-NonFiniteValueError by eval_checked().  The solvers call the expression
-directly and check the values they use: ProblemSpec (boundary traces) and
-forward_solve (source and traces on its grid) raise AssumptionViolation,
-and check_assumption1/2 report a non-finite value as a failed check.
+0 division, ...) are returned as nan/inf.  The solvers check the values
+they use: ProblemSpec (boundary traces) and forward_solve (source and
+traces on its grid) raise AssumptionViolation, and check_assumption1/2
+report a non-finite value as a failed check.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExprError, NonFiniteValueError
+from .errors import ExprError
 
 _FUNCTIONS = {
     "sin": np.sin,
@@ -244,15 +243,6 @@ class Expr:
         if out.shape != shape:
             out = np.broadcast_to(out, shape).copy()
         return float(out) if shape == () else out
-
-    def eval_checked(self, x, y):
-        out = self(x, y)
-        if not np.all(np.isfinite(out)):
-            bad = np.argwhere(~np.isfinite(np.atleast_1d(out)))
-            raise NonFiniteValueError(
-                f"expression {self.source!r} produced a non-finite value "
-                f"(first at flat index {bad[0] if bad.size else 0})")
-        return out
 
     def pretty(self) -> str:
         return _pretty(self.root)

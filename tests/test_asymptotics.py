@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,62 @@ def test_nan_radicand_is_a_violation():
         eval_phi(s, "minus", -1.9, 0.0)
     with pytest.raises(AssumptionViolation, match="radicand"):
         PhiTable(s, "plus", 64)
+
+
+class _RecordingSource:
+    """A source expression that records the shape of every call."""
+
+    def __init__(self, f):
+        self.f = f
+        self.shapes = []
+
+    def __call__(self, x, y):
+        self.shapes.append(np.broadcast_shapes(np.shape(x), np.shape(y)))
+        return self.f(x, y)
+
+
+def test_quadrature_refines_only_unconverged_points():
+    # f = cos(40 x) along characteristics of slope 1/k: short spans converge
+    # at the second level (one panel against two), long ones need more
+    # panels; only those are evaluated again
+    f = parse("cos(40*x)")
+    rng = np.random.default_rng(4)
+    X = rng.uniform(-1.0, 1.0, 200)
+    Y = rng.uniform(-1.0, 1.0, 200)
+    span = np.where(np.arange(200) < 100, 0.01, 3.0)
+    rec = _RecordingSource(f)
+    got = asymptotics._char_integral(rec, X, Y, X + span, 2.0)
+    want = (np.sin(40.0 * (X + span)) - np.sin(40.0 * X)) / 40.0
+    assert np.max(np.abs(got - want)) < 1e-13
+    nodes = [shape[1] for shape in rec.shapes]
+    assert nodes[:2] == [16, 32]
+    assert [shape[0] for shape in rec.shapes[:2]] == [200, 200]
+    assert all(shape[0] == 100 for shape in rec.shapes[2:]) and len(rec.shapes) > 2
+
+
+def test_quadrature_calls_stay_under_the_point_cap(monkeypatch):
+    # on the ln(x + 1.5) source some characteristics run into the
+    # singularity and refine to the deepest level; no call of f may get more
+    # than QUAD_CALL_POINTS evaluation points, however many points refine
+    s = _log_source_spec()
+    X, Y = np.meshgrid(np.linspace(s.x0, s.x1, 65), np.linspace(-s.a, s.a, 65), indexing="ij")
+    E = X - s.k * (s.a + Y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")      # the singular points do not converge
+        rec = _RecordingSource(s.f)
+        full = asymptotics._char_integral(rec, X, Y, E, s.k)
+        sizes = [int(np.prod(shape)) for shape in rec.shapes]
+        assert max(sizes) <= asymptotics.QUAD_CALL_POINTS
+        assert max(shape[1] for shape in rec.shapes) == 16 * 2 ** asymptotics.QUAD_MAX_LEVEL
+        # a cap of two deepest-level rows splits the calls further and
+        # moves no value beyond round-off
+        cap = 2 * 16 * 2 ** asymptotics.QUAD_MAX_LEVEL
+        monkeypatch.setattr(asymptotics, "QUAD_CALL_POINTS", cap)
+        rec = _RecordingSource(s.f)
+        small = asymptotics._char_integral(rec, X, Y, E, s.k)
+    assert max(int(np.prod(shape)) for shape in rec.shapes) <= cap
+    assert len(rec.shapes) > len(sizes)
+    np.testing.assert_allclose(small, full, rtol=1e-14, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 
 import aer
+import aer.cli as cli
+from aer.asymptotics import FrontCurve
 from aer.cli import (
+    _fmt,
     load_config,
     main,
     read_field_csv,
     write_field_csv,
+    write_front_csv,
 )
 from aer.errors import ConfigError
 from aer.grid import Field2D, Grid2D
@@ -84,6 +88,40 @@ def test_field_csv_round_trip(tmp_path):
     write_field_csv(path, f)
     back = read_field_csv(path, g)
     assert np.array_equal(back.values, f.values)
+
+
+def test_csv_blocks_match_per_value_format(tmp_path, monkeypatch):
+    # one "%.17g" template per block of rows writes what _fmt writes value
+    # by value, across block boundaries and for the awkward values
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
+    rng = np.random.default_rng(3)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+               2.2250738585072014e-308, 0.1, 1.0 / 3.0, 1e16, 123456789012345678.0]
+    h = np.r_[special, rng.standard_normal(46) * 10.0 ** rng.integers(-300, 300, 46)]
+    hx = rng.permutation(h)
+    times, xs = np.array([0.0, 0.1, 1.0 / 3.0, 1e-300, 5e-324]), np.linspace(-2.0, 2.0, 12)
+    front = FrontCurve(xs, 4.0, times, h.reshape(5, 12), hx.reshape(5, 12))
+    path = tmp_path / "front.csv"
+    write_front_csv(str(path), front)
+    want = ["t,x,h0,h0_x"] + [",".join(_fmt(v) for v in (t, x, front.h[it, ix], front.hx[it, ix]))
+                              for it, t in enumerate(times) for ix, x in enumerate(xs)]
+    assert path.read_text() == "\n".join(want) + "\n"
+    g = Grid2D(-1.0, 1.0, 0.5, 9, 7)
+    field = Field2D(g, rng.standard_normal((10, 8)) * 10.0 ** rng.integers(-300, 300, (10, 8)))
+    write_field_csv(str(path), field)
+    want = ["y\\x," + ",".join(_fmt(x) for x in g.xs)] + [
+        _fmt(g.ys[j]) + "," + ",".join(_fmt(field.values[i, j]) for i in range(g.n + 1))
+        for j in range(g.m + 1)]
+    assert path.read_text() == "\n".join(want) + "\n"
+    assert not os.path.exists(str(path) + ".tmp")
+
+
+def test_boolean_keys(tmp_path):
+    path = tmp_path / "b.ini"
+    for word, value in (("yes", True), (" ON ", True), ("1", True), ("Off", False),
+                        ("no", False), ("0", False), ("FALSE", False)):
+        path.write_text(f"[inverse]\ngradient_measured = {word}\n")
+        assert load_config("example1", str(path)).gradient_measured is value
 
 
 def test_cmd_forward_writes_snapshots(tiny_config, tmp_path):
@@ -184,11 +222,26 @@ def test_invalid_problem_data_exit_codes(tmp_path, command, old, new, code):
                  id="study-deltas"),
     pytest.param("study", "[inverse]", "[study]\nseeds = 1 -1\n\n[inverse]", id="study-seeds"),
     pytest.param("study", "[inverse]", "[study]\nseeds = 1 x\n\n[inverse]", id="study-seed-token"),
+    pytest.param("invert", "seed = 1", "seed = 1\ngradient_measured = maybe",
+                 id="gradient-measured"),
 ])
 def test_out_of_range_run_settings_exit_code(tmp_path, command, old, new):
     path = tmp_path / "range.ini"
     path.write_text(TINY.replace(old, new))
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+
+
+@pytest.mark.parametrize("workers", ["two", "0"])
+def test_bad_worker_count_exit_code(tmp_path, monkeypatch, workers):
+    # rejected before the forward solve
+    def no_forward_solve(*args, **kwargs):
+        raise AssertionError("forward solve started")
+
+    monkeypatch.setenv("AER_MAX_WORKERS", workers)
+    monkeypatch.setattr(cli, "forward_solve", no_forward_solve)
+    path = tmp_path / "study.ini"
+    path.write_text(TINY + "\n[study]\nseeds = 1 2\n")
+    assert main(["study", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
 
 
 def test_malformed_expression_exit_code(tmp_path):
