@@ -13,6 +13,7 @@ from .asymptotics import (
     eval_q0,
     eval_u1,
     initial_condition,
+    outer_branches,
     solve_front,
     transition_width,
     transport_coefficients,
@@ -44,12 +45,14 @@ from .grid import (
 from .inverse import (
     Observation,
     PipelineResult,
+    Prepared,
     ReconstructionResult,
     RegionSmoothing,
     SmoothingResult,
     add_noise,
     layer_band,
     make_observation,
+    prepare,
     reconstruct_source,
     run_aer_pipeline,
     smooth_observation,

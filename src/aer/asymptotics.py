@@ -10,7 +10,7 @@ branches.  This module computes, to leading order:
 
   * the outer branches phi (one per side) by integrating f along the
     straight characteristics dy/dx = 1/k that emanate from the y boundary;
-    every point value (eval_phi, the assumption check, the branches on a
+    every point value (eval_phi, the assumption check, outer_branches on a
     grid, the layer jump, the transport coefficients) comes from one
     vectorised composite 16-point Gauss-Legendre engine, _char_integral,
     and the bicubic lookup tables that the front equation reads are built
@@ -25,13 +25,17 @@ Expressions for f and the boundary traces are evaluated at raw arguments,
 without wrapping into [x0, x1]; this is what makes the closed forms for the
 worked examples hold, and it mirrors how the branch formulas extend the
 data along characteristics that leave the fundamental period.
+
+Nothing is cached between calls: phi_table builds the table it is asked
+for, and a caller that needs the branches on a grid twice evaluates
+outer_branches once and passes the result on (assemble_u0 takes it as an
+argument), so every result depends on the call's inputs alone.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +45,10 @@ from .grid import Field2D, Grid2D
 
 QUAD_TOL = 1e-10         # characteristic-integral tolerance
 TABLE_INTERP_TOL = 1e-6  # required bicubic interpolation accuracy
+FRONT_REFINE = 4         # front nodes per observation-grid cell in x
+FRONT_CFL = 0.4          # CFL number of the front solver
+U1_TOL = 1e-8            # first-order correction quadrature tolerance
+U1_MAX_LEVEL = 12        # at most 32 * 2^11 intervals per characteristic
 _EXP_CLIP = 700.0
 
 
@@ -166,19 +174,25 @@ def _char_integral(fxy, X, Y, E, k):
     return out
 
 
+def _boundary_foot(spec: ProblemSpec, side: str, X, Y):
+    """Where the characteristic through (X, Y) meets its branch's boundary
+    (y = -a for 'minus', y = a for 'plus'): the x coordinate there, and the
+    boundary trace at it."""
+    if side == "minus":
+        foot = X - spec.k * (spec.a + Y)
+        return foot, spec.u_minus_a(foot, 0.0 * foot)
+    if side == "plus":
+        foot = X + spec.k * (spec.a - Y)
+        return foot, spec.u_plus_a(foot, 0.0 * foot)
+    raise ValueError("side must be 'minus' or 'plus'")
+
+
 def _radicand(spec: ProblemSpec, side: str, X, Y):
     """Quantity under the square root of the outer-branch formula."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     X, Y = np.broadcast_arrays(X, Y)
-    if side == "minus":
-        endpoint = X - spec.k * (spec.a + Y)
-        trace = spec.u_minus_a(endpoint, 0.0 * endpoint)
-    elif side == "plus":
-        endpoint = X + spec.k * (spec.a - Y)
-        trace = spec.u_plus_a(endpoint, 0.0 * endpoint)
-    else:
-        raise ValueError("side must be 'minus' or 'plus'")
+    endpoint, trace = _boundary_foot(spec, side, X, Y)
     integral = _char_integral(spec.f, X, Y, endpoint, spec.k)
     rad = np.asarray(trace, dtype=float).ravel() ** 2 - (2.0 / spec.k) * integral
     return rad.reshape(X.shape), X, Y
@@ -203,9 +217,10 @@ def eval_phi(spec: ProblemSpec, side: str, x, y):
     return float(out) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
 
 
-def check_assumption1(spec: ProblemSpec, samples: int = 1024) -> AssumptionReport:
-    """Boundary traces: negative below, positive above, gap above 2 mu^2."""
-    xs = spec.x0 + spec.length * np.arange(samples) / samples
+def check_assumption1(spec: ProblemSpec) -> AssumptionReport:
+    """Boundary traces: negative below, positive above, gap above 2 mu^2,
+    at 1024 uniform samples of one period."""
+    xs = spec.x0 + spec.length * np.arange(1024) / 1024
     um = np.atleast_1d(spec.u_minus_a(xs, 0.0 * xs))
     up = np.atleast_1d(spec.u_plus_a(xs, 0.0 * xs))
     gap_margin = float(np.min(up - um) - 2.0 * spec.mu ** 2)
@@ -224,14 +239,14 @@ def check_assumption1(spec: ProblemSpec, samples: int = 1024) -> AssumptionRepor
     return AssumptionReport("assumption1", not messages, details, messages)
 
 
-def check_assumption2(spec: ProblemSpec, spot: int = 64) -> AssumptionReport:
-    """Positivity of the branch radicands on a dense sample grid.
+def check_assumption2(spec: ProblemSpec) -> AssumptionReport:
+    """Positivity of the branch radicands on a 64 x 65 sample grid.
 
     A nan radicand (a source or trace undefined somewhere along a
     characteristic) counts as a violation.
     """
-    gx = spec.x0 + spec.length * np.arange(spot) / spot
-    gy = np.linspace(-spec.a, spec.a, spot + 1)
+    gx = spec.x0 + spec.length * np.arange(64) / 64
+    gy = np.linspace(-spec.a, spec.a, 65)
     X, Y = np.meshgrid(gx, gy, indexing="ij")
     rad_minus, _, _ = _radicand(spec, "minus", X, Y)
     rad_plus, _, _ = _radicand(spec, "plus", X, Y)
@@ -282,47 +297,34 @@ def _aligned_branch_integral(spec: ProblemSpec, side: str, nx: int, ny: int, p: 
 
     With dx = k dy / p the characteristic through node (i, j) meets node
     (i -/+ p, j -/+ 1), so the line integral to the y boundary accumulates
-    one short Gauss segment per row.  Columns are extended beyond the
-    period because f is evaluated at raw (unwrapped) arguments.
+    one short Gauss segment per row, walking away from the branch's
+    boundary row (step -1 for 'minus', whose boundary is the bottom row, +1
+    for 'plus').  Columns are extended beyond the period, on the side the
+    characteristics come from, because f is evaluated at raw (unwrapped)
+    arguments.
     """
     dx = spec.length / nx
     dy = 2.0 * spec.a / ny
     ext = p * ny
-    out = np.empty((nx + 1, ny + 1))
     half = 0.5 * spec.k * dy
-    if side == "minus":
-        xs_ext = spec.x0 + dx * (np.arange(nx + 1 + ext) - ext)
-        row = np.zeros_like(xs_ext)
-        out[:, 0] = 0.0
-        for j in range(1, ny + 1):
-            y_hi = -spec.a + j * dy
-            mid = xs_ext - half
-            seg = np.zeros_like(xs_ext)
-            for t, w in zip(_GAUSS4_NODES, _GAUSS4_WEIGHTS):
-                s = mid + half * t
-                seg += w * spec.f(s, y_hi + (s - xs_ext) / spec.k)
-            shifted = np.empty_like(row)
-            shifted[p:] = row[:-p]
-            shifted[:p] = 0.0
-            row = shifted + half * seg
-            out[:, j] = row[ext:]
-        return -out          # integral runs from x down to the boundary
-    xs_ext = spec.x0 + dx * np.arange(nx + 1 + ext)
+    step = 1 if side == "plus" else -1
+    lo = 0 if step > 0 else ext                  # column of x0
+    xs_ext = spec.x0 + dx * (np.arange(nx + 1 + ext) - lo)
+    mid = xs_ext + step * half
+    wrapped = slice(-p, None) if step > 0 else slice(0, p)
+    out = np.zeros((nx + 1, ny + 1))
     row = np.zeros_like(xs_ext)
-    out[:, ny] = 0.0
-    for j in range(ny - 1, -1, -1):
-        y_lo = -spec.a + j * dy
-        mid = xs_ext + half
+    for j in (range(ny - 1, -1, -1) if step > 0 else range(1, ny + 1)):
+        y = -spec.a + j * dy
         seg = np.zeros_like(xs_ext)
         for t, w in zip(_GAUSS4_NODES, _GAUSS4_WEIGHTS):
             s = mid + half * t
-            seg += w * spec.f(s, y_lo + (s - xs_ext) / spec.k)
-        shifted = np.empty_like(row)
-        shifted[:-p] = row[p:]
-        shifted[-p:] = 0.0
-        row = shifted + half * seg
-        out[:, j] = row[:nx + 1]
-    return out
+            seg += w * spec.f(s, y + (s - xs_ext) / spec.k)
+        row = np.roll(row, -step * p)
+        row[wrapped] = 0.0
+        row = row + half * seg
+        out[:, j] = row[lo:lo + nx + 1]
+    return step * out    # the minus integral runs from x down to the boundary
 
 
 def _not_a_knot_curvature(y: np.ndarray, h: float) -> np.ndarray:
@@ -421,12 +423,7 @@ class PhiTable:
             self.ys = np.linspace(-spec.a, spec.a, self.ny + 1)
             integral = _aligned_branch_integral(spec, side, self.nx, self.ny, p)
             X, Y = np.meshgrid(self.xs, self.ys, indexing="ij")
-            if side == "minus":
-                endpoint = X - spec.k * (spec.a + Y)
-                trace = spec.u_minus_a(endpoint, 0.0 * endpoint)
-            else:
-                endpoint = X + spec.k * (spec.a - Y)
-                trace = spec.u_plus_a(endpoint, 0.0 * endpoint)
+            _, trace = _boundary_foot(spec, side, X, Y)
             rad = np.asarray(trace) ** 2 - (2.0 / spec.k) * integral
             if not np.all(rad > 0.0):
                 raise AssumptionViolation(
@@ -451,22 +448,20 @@ class PhiTable:
         return self._spline(xw, yc)
 
 
-_table_cache: dict = {}
-
-
-def phi_table(spec: ProblemSpec, side: str, min_nodes: int = 256) -> PhiTable:
-    """Cached lookup table, refined until bicubic error is below 1e-6.
+def phi_table(spec: ProblemSpec, side: str, min_nodes: int) -> PhiTable:
+    """Lookup table of one outer branch, refined until its bicubic error is
+    below TABLE_INTERP_TOL; every call builds its table anew.
 
     The first table has min_nodes cells per side and is verified against
-    direct quadrature at random probe points.  Only if that fails does the
-    resolution grow, by the O(h^4) error rule and at least by half.
+    direct quadrature at 256 fixed probe points.  Only if that fails does
+    the resolution grow, by the O(h^4) error rule and at least by half.
     """
-    cached = _table_cache.get((spec, side))
-    if cached is not None and cached.nx >= min_nodes:
-        return cached
-    rng = np.random.default_rng(0)
-    px = spec.x0 + spec.length * rng.random(256)
-    py = -spec.a + 2.0 * spec.a * rng.random(256)
+    # the probes: the first 256 points of the R2 low-discrepancy sequence
+    # (Roberts 2018), whose irrational strides 1/g and 1/g^2 (g the plastic
+    # number) keep them off the nodes of every table
+    i, g = np.arange(1, 257), 1.324717957244746
+    px = spec.x0 + spec.length * np.mod(0.5 + i / g, 1.0)
+    py = -spec.a + 2.0 * spec.a * np.mod(0.5 + i / g ** 2, 1.0)
     exact = eval_phi(spec, side, px, py)
     n = int(min_nodes)
     while True:
@@ -478,7 +473,6 @@ def phi_table(spec: ProblemSpec, side: str, min_nodes: int = 256) -> PhiTable:
             raise NumericalError("could not reach table interpolation tolerance")
         n = max(int(np.ceil(1.5 * n)),
                 int(np.ceil(n * (err / (0.5 * TABLE_INTERP_TOL)) ** 0.25)))
-    _table_cache[(spec, side)] = table
     return table
 
 
@@ -534,21 +528,20 @@ class FrontCurve:
             raise AssumptionViolation("stored front violates the slope bound")
 
 
-def solve_front(spec: ProblemSpec, nt: int, grid: Grid2D, t_end: float | None = None,
-                refine: int = 4, cfl: float = 0.4, extra_times=()) -> FrontCurve:
+def solve_front(spec: ProblemSpec, nt: int, grid: Grid2D, t_end: float,
+                extra_times=()) -> FrontCurve:
     """Integrate the front evolution equation
 
         h_t = (k h_x - 1) (phi_plus + phi_minus)(x, h) / (2 (1 + h_x^2))
 
-    by method of lines: periodic central differences for h_x plus a local
-    Lax-Friedrichs dissipation (coefficient = local wave speed * dx / 2),
-    second order Runge-Kutta in time with a CFL-limited step.  Outputs are
-    stored at nt + 1 uniform times plus any requested extras; steps land on
-    output times exactly.
+    by method of lines on FRONT_REFINE * grid.n nodes: periodic central
+    differences for h_x plus a local Lax-Friedrichs dissipation (coefficient
+    = local wave speed * dx / 2), second order Runge-Kutta in time with a
+    step limited by FRONT_CFL.  Outputs are stored at nt + 1 uniform times
+    in [0, t_end] plus any requested extras; steps land on output times
+    exactly.
     """
-    if t_end is None:
-        t_end = spec.T
-    nx = refine * grid.n
+    nx = FRONT_REFINE * grid.n
     d = spec.length / nx
     xs = spec.x0 + d * np.arange(nx)
     table_m = phi_table(spec, "minus", min_nodes=4 * max(grid.n, grid.m))
@@ -566,9 +559,10 @@ def solve_front(spec: ProblemSpec, nt: int, grid: Grid2D, t_end: float | None = 
         visc = wave * (np.roll(h, -1) - 2.0 * h + np.roll(h, 1)) / (2.0 * d)
         return f_val + visc, float(np.max(wave))
 
-    out_times = np.unique(np.concatenate([
+    out_times = np.sort(np.concatenate([
         np.linspace(0.0, t_end, nt + 1),
         np.asarray([t for t in extra_times if 0.0 <= t <= t_end], dtype=float)]))
+    out_times = out_times[np.r_[True, out_times[1:] != out_times[:-1]]]
     h = np.full(nx, float(spec.h0_star))
     stored_h = [h.copy()]
     stored_hx = [slope(h)]
@@ -576,7 +570,7 @@ def solve_front(spec: ProblemSpec, nt: int, grid: Grid2D, t_end: float | None = 
     next_out = 1
     while t < t_end - 1e-13:
         r1, wave = rhs(h)
-        dt = min(cfl * d / max(wave, 1e-12), t_end / nt, out_times[next_out] - t)
+        dt = min(FRONT_CFL * d / max(wave, 1e-12), t_end / nt, out_times[next_out] - t)
         h_star = h + dt * r1
         r2, _ = rhs(h_star)
         h = h + 0.5 * dt * (r1 + r2)
@@ -646,21 +640,22 @@ def transition_width(spec: ProblemSpec, x, h0, h0x):
     return float(out) if np.ndim(out) == 0 else out
 
 
-@lru_cache(maxsize=32)
-def _phi_on_grid(spec: ProblemSpec, side: str, grid: Grid2D):
+def outer_branches(spec: ProblemSpec, grid: Grid2D) -> tuple:
+    """Both outer branches at the nodes of grid: (phi_minus, phi_plus)."""
     X, Y = grid.meshgrid()
-    return eval_phi(spec, side, X, Y)
+    return eval_phi(spec, "minus", X, Y), eval_phi(spec, "plus", X, Y)
 
 
-def assemble_u0(spec: ProblemSpec, front: FrontCurve, grid: Grid2D, t: float) -> Field2D:
+def assemble_u0(spec: ProblemSpec, front: FrontCurve, grid: Grid2D, t: float,
+                branches: tuple) -> Field2D:
     """Zeroth-order asymptotic field: outer branch plus layer corrector.
 
-    Branch choice at a node is by y <= h0(x, t) (ties go to the lower
-    branch; both branches agree there by construction).
+    branches is outer_branches(spec, grid).  Branch choice at a node is by
+    y <= h0(x, t) (ties go to the lower branch; both branches agree there
+    by construction).
     """
     h0, h0x = front.sample(t, grid.xs)
-    phm = _phi_on_grid(spec, "minus", grid)
-    php = _phi_on_grid(spec, "plus", grid)
+    phm, php = branches
     p = _layer_jump(spec, grid.xs, h0)
     Y = grid.ys[None, :]
     stretch = np.sqrt(1.0 + h0x ** 2)[:, None]
@@ -684,15 +679,14 @@ def initial_condition(spec: ProblemSpec, grid: Grid2D) -> Field2D:
 # ---------------------------------------------------------------------------
 # first-order outer correction
 
-def transport_coefficients(spec: ProblemSpec, side: str, x, y, h_fd: float | None = None):
+def transport_coefficients(spec: ProblemSpec, side: str, x, y):
     """Reaction coefficient and forcing of the first-order outer equation.
 
     Both are ratios of derivatives of the outer branch; derivatives are
-    central finite differences of the branch evaluator with a step tied to
-    the domain length (independent of mu).
+    central finite differences of the branch evaluator with the step
+    1e-4 L, tied to the domain length (independent of mu).
     """
-    if h_fd is None:
-        h_fd = 1e-4 * spec.length
+    h_fd = 1e-4 * spec.length
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     x, y = np.broadcast_arrays(x, y)
@@ -712,13 +706,13 @@ def transport_coefficients(spec: ProblemSpec, side: str, x, y, h_fd: float | Non
     return p.reshape(shape), w.reshape(shape)
 
 
-def eval_u1(spec: ProblemSpec, side: str, x, y, tol: float = 1e-8, max_level=12):
+def eval_u1(spec: ProblemSpec, side: str, x, y):
     """First-order outer correction by transport along the characteristic.
 
     Solves du1/ds = (W - P u1)/k from the anchoring boundary (u1 = 0 there)
     to the target point via the exponential-integral closed form, with the
     running integral of P/k evaluated by cumulative Simpson on a refining
-    node ladder.
+    node ladder (to U1_TOL, at most U1_MAX_LEVEL levels).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -726,15 +720,12 @@ def eval_u1(spec: ProblemSpec, side: str, x, y, tol: float = 1e-8, max_level=12)
     shape = x.shape
     xf = x.ravel()
     yf = y.ravel()
-    if side == "minus":
-        s_b = xf - spec.k * (spec.a + yf)
-    else:
-        s_b = xf + spec.k * (spec.a - yf)
+    s_b, _ = _boundary_foot(spec, side, xf, yf)
     span = xf - s_b
     out = np.zeros_like(xf)
     live = np.abs(span) > 0.0
     if np.any(live):
-        out[live] = _u1_quadrature(spec, side, xf[live], yf[live], s_b[live], tol, max_level)
+        out[live] = _u1_quadrature(spec, side, xf[live], yf[live], s_b[live])
     out = out.reshape(shape)
     return float(out) if shape == () else out
 
@@ -759,7 +750,7 @@ def _cumulative_simpson(y, h):
     return out
 
 
-def _u1_quadrature(spec, side, xf, yf, s_b, tol, max_level):
+def _u1_quadrature(spec, side, xf, yf, s_b):
     # integrate on the unit parameter so the plus side (whose anchoring
     # boundary lies at larger s) is handled by the signed span; points that
     # have converged freeze while the rest keep refining
@@ -767,7 +758,7 @@ def _u1_quadrature(spec, side, xf, yf, s_b, tol, max_level):
     prev = np.full_like(xf, np.nan)
     active = np.ones(xf.size, dtype=bool)
     n = 32
-    for _ in range(max_level):
+    for _ in range(U1_MAX_LEVEL):
         idx = np.nonzero(active)[0]
         t = np.linspace(0.0, 1.0, n + 1)
         span = (xf[idx] - s_b[idx])[:, None]
@@ -779,7 +770,7 @@ def _u1_quadrature(spec, side, xf, yf, s_b, tol, max_level):
         integrand = np.exp(expo) * w * span / spec.k
         val = _simpson(integrand, 1.0 / n)
         out[idx] = val
-        done = np.abs(val - prev[idx]) <= tol
+        done = np.abs(val - prev[idx]) <= U1_TOL
         prev[idx] = val
         active[idx[done]] = False
         if not np.any(active):

@@ -313,18 +313,17 @@ def cmd_asymptote(cfg: RunConfig, out: str) -> int:
         _write_json(os.path.join(out, "assumptions.json"), _summary(cfg, report))
         print("assumption violation; see assumptions.json", file=sys.stderr)
         return 2
-    for side in ("minus", "plus"):
-        # the cached grid values, which assemble_u0 reuses below
-        phi = Field2D(grid, asymptotics._phi_on_grid(spec, side, grid))
-        write_field_csv(os.path.join(out, f"phi_{side}.csv"), phi)
-    front = asymptotics.solve_front(spec, 200, grid, t_end=spec.T,
-                                    extra_times=(spec.t0,))
+    # the branches on the grid, written here and reused by assemble_u0 below
+    branches = asymptotics.outer_branches(spec, grid)
+    for side, phi in zip(("minus", "plus"), branches):
+        write_field_csv(os.path.join(out, f"phi_{side}.csv"), Field2D(grid, phi))
+    front = asymptotics.solve_front(spec, 200, grid, spec.T, extra_times=(spec.t0,))
     write_front_csv(os.path.join(out, "front.csv"), front)
     h0, h0x = front.sample(spec.t0, grid.xs)
     width = np.asarray(asymptotics.transition_width(spec, grid.xs, h0, h0x))
     _write_csv(os.path.join(out, "width_profile.csv"), "x,h0,h0_x,width",
                np.column_stack([grid.xs, h0, h0x, width]))
-    u0 = asymptotics.assemble_u0(spec, front, grid, spec.t0)
+    u0 = asymptotics.assemble_u0(spec, front, grid, spec.t0, branches)
     write_field_csv(os.path.join(out, f"u0_t{spec.t0:g}.csv"), u0)
     report["front_range"] = [float(front.h.min()), float(front.h.max())]
     report["wall_time_s"] = time.perf_counter() - t_start
@@ -332,17 +331,12 @@ def cmd_asymptote(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-def _pipeline(cfg: RunConfig, snapshot=None, front=None) -> inverse.PipelineResult:
-    sc = SolverConfig(cfg.forward_grid, cfg.spec.t0, cfg.cfl, [cfg.spec.t0])
-    return inverse.run_aer_pipeline(
-        cfg.spec, sc, cfg.delta, cfg.seed, obs_grid=cfg.obs_grid,
-        noise_kind=cfg.noise, gradient_measured=cfg.gradient_measured,
-        discrepancy=cfg.discrepancy, snapshot=snapshot, front=front)
-
-
 def cmd_invert(cfg: RunConfig, out: str) -> int:
     t_start = time.perf_counter()
-    res = _pipeline(cfg)
+    prep = inverse.prepare(cfg.spec, SolverConfig(cfg.forward_grid, cfg.spec.t0, cfg.cfl,
+                                                  [cfg.spec.t0]), cfg.obs_grid)
+    res = inverse.run_aer_pipeline(prep, cfg.delta, cfg.seed, cfg.noise,
+                                   cfg.gradient_measured, cfg.discrepancy)
     write_field_csv(os.path.join(out, "u_delta.csv"), res.observation.u_delta)
     if res.smoothing is not None:
         g = cfg.obs_grid
@@ -395,11 +389,9 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
         raise ConfigError(f"AER_MAX_WORKERS = {text!r}: must be a positive integer")
     base_spec = cfg.spec
 
-    # the forward snapshot, front and u0 depend only on (mu, n): compute each
-    # group once in the parent instead of per (delta, seed) combination (the
-    # first u0 on a grid fills a cache; workers filling it at once each hold
-    # the quadrature's transient memory)
-    # every (mu, n) group is checked before the first forward solve
+    # the forward snapshot, front and u0 depend only on (mu, n): prepare each
+    # group once, after every group has been checked, instead of per
+    # (delta, seed) combination
     groups = {}
     for params in runs:
         key = (params.get("mu", base_spec.mu), params.get("n", cfg.n))
@@ -411,33 +403,25 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
                 mu, base_spec.k, base_spec.x0, base_spec.x1, base_spec.a, base_spec.T,
                 base_spec.u_minus_a, base_spec.u_plus_a, base_spec.f,
                 base_spec.h0_star, base_spec.t0)
-            groups[key] = (spec, spec.grid(n, n), SolverConfig(
-                spec.grid(cfg.refine * n, cfg.refine * n), spec.t0, cfg.cfl, [spec.t0]))
+            groups[key] = (spec, SolverConfig(spec.grid(cfg.refine * n, cfg.refine * n),
+                                              spec.t0, cfg.cfl, [spec.t0]), spec.grid(n, n))
         except ValueError as exc:     # a mus or grids value out of range
             raise ConfigError(f"[study] mu = {mu}, n = {n}: {exc}") from exc
-    shared = {}
-    for key, (spec, obs_grid, sc) in groups.items():
-        snapshot = forward_solve(spec, sc)[0]
-        front = asymptotics.solve_front(spec, 200, obs_grid, t_end=spec.t0,
-                                        extra_times=(spec.t0,))
-        u0 = asymptotics.assemble_u0(spec, front, obs_grid, spec.t0)
-        shared[key] = (spec, sc, obs_grid, snapshot, front, u0)
+    prepared = {key: inverse.prepare(*group) for key, group in groups.items()}
 
     def one(params: dict) -> dict:
-        spec, sc, obs_grid, snapshot, front, u0 = shared[
-            (params.get("mu", base_spec.mu), params.get("n", cfg.n))]
+        prep = prepared[(params.get("mu", base_spec.mu), params.get("n", cfg.n))]
+        spec = prep.spec
         res = inverse.run_aer_pipeline(
-            spec, sc, params.get("delta", cfg.delta), params.get("seed", cfg.seed),
-            obs_grid=obs_grid, noise_kind=cfg.noise,
-            gradient_measured=cfg.gradient_measured, discrepancy=cfg.discrepancy,
-            snapshot=snapshot, front=front, u0=u0)
-        h0, h0x = res.front.sample(spec.t0, np.array([0.5 * (spec.x0 + spec.x1)]))
+            prep, params.get("delta", cfg.delta), params.get("seed", cfg.seed),
+            cfg.noise, cfg.gradient_measured, cfg.discrepancy)
+        h0, h0x = prep.front.sample(spec.t0, np.array([0.5 * (spec.x0 + spec.x1)]))
         width0 = float(np.asarray(
             asymptotics.transition_width(spec, 0.5 * (spec.x0 + spec.x1), h0[0], h0x[0])))
         return {"mu": spec.mu, "delta": params.get("delta", cfg.delta),
-                "n": obs_grid.n, "seed": params.get("seed", cfg.seed),
+                "n": prep.snapshot.grid.n, "seed": params.get("seed", cfg.seed),
                 "rel_err_f": res.reconstruction.rel_error,
-                "rel_err_u0": res.u0_rel_error,
+                "rel_err_u0": prep.u0_rel_error,
                 "m_minus": res.observation.mask.j_lo,
                 "m_plus": res.observation.mask.j_hi,
                 "width_x0": width0,

@@ -5,6 +5,12 @@ least-squares reconstruction of the source field.
 The recovered source approximates f through the reduced relation
 f ~= u (k u_x + u_y) applied outside the transition band, where the
 snapshot is close to the smooth outer branches.
+
+The end-to-end chain has two parts.  prepare runs the stages that every
+(delta, seed) of one problem and observation grid shares (forward snapshot,
+front, u0 error) and returns them as a frozen Prepared; run_aer_pipeline
+runs one recovery from it.  No state outlives a call, so a result depends
+on its inputs alone, whatever ran before it.
 """
 
 from __future__ import annotations
@@ -14,8 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid as gridmod
-from .asymptotics import FrontCurve, ProblemSpec, assemble_u0, solve_front, transition_width
-from .errors import DiscrepancyUnreachable, LayerTooWide
+from .asymptotics import (FrontCurve, ProblemSpec, assemble_u0, outer_branches, solve_front,
+                          transition_width)
+from .errors import AerError, DiscrepancyUnreachable, LayerTooWide
 from .forward import SolverConfig, forward_solve
 from .grid import Field2D, Grid2D, RegionMask, rel_l2_error
 
@@ -93,25 +100,14 @@ def layer_band(front: FrontCurve, spec: ProblemSpec, t0: float, grid: Grid2D) ->
 # ---------------------------------------------------------------------------
 # y stencils and the folded periodic solver
 
-def _rows_stencil(r, centred, first, last):
-    """r x r matrix with the three-point `centred` stencil on the inner rows,
-    `first` at the start of row 0 and `last` at the end of row r - 1."""
-    out = np.zeros((r, r))
-    j = np.arange(1, r - 1)
-    for offset, c in zip((-1, 0, 1), centred):
-        out[j, j + offset] = c
-    out[0, :len(first)] = first
-    out[r - 1, r - len(last):] = last
-    return out
-
-
 def _rows_second_diff(r, d):
-    edge = [2.0, -5.0, 4.0, -1.0] if r >= 4 else [1.0, -2.0, 1.0]
-    return _rows_stencil(r, [1.0, -2.0, 1.0], edge, edge[::-1]) / d ** 2
+    """r x r matrix of grid.diff2_y_values on r rows of spacing d."""
+    return gridmod.diff2_y_values(np.eye(r), d).T
 
 
 def _rows_first_diff(r, d):
-    return _rows_stencil(r, [-1.0, 0.0, 1.0], [-3.0, 4.0, -1.0], [1.0, -4.0, 3.0]) / (2.0 * d)
+    """r x r matrix of grid.diff_y_values on r rows of spacing d."""
+    return gridmod.diff_y_values(np.eye(r), d).T
 
 
 def _folded_periodic_solver(n: int, weight: np.ndarray, penalty: np.ndarray):
@@ -275,15 +271,16 @@ def smooth_region(obs: Observation, region: str, discrepancy: str = "calibrated"
     return RegionSmoothing(rows, v_full, ux, uy, eps, misfit, target)
 
 
-def _discrepancy_bisect(solve_at, target, bracket=LOG_EPS_BRACKET, max_iter=60):
+def _discrepancy_bisect(solve_at, target):
     """Find the smallest weight whose misfit matches the target within 5%.
 
     The misfit is monotone in the weight but can plateau over decades, so
     merely landing inside the 5% window leaves the weight ill determined;
     bisection therefore continues toward the low-weight edge of the window
-    (the least smoothing consistent with the discrepancy level).
+    (the least smoothing consistent with the discrepancy level) until the
+    log10 bracket LOG_EPS_BRACKET has shrunk to a 1% step in the weight.
     """
-    lo, hi = bracket
+    lo, hi = LOG_EPS_BRACKET
     v_lo, m_lo = solve_at(10.0 ** lo)
     if m_lo >= target * (1.0 - MISFIT_RTOL):
         # floor rule: smallest weight already at or above the target
@@ -296,9 +293,7 @@ def _discrepancy_bisect(solve_at, target, bracket=LOG_EPS_BRACKET, max_iter=60):
         raise DiscrepancyUnreachable(
             f"misfit at bracket top is {m_hi:.3e}, below target {target:.3e}")
     best = (10.0 ** hi, v_hi, m_hi) if m_hi <= target * (1.0 + MISFIT_RTOL) else None
-    for _ in range(max_iter):
-        if hi - lo <= np.log10(1.01):
-            break
+    while hi - lo > np.log10(1.01):
         mid = 0.5 * (lo + hi)
         v, m = solve_at(10.0 ** mid)
         if m >= target * (1.0 - MISFIT_RTOL):
@@ -412,13 +407,50 @@ def reconstruct_source(obs: Observation, spec: ProblemSpec,
 # ---------------------------------------------------------------------------
 # end-to-end pipeline
 
+def _stage(name, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with "[name] " put before the message of any
+    AerError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except AerError as exc:
+        exc.args = (f"[{name}] {exc.args[0] if exc.args else ''}",) + exc.args[1:]
+        raise
+
+
+@dataclass(frozen=True)
+class Prepared:
+    """What every (delta, seed) of one problem and observation grid shares:
+    the forward snapshot at t0 on the observation grid, the front curve up
+    to t0 and the relative L2 error of the asymptotic field u0 against the
+    snapshot."""
+
+    spec: ProblemSpec
+    snapshot: Field2D
+    front: FrontCurve
+    u0_rel_error: float
+
+
+def prepare(spec: ProblemSpec, cfg: SolverConfig, obs_grid: Grid2D) -> Prepared:
+    """Run the shared stages, each under its stage label: the forward solve
+    to t0 on cfg.grid (with cfg.cfl), restricted to obs_grid; the front on
+    obs_grid (200 steps up to t0); and u0 on obs_grid, whose only use is
+    its error against the snapshot."""
+    snapshot = _stage("forward", forward_solve, spec,
+                      SolverConfig(cfg.grid, spec.t0, cfg.cfl, [spec.t0]))[0]
+    if snapshot.grid != obs_grid:
+        snapshot = snapshot.restrict(obs_grid)
+    front = _stage("front", solve_front, spec, 200, obs_grid, spec.t0,
+                   extra_times=(spec.t0,))
+    u0 = _stage("asymptotic-field", lambda: assemble_u0(
+        spec, front, obs_grid, spec.t0, outer_branches(spec, obs_grid)))
+    return Prepared(spec, snapshot, front, rel_l2_error(u0, snapshot))
+
+
 @dataclass
 class PipelineResult:
     observation: Observation
     smoothing: SmoothingResult | None
     reconstruction: ReconstructionResult
-    front: FrontCurve
-    u0_rel_error: float
     metrics: dict = field(default_factory=dict)
 
     @property
@@ -446,46 +478,19 @@ def make_observation(spec: ProblemSpec, snapshot: Field2D, front: FrontCurve,
                        noise_kind, ux, uy)
 
 
-def run_aer_pipeline(spec: ProblemSpec, cfg: SolverConfig, delta: float, seed: int,
-                     obs_grid: Grid2D | None = None, noise_kind: str = "uniform",
-                     gradient_measured: bool = False, discrepancy: str = "calibrated",
-                     snapshot: Field2D | None = None, front: FrontCurve | None = None,
-                     front_nt: int = 200, u0: Field2D | None = None) -> PipelineResult:
-    """Full recovery chain: forward snapshot at t0, noise injection, band
+def run_aer_pipeline(prep: Prepared, delta: float, seed: int, noise_kind: str = "uniform",
+                     gradient_measured: bool = False,
+                     discrepancy: str = "calibrated") -> PipelineResult:
+    """One recovery from the prepared stages: noise injection, band
     exclusion, per-region smoothing (skipped when gradients are measured),
     and source reconstruction with error metrics against the exact source.
-
-    A precomputed snapshot, front curve or asymptotic field u0 (on obs_grid
-    at t0) may be passed to avoid repeating the expensive stages across
-    sweeps; they must correspond to the same problem.
     """
-    from .errors import AerError
-
-    def _stage(name, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except AerError as exc:
-            exc.args = (f"[{name}] {exc.args[0] if exc.args else ''}",) + exc.args[1:]
-            raise
-
-    if obs_grid is None:
-        obs_grid = cfg.grid
-    if snapshot is None:
-        snapshot = _stage("forward", forward_solve, spec,
-                          SolverConfig(cfg.grid, spec.t0, cfg.cfl, [spec.t0]))[0]
-    if snapshot.grid != obs_grid:
-        snapshot = snapshot.restrict(obs_grid)
-    if front is None:
-        front = _stage("front", solve_front, spec, front_nt, obs_grid,
-                       t_end=spec.t0, extra_times=(spec.t0,))
-    obs = _stage("observation", make_observation, spec, snapshot, front, delta, seed,
+    spec = prep.spec
+    obs = _stage("observation", make_observation, spec, prep.snapshot, prep.front, delta, seed,
                  noise_kind, with_gradients=gradient_measured)
     smoothing = None if gradient_measured else _stage("smoothing", smooth_observation,
                                                       obs, discrepancy)
     recon = _stage("reconstruction", reconstruct_source, obs, spec, smoothing)
-    if u0 is None:
-        u0 = _stage("asymptotic-field", assemble_u0, spec, front, obs_grid, spec.t0)
-    u0_err = rel_l2_error(u0, snapshot)
     metrics = {
         "delta": delta,
         "seed": seed,
@@ -493,7 +498,7 @@ def run_aer_pipeline(spec: ProblemSpec, cfg: SolverConfig, delta: float, seed: i
         "gradient_measured": gradient_measured,
         "m_minus": obs.mask.j_lo,
         "m_plus": obs.mask.j_hi,
-        "rel_err_u0": u0_err,
+        "rel_err_u0": prep.u0_rel_error,
         "rel_err_f": recon.rel_error,
         "eps_f": recon.eps,
         "eps_minus": smoothing.eps_minus if smoothing else None,
@@ -501,4 +506,4 @@ def run_aer_pipeline(spec: ProblemSpec, cfg: SolverConfig, delta: float, seed: i
         "misfit_minus": smoothing.lower.misfit if smoothing else None,
         "misfit_plus": smoothing.upper.misfit if smoothing else None,
     }
-    return PipelineResult(obs, smoothing, recon, front, u0_err, metrics)
+    return PipelineResult(obs, smoothing, recon, metrics)

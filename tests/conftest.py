@@ -1,11 +1,19 @@
 """Shared fixtures: the two worked example problems and their expensive
-artifacts (branch tables, front curves, forward snapshots), built once per
-session and reused across test modules."""
+artifacts (front curves, forward snapshots, the pipeline's prepared
+stages), built once per session and reused across test modules."""
 
 import numpy as np
 import pytest
 
-from aer import ProblemSpec, parse, solve_front
+from aer import (
+    Prepared,
+    ProblemSpec,
+    assemble_u0,
+    outer_branches,
+    parse,
+    rel_l2_error,
+    solve_front,
+)
 from aer.forward import SolverConfig, forward_solve
 
 
@@ -78,6 +86,25 @@ def ex1_snapshot_fine(ex1):
 def ex2_snapshot_fine(ex2):
     cfg = SolverConfig(ex2.grid(200, 200), ex2.t0, 0.4, [ex2.t0])
     return forward_solve(ex2, cfg)[0]
+
+
+def _prepared(spec, snapshot_fine, front):
+    """The pipeline's shared stages on the 50 x 50 observation grid, from the
+    session's 200 x 200 snapshot and its front over the whole horizon."""
+    grid = spec.grid(50, 50)
+    snapshot = snapshot_fine.restrict(grid)
+    u0 = assemble_u0(spec, front, grid, spec.t0, outer_branches(spec, grid))
+    return Prepared(spec, snapshot, front, rel_l2_error(u0, snapshot))
+
+
+@pytest.fixture(scope="session")
+def ex1_prepared(ex1, ex1_snapshot_fine, ex1_front):
+    return _prepared(ex1, ex1_snapshot_fine, ex1_front)
+
+
+@pytest.fixture(scope="session")
+def ex2_prepared(ex2, ex2_snapshot_fine, ex2_front):
+    return _prepared(ex2, ex2_snapshot_fine, ex2_front)
 
 
 @pytest.fixture(scope="session")

@@ -43,6 +43,7 @@ from aer import (
     eval_q0,
     eval_u1,
     layer_band,
+    outer_branches,
     parse,
     rel_l2_error,
     run_aer_pipeline,
@@ -61,15 +62,12 @@ SEEDS = (1, 2, 3, 4, 5)
 
 
 @pytest.fixture(scope="module")
-def ex1_delta_sweep(ex1, ex1_front, ex1_snapshot_fine):
+def ex1_delta_sweep(ex1_prepared):
     """Median recovery error per noise level; shared by criteria 4 and 7."""
-    cfg = SolverConfig(ex1.grid(200, 200), ex1.t0, 0.4, [ex1.t0])
     t_start = time.perf_counter()
     med = {}
     for delta in (0.04, 0.02, 0.01, 0.005):
-        errs = [run_aer_pipeline(ex1, cfg, delta, seed, obs_grid=ex1.grid(50, 50),
-                                 snapshot=ex1_snapshot_fine, front=ex1_front).rel_error
-                for seed in SEEDS]
+        errs = [run_aer_pipeline(ex1_prepared, delta, seed).rel_error for seed in SEEDS]
         med[delta] = float(np.median(errs))
     return med, time.perf_counter() - t_start
 
@@ -95,7 +93,7 @@ def test_c02_example1_forward_asymptotic_agreement(ex1, ex1_front):
     t_start = time.perf_counter()
     grid = ex1.grid(100, 100)
     snap = forward_solve(ex1, SolverConfig(grid, ex1.t0, 0.4, [ex1.t0]))[0]
-    u0 = assemble_u0(ex1, ex1_front, grid, ex1.t0)
+    u0 = assemble_u0(ex1, ex1_front, grid, ex1.t0, outer_branches(ex1, grid))
     err = rel_l2_error(u0, snap)
     elapsed = time.perf_counter() - t_start
     print(f"[C2] Example 1 rel_l2_error(U0, forward) = {err:.4f} "
@@ -112,7 +110,7 @@ def test_c03_example2_forward_asymptotic_agreement(ex2, ex2_front):
     t_start = time.perf_counter()
     grid = ex2.grid(100, 100)
     snap = forward_solve(ex2, SolverConfig(grid, ex2.t0, 0.4, [ex2.t0]))[0]
-    u0 = assemble_u0(ex2, ex2_front, grid, ex2.t0)
+    u0 = assemble_u0(ex2, ex2_front, grid, ex2.t0, outer_branches(ex2, grid))
     err = rel_l2_error(u0, snap)
     elapsed = time.perf_counter() - t_start
     print(f"[C3] Example 2 rel_l2_error(U0, forward) = {err:.4f} "
@@ -129,11 +127,8 @@ def test_c04_example1_inversion(ex1_delta_sweep):
     assert 0.04 <= value <= 0.15
 
 
-def test_c05_example2_inversion(ex2, ex2_front, ex2_snapshot_fine):
-    cfg = SolverConfig(ex2.grid(200, 200), ex2.t0, 0.4, [ex2.t0])
-    errs = [run_aer_pipeline(ex2, cfg, 0.01, seed, obs_grid=ex2.grid(50, 50),
-                             snapshot=ex2_snapshot_fine, front=ex2_front).rel_error
-            for seed in SEEDS]
+def test_c05_example2_inversion(ex2_prepared):
+    errs = [run_aer_pipeline(ex2_prepared, 0.01, seed).rel_error for seed in SEEDS]
     value = float(np.median(errs))
     print(f"[C5] Example 2 median rel_err_f over 5 seeds at delta=1% = {value:.4f} "
           f"(band [0.20, 0.55], reference 0.3768)")

@@ -12,6 +12,7 @@ from aer import (
     eval_q0,
     eval_u1,
     initial_condition,
+    outer_branches,
     parse,
     solve_front,
     transition_width,
@@ -99,10 +100,9 @@ def test_phi_table_matches_direct_quadrature(ex1, ex2):
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2"])
-def test_phi_table_stops_at_its_floor(name, request, monkeypatch):
+def test_phi_table_stops_at_its_floor(name, request):
     # bicubic interpolation meets the tolerance on the min_nodes table, so
     # no growth step is taken; checked at points the probes never saw
-    monkeypatch.setattr(asymptotics, "_table_cache", {})
     spec = request.getfixturevalue(name)
     rng = np.random.default_rng(17)
     x = spec.x0 + spec.length * rng.random(500)
@@ -322,6 +322,19 @@ def test_front_sample_matches_periodic_cubic_spline(n):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_front_does_not_depend_on_earlier_fronts():
+    # the 100 x 100 front builds finer branch tables than the 50 x 50 one;
+    # they must not leak into a later front on the coarser grid
+    s = ProblemSpec(mu=0.08, k=2.0, x0=-2.0, x1=2.0, a=2.0, T=1.0,
+                    u_minus_a=parse("-4"), u_plus_a=parse("2"),
+                    f=parse("cos(pi*x/4)*cos(pi*y/4)"), h0_star=0.0, t0=0.5)
+    first = solve_front(s, 50, s.grid(50, 50), 0.5)
+    solve_front(s, 50, s.grid(100, 100), 0.5)
+    again = solve_front(s, 50, s.grid(50, 50), 0.5)
+    assert np.array_equal(again.h, first.h)
+    assert np.array_equal(again.hx, first.hx)
+
+
 def test_front_exits_domain_raises():
     s = ProblemSpec(mu=0.08, k=2.0, x0=-2.0, x1=2.0, a=0.5, T=3.0,
                     u_minus_a=parse("-4"), u_plus_a=parse("2"),
@@ -434,7 +447,7 @@ def test_transition_width_threshold_error():
 
 def test_assemble_u0_branch_match_and_bounds(ex1, ex1_front):
     g = ex1.grid(64, 64)
-    u0 = assemble_u0(ex1, ex1_front, g, ex1.t0)
+    u0 = assemble_u0(ex1, ex1_front, g, ex1.t0, outer_branches(ex1, g))
     assert u0.time == ex1.t0
     assert u0.values.min() > -4.5 and u0.values.max() < 2.3
     # far below the front the field follows the lower branch

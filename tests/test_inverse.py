@@ -9,6 +9,7 @@ from aer import (
     add_noise,
     layer_band,
     parse,
+    prepare,
     reconstruct_source,
     run_aer_pipeline,
     smooth_region,
@@ -328,20 +329,15 @@ def test_data_product_scales_quadratically():
 # ---------------------------------------------------------------------------
 # pipeline
 
-def test_pipeline_determinism(ex1, ex1_front, ex1_snapshot_fine):
-    cfg = SolverConfig(ex1.grid(200, 200), ex1.t0, 0.4, [ex1.t0])
-    kw = dict(obs_grid=ex1.grid(50, 50), snapshot=ex1_snapshot_fine, front=ex1_front)
-    r1 = run_aer_pipeline(ex1, cfg, 0.01, 5, **kw)
-    r2 = run_aer_pipeline(ex1, cfg, 0.01, 5, **kw)
+def test_pipeline_determinism(ex1_prepared):
+    r1 = run_aer_pipeline(ex1_prepared, 0.01, 5)
+    r2 = run_aer_pipeline(ex1_prepared, 0.01, 5)
     assert r1.rel_error == r2.rel_error
     assert np.array_equal(r1.observation.u_delta.values, r2.observation.u_delta.values)
 
 
-def test_pipeline_gradient_branch_skips_smoothing(ex1, ex1_front, ex1_snapshot_fine):
-    cfg = SolverConfig(ex1.grid(200, 200), ex1.t0, 0.4, [ex1.t0])
-    res = run_aer_pipeline(ex1, cfg, 0.0, 1, obs_grid=ex1.grid(50, 50),
-                           gradient_measured=True,
-                           snapshot=ex1_snapshot_fine, front=ex1_front)
+def test_pipeline_gradient_branch_skips_smoothing(ex1_prepared):
+    res = run_aer_pipeline(ex1_prepared, 0.0, 1, gradient_measured=True)
     assert res.smoothing is None
     assert res.metrics["eps_minus"] is None
     assert res.metrics["gradient_measured"] is True
@@ -349,7 +345,7 @@ def test_pipeline_gradient_branch_skips_smoothing(ex1, ex1_front, ex1_snapshot_f
     assert res.rel_error is not None
 
 
-def test_pipeline_noise_free_gradient_branch_level(ex1, ex1_front, ex1_snapshot_fine):
+def test_pipeline_noise_free_gradient_branch_level(ex1_prepared):
     """Noise-free recovery from measured gradients.
 
     The frozen level (0.53, seam-free variant 0.53 as well) is dominated by
@@ -358,24 +354,17 @@ def test_pipeline_noise_free_gradient_branch_level(ex1, ex1_front, ex1_snapshot_
     there at the order of the layer rate times mu^2 / mu, not mu^2.  See the
     decisions ledger for why the nominal 0.2 level is unattainable.
     """
-    cfg = SolverConfig(ex1.grid(200, 200), ex1.t0, 0.4, [ex1.t0])
-    res = run_aer_pipeline(ex1, cfg, 0.0, 1, obs_grid=ex1.grid(50, 50),
-                           gradient_measured=True,
-                           snapshot=ex1_snapshot_fine, front=ex1_front)
+    res = run_aer_pipeline(ex1_prepared, 0.0, 1, gradient_measured=True)
     assert 0.4 <= res.rel_error <= 0.7
     # the smoothing branch at delta -> 0 behaves better at the band edges
-    res_smooth = run_aer_pipeline(ex1, cfg, 0.0025, 1, obs_grid=ex1.grid(50, 50),
-                                  snapshot=ex1_snapshot_fine, front=ex1_front)
+    res_smooth = run_aer_pipeline(ex1_prepared, 0.0025, 1)
     assert res_smooth.rel_error < res.rel_error
 
 
-def test_pipeline_monotone_noise_trend(ex1, ex1_front, ex1_snapshot_fine):
-    cfg = SolverConfig(ex1.grid(200, 200), ex1.t0, 0.4, [ex1.t0])
-    kw = dict(obs_grid=ex1.grid(50, 50), snapshot=ex1_snapshot_fine, front=ex1_front)
+def test_pipeline_monotone_noise_trend(ex1_prepared):
     med = {}
     for delta in (0.04, 0.01, 0.0025):
-        errs = [run_aer_pipeline(ex1, cfg, delta, seed, **kw).rel_error
-                for seed in range(1, 6)]
+        errs = [run_aer_pipeline(ex1_prepared, delta, seed).rel_error for seed in range(1, 6)]
         med[delta] = np.median(errs)
     assert med[0.04] > med[0.01] > med[0.0025]
 
@@ -397,4 +386,4 @@ def test_pipeline_errors_carry_stage_labels():
     cfg = SolverConfig(s.grid(64, 64), s.t0, 0.4, [s.t0])
     from aer.errors import AerError
     with pytest.raises(AerError, match=r"\[front\]"):
-        run_aer_pipeline(s, cfg, 0.01, 1, obs_grid=s.grid(32, 32))
+        prepare(s, cfg, s.grid(32, 32))
