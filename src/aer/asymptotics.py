@@ -394,8 +394,8 @@ class _BicubicSpline:
     def __call__(self, x, y):
         tx, ty = np.broadcast_arrays((np.asarray(x, dtype=float) - self.x0) / self.hx,
                                      (np.asarray(y, dtype=float) - self.y0) / self.hy)
-        i = np.clip(tx.astype(np.intp), 0, self.nx - 1)
-        j = np.clip(ty.astype(np.intp), 0, self.ny - 1)
+        i = np.minimum(np.maximum(tx.astype(np.intp), 0), self.nx - 1)
+        j = np.minimum(np.maximum(ty.astype(np.intp), 0), self.ny - 1)
         t = (tx - i)[..., None]
         u = (ty - j)[..., None]
         c = self._coef[i * self.ny + j].reshape(tx.shape + (4, 4))
@@ -444,7 +444,7 @@ class PhiTable:
     def __call__(self, x, y):
         spec = self.spec
         xw = spec.x0 + np.mod(np.asarray(x, dtype=float) - spec.x0, spec.length)
-        yc = np.clip(np.asarray(y, dtype=float), -spec.a, spec.a)
+        yc = np.minimum(np.maximum(np.asarray(y, dtype=float), -spec.a), spec.a)
         return self._spline(xw, yc)
 
 
@@ -547,8 +547,12 @@ def solve_front(spec: ProblemSpec, nt: int, grid: Grid2D, t_end: float,
     table_m = phi_table(spec, "minus", min_nodes=4 * max(grid.n, grid.m))
     table_p = phi_table(spec, "plus", min_nodes=4 * max(grid.n, grid.m))
 
+    # periodic neighbours: h[east] is np.roll(h, -1), h[west] np.roll(h, 1)
+    east = np.r_[1:nx, 0]
+    west = np.r_[nx - 1, 0:nx - 1]
+
     def slope(h):
-        return (np.roll(h, -1) - np.roll(h, 1)) / (2.0 * d)
+        return (h[east] - h[west]) / (2.0 * d)
 
     def rhs(h):
         hx = slope(h)
@@ -556,7 +560,7 @@ def solve_front(spec: ProblemSpec, nt: int, grid: Grid2D, t_end: float,
         denom = 1.0 + hx ** 2
         f_val = 0.5 * (spec.k * hx - 1.0) * s / denom
         wave = 0.5 * np.abs(s) * np.abs(spec.k - spec.k * hx ** 2 + 2.0 * hx) / denom ** 2
-        visc = wave * (np.roll(h, -1) - 2.0 * h + np.roll(h, 1)) / (2.0 * d)
+        visc = wave * (h[east] - 2.0 * h + h[west]) / (2.0 * d)
         return f_val + visc, float(np.max(wave))
 
     out_times = np.sort(np.concatenate([

@@ -372,6 +372,14 @@ def _study_runs(cfg: RunConfig, axes: dict) -> list:
     return runs
 
 
+def _mid_width(prep: inverse.Prepared) -> float:
+    """Transition width at t0 in the middle of the x period."""
+    spec = prep.spec
+    x_mid = 0.5 * (spec.x0 + spec.x1)
+    h0, h0x = prep.front.sample(spec.t0, np.array([x_mid]))
+    return float(np.asarray(asymptotics.transition_width(spec, x_mid, h0[0], h0x[0])))
+
+
 def cmd_study(cfg: RunConfig, out: str) -> int:
     t_start = time.perf_counter()
     try:
@@ -408,16 +416,15 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
         except ValueError as exc:     # a mus or grids value out of range
             raise ConfigError(f"[study] mu = {mu}, n = {n}: {exc}") from exc
     prepared = {key: inverse.prepare(*group) for key, group in groups.items()}
+    widths = {key: _mid_width(prep) for key, prep in prepared.items()}
 
     def one(params: dict) -> dict:
-        prep = prepared[(params.get("mu", base_spec.mu), params.get("n", cfg.n))]
+        key = (params.get("mu", base_spec.mu), params.get("n", cfg.n))
+        prep, width0 = prepared[key], widths[key]
         spec = prep.spec
         res = inverse.run_aer_pipeline(
             prep, params.get("delta", cfg.delta), params.get("seed", cfg.seed),
             cfg.noise, cfg.gradient_measured, cfg.discrepancy)
-        h0, h0x = prep.front.sample(spec.t0, np.array([0.5 * (spec.x0 + spec.x1)]))
-        width0 = float(np.asarray(
-            asymptotics.transition_width(spec, 0.5 * (spec.x0 + spec.x1), h0[0], h0x[0])))
         return {"mu": spec.mu, "delta": params.get("delta", cfg.delta),
                 "n": prep.snapshot.grid.n, "seed": params.get("seed", cfg.seed),
                 "rel_err_f": res.reconstruction.rel_error,

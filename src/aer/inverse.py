@@ -8,9 +8,9 @@ snapshot is close to the smooth outer branches.
 
 The end-to-end chain has two parts.  prepare runs the stages that every
 (delta, seed) of one problem and observation grid shares (forward snapshot,
-front, u0 error) and returns them as a frozen Prepared; run_aer_pipeline
-runs one recovery from it.  No state outlives a call, so a result depends
-on its inputs alone, whatever ran before it.
+front, u0 error, layer band) and returns them as a frozen Prepared;
+run_aer_pipeline runs one recovery from it.  No state outlives a call, so a
+result depends on its inputs alone, whatever ran before it.
 """
 
 from __future__ import annotations
@@ -421,20 +421,22 @@ def _stage(name, fn, *args, **kwargs):
 class Prepared:
     """What every (delta, seed) of one problem and observation grid shares:
     the forward snapshot at t0 on the observation grid, the front curve up
-    to t0 and the relative L2 error of the asymptotic field u0 against the
-    snapshot."""
+    to t0, the relative L2 error of the asymptotic field u0 against the
+    snapshot and the band mask of the transition layer at t0."""
 
     spec: ProblemSpec
     snapshot: Field2D
     front: FrontCurve
     u0_rel_error: float
+    mask: RegionMask
 
 
 def prepare(spec: ProblemSpec, cfg: SolverConfig, obs_grid: Grid2D) -> Prepared:
     """Run the shared stages, each under its stage label: the forward solve
     to t0 on cfg.grid (with cfg.cfl), restricted to obs_grid; the front on
-    obs_grid (200 steps up to t0); and u0 on obs_grid, whose only use is
-    its error against the snapshot."""
+    obs_grid (200 steps up to t0); u0 on obs_grid, whose only use is its
+    error against the snapshot; and the layer band on obs_grid, labelled
+    as the observation it belongs to."""
     snapshot = _stage("forward", forward_solve, spec,
                       SolverConfig(cfg.grid, spec.t0, cfg.cfl, [spec.t0]))[0]
     if snapshot.grid != obs_grid:
@@ -443,7 +445,8 @@ def prepare(spec: ProblemSpec, cfg: SolverConfig, obs_grid: Grid2D) -> Prepared:
                    extra_times=(spec.t0,))
     u0 = _stage("asymptotic-field", lambda: assemble_u0(
         spec, front, obs_grid, spec.t0, outer_branches(spec, obs_grid)))
-    return Prepared(spec, snapshot, front, rel_l2_error(u0, snapshot))
+    mask = _stage("observation", layer_band, front, spec, spec.t0, obs_grid)
+    return Prepared(spec, snapshot, front, rel_l2_error(u0, snapshot), mask)
 
 
 @dataclass
@@ -458,13 +461,11 @@ class PipelineResult:
         return self.reconstruction.rel_error
 
 
-def make_observation(spec: ProblemSpec, snapshot: Field2D, front: FrontCurve,
-                     delta: float, seed: int, noise_kind: str = "uniform",
-                     with_gradients: bool = False) -> Observation:
+def make_observation(snapshot: Field2D, mask: RegionMask, delta: float, seed: int,
+                     noise_kind: str = "uniform", with_gradients: bool = False) -> Observation:
     """Noise the snapshot (and optionally its grid gradients) and attach the
     exclusion band.  Gradient noise draws follow the u draws in one stream."""
     grid = snapshot.grid
-    mask = layer_band(front, spec, snapshot.time, grid)
     gen = np.random.Generator(np.random.Philox(key=seed))
     u_noisy = Field2D(grid, _noise_factors(snapshot.values.shape, delta, gen, noise_kind)
                       * snapshot.values, snapshot.time)
@@ -486,7 +487,7 @@ def run_aer_pipeline(prep: Prepared, delta: float, seed: int, noise_kind: str = 
     and source reconstruction with error metrics against the exact source.
     """
     spec = prep.spec
-    obs = _stage("observation", make_observation, spec, prep.snapshot, prep.front, delta, seed,
+    obs = _stage("observation", make_observation, prep.snapshot, prep.mask, delta, seed,
                  noise_kind, with_gradients=gradient_measured)
     smoothing = None if gradient_measured else _stage("smoothing", smooth_observation,
                                                       obs, discrepancy)

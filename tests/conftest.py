@@ -9,6 +9,7 @@ from aer import (
     Prepared,
     ProblemSpec,
     assemble_u0,
+    layer_band,
     outer_branches,
     parse,
     rel_l2_error,
@@ -94,7 +95,8 @@ def _prepared(spec, snapshot_fine, front):
     grid = spec.grid(50, 50)
     snapshot = snapshot_fine.restrict(grid)
     u0 = assemble_u0(spec, front, grid, spec.t0, outer_branches(spec, grid))
-    return Prepared(spec, snapshot, front, rel_l2_error(u0, snapshot))
+    return Prepared(spec, snapshot, front, rel_l2_error(u0, snapshot),
+                    layer_band(front, spec, spec.t0, grid))
 
 
 @pytest.fixture(scope="session")

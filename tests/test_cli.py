@@ -311,6 +311,31 @@ def test_cmd_study_rows_do_not_depend_on_grid_order(tmp_path, monkeypatch):
     assert rows["12 24"] == rows["24 12"]
 
 
+def test_cmd_study_band_and_width_once_per_group(tmp_path, monkeypatch):
+    # the band mask and the mid-period width depend on the (mu, n) group
+    # alone: 2 groups x 2 deltas x 2 seeds make 8 rows from 2 of each
+    monkeypatch.setenv("AER_MAX_WORKERS", "2")
+    calls = {"layer_band": 0, "transition_width": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(aer.inverse, "layer_band")
+    counted(aer.asymptotics, "transition_width")   # the width the CLI asks for
+    path = tmp_path / "groups.ini"
+    path.write_text(TINY + "\n[study]\ngrids = 12 24\ndeltas = 0.02 0.01\nseeds = 1 2\n")
+    out = str(tmp_path / "groups")
+    assert main(["study", "--config", str(path), "--out", out]) == 0
+    rows = open(os.path.join(out, "study.csv")).read().strip().splitlines()
+    assert len(rows) == 1 + 8
+    assert calls == {"layer_band": 2, "transition_width": 2}
+
+
 @pytest.mark.parametrize("command", ["invert", "study"])
 def test_front_failure_names_its_stage(tmp_path, capsys, command):
     # on a narrow strip the front leaves the domain before t0; invert and

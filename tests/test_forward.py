@@ -43,9 +43,12 @@ def test_non_finite_source_rejected_before_stepping():
         forward_solve(s, SolverConfig(s.grid(20, 20), 0.5, 0.4, [0.5]))
 
 
-def _reference_solve(spec, cfg, u_init):
-    """The textbook form of forward_solve: np.roll for the x wrap, fresh
-    arrays every stage.  Returns the snapshot values and the dt history."""
+def _roll_solve(spec, cfg, u_init, form):
+    """forward_solve in textbook form: np.roll for the x wrap, fresh arrays
+    every stage.  form "faces" is the viscous face flux forward_solve
+    evaluates (module docstring), form "five-point" the separate Rusanov
+    advection plus five-point Laplacian it replaced.  Returns the snapshot
+    values and the dt history."""
     grid = cfg.grid
     d1, d2, n, m = grid.d1, grid.d2, grid.n, grid.m
     xs = grid.xs[:-1]
@@ -54,8 +57,20 @@ def _reference_solve(spec, cfg, u_init):
     X, Y = np.meshgrid(xs, grid.ys, indexing="ij")
     f = spec.f(X, Y) + np.zeros((n, m + 1))
     diff_bound = 1.0 / (2.0 * spec.mu * (1.0 / d1 ** 2 + 1.0 / d2 ** 2))
+    cx, ax, mx = -0.25 * spec.k / d1, 0.5 * spec.k / d1, spec.mu / d1 ** 2
+    cy, ay, my = -0.25 / d2, 0.5 / d2, spec.mu / d2 ** 2
 
-    def rhs(v):
+    def faces(v):
+        ve = np.roll(v, -1, axis=0)
+        fx = cx * (v ** 2 + ve ** 2) - (ax * np.maximum(np.abs(v), np.abs(ve)) + mx) * (ve - v)
+        vs, vn = v[:, :-1], v[:, 1:]
+        fy = cy * (vs ** 2 + vn ** 2) - (ay * np.maximum(np.abs(vs), np.abs(vn)) + my) * (vn - vs)
+        out = np.zeros_like(v)
+        out[:, 1:-1] = ((np.roll(fx, 1, axis=0) - fx)[:, 1:-1] + (fy[:, :-1] - fy[:, 1:])) \
+            - f[:, 1:-1]
+        return out
+
+    def five_point(v):
         ve = np.roll(v, -1, axis=0)
         fx = -0.25 * spec.k * (v ** 2 + ve ** 2) \
             - 0.5 * spec.k * np.maximum(np.abs(v), np.abs(ve)) * (ve - v)
@@ -71,6 +86,7 @@ def _reference_solve(spec, cfg, u_init):
         out[:, [0, -1]] = 0.0
         return out
 
+    rhs = {"faces": faces, "five-point": five_point}[form]
     u = u_init.values[:-1].copy()
     u[:, 0], u[:, -1] = lo, hi
     snaps, dts, pending, t = [], [], list(cfg.snapshot_times), 0.0
@@ -91,10 +107,13 @@ def _reference_solve(spec, cfg, u_init):
     return snaps, dts
 
 
-@pytest.mark.parametrize("case", ["ex1-even-n-ne-m", "ex2-odd-n", "k1.5-u_init"])
-def test_matches_textbook_form_bit_for_bit(case, ex1, ex2):
-    """forward_solve reorganises memory, not arithmetic: every snapshot and
-    every dt equals the np.roll form exactly."""
+ROLL_CASES = ["ex1-even-n-ne-m", "ex2-odd-n", "k1.5-u_init"]
+
+
+def _roll_case(case, ex1, ex2):
+    """(spec, cfg, u_init or None, the start u_init stands for) of one
+    oracle case; 0.013 falls inside a CFL step, so the step before it is
+    clipped."""
     u_init = None
     if case == "ex1-even-n-ne-m":
         spec, grid = ex1, ex1.grid(24, 17)
@@ -107,16 +126,38 @@ def test_matches_textbook_form_bit_for_bit(case, ex1, ex2):
         grid = spec.grid(15, 21)
         X, Y = grid.meshgrid()
         u_init = Field2D(grid, 2.5 * np.tanh(4.0 * Y) - 0.5 + 0.3 * np.cos(np.pi * X))
-    # 0.013 falls inside a CFL step, so the step before it is clipped
-    cfg = SolverConfig(grid, 0.06, 0.4, [0.013, 0.03, 0.06])
+    start = u_init if u_init is not None else initial_condition(spec, grid)
+    return spec, SolverConfig(grid, 0.06, 0.4, [0.013, 0.03, 0.06]), u_init, start
+
+
+@pytest.mark.parametrize("case", ROLL_CASES)
+def test_matches_textbook_form_bit_for_bit(case, ex1, ex2):
+    """forward_solve reorganises memory, not arithmetic: every snapshot and
+    every dt equals the np.roll form of the viscous face flux exactly."""
+    spec, cfg, u_init, start = _roll_case(case, ex1, ex2)
     snaps, dts = forward_solve(spec, cfg, u_init=u_init, record_dt=True)
-    ref_snaps, ref_dts = _reference_solve(
-        spec, cfg, u_init if u_init is not None else initial_condition(spec, grid))
+    ref_snaps, ref_dts = _roll_solve(spec, cfg, start, "faces")
     assert dts == ref_dts
     assert len(set(dts)) > 1            # a clipped step occurred
     assert [f.time for f in snaps] == cfg.snapshot_times
     for f, ref in zip(snaps, ref_snaps, strict=True):
         assert np.array_equal(f.values, ref)
+
+
+@pytest.mark.parametrize("case", ROLL_CASES)
+def test_matches_five_point_form_to_round_off(case, ex1, ex2):
+    """The face flux regroups the five-point Laplacian, u_E - 2u + u_W =
+    (u_E - u) - (u - u_W), and scales by the cell width before the
+    difference instead of after it: the same scheme, so the snapshots agree
+    to round-off and the march takes the same steps (a dt may move by an
+    ulp, since max|u| does)."""
+    spec, cfg, u_init, start = _roll_case(case, ex1, ex2)
+    snaps, dts = forward_solve(spec, cfg, u_init=u_init, record_dt=True)
+    ref_snaps, ref_dts = _roll_solve(spec, cfg, start, "five-point")
+    assert len(dts) == len(ref_dts)
+    np.testing.assert_allclose(dts, ref_dts, rtol=1e-12, atol=0.0)
+    for f, ref in zip(snaps, ref_snaps, strict=True):
+        assert np.max(np.abs(f.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_nan_in_start_raises_blow_up_after_first_step(ex1):

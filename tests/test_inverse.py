@@ -107,6 +107,17 @@ def test_layer_band_too_wide():
         layer_band(front, s, 0.5, g)
 
 
+def test_prepare_labels_a_too_wide_band_as_observation():
+    # prepare computes the band once for every (delta, seed); its error
+    # keeps the label of the observation the band belongs to
+    s = ProblemSpec(mu=0.45, k=1.0, x0=-1.0, x1=1.0, a=0.5, T=1.0,
+                    u_minus_a=parse("-3"), u_plus_a=parse("3"),
+                    f=parse("0"), h0_star=0.0, t0=0.5)
+    g = s.grid(16, 16)
+    with pytest.raises(LayerTooWide, match=r"^\[observation\] layer too wide for this grid$"):
+        prepare(s, SolverConfig(g, s.t0, 0.4, [s.t0]), g)
+
+
 def test_layer_band_example1(ex1, ex1_front):
     mask = layer_band(ex1_front, ex1, ex1.t0, ex1.grid(50, 50))
     assert 29 <= mask.j_lo <= 33
@@ -371,8 +382,9 @@ def test_pipeline_monotone_noise_trend(ex1_prepared):
 
 def test_make_observation_with_gradients_deterministic(ex1, ex1_front, ex1_snapshot_fine):
     snap = ex1_snapshot_fine.restrict(ex1.grid(50, 50))
-    o1 = make_observation(ex1, snap, ex1_front, 0.02, 9, with_gradients=True)
-    o2 = make_observation(ex1, snap, ex1_front, 0.02, 9, with_gradients=True)
+    mask = layer_band(ex1_front, ex1, ex1.t0, snap.grid)
+    o1 = make_observation(snap, mask, 0.02, 9, with_gradients=True)
+    o2 = make_observation(snap, mask, 0.02, 9, with_gradients=True)
     assert np.array_equal(o1.ux_delta.values, o2.ux_delta.values)
     assert np.array_equal(o1.uy_delta.values, o2.uy_delta.values)
     assert o1.has_gradients
