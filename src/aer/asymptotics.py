@@ -12,9 +12,10 @@ branches.  This module computes, to leading order:
     straight characteristics dy/dx = 1/k that emanate from the y boundary;
     every point value (eval_phi, the assumption check, outer_branches on a
     grid, the layer jump, the transport coefficients) comes from one
-    vectorised composite 16-point Gauss-Legendre engine, _char_integral,
-    and the bicubic lookup tables that the front equation reads are built
-    by an aligned row recursion and checked against it,
+    vectorised composite 16-point Gauss-Legendre engine, _char_integral;
+    the lookup tables that the front equation reads (one cubic spline in
+    y per front node) are built by an aligned row recursion and checked
+    against it,
   * the front motion h0(x, t) from a first order evolution equation,
   * the logistic layer profile joining the branches across the front and
     the resulting layer width,
@@ -44,7 +45,7 @@ from .expr import Expr
 from .grid import Field2D, Grid2D
 
 QUAD_TOL = 1e-10         # characteristic-integral tolerance
-TABLE_INTERP_TOL = 1e-6  # required bicubic interpolation accuracy
+TABLE_INTERP_TOL = 1e-6  # required accuracy of the phi tables' cubics in y
 FRONT_REFINE = 4         # front nodes per observation-grid cell in x
 FRONT_CFL = 0.4          # CFL number of the front solver
 U1_TOL = 1e-8            # first-order correction quadrature tolerance
@@ -206,11 +207,11 @@ def eval_phi(spec: ProblemSpec, side: str, x, y):
     where the radicand is not positive.
     """
     rad, X, Y = _radicand(spec, side, x, y)
-    flat = np.atleast_1d(rad)
+    flat = np.ravel(rad)
     if not np.all(flat > 0.0):      # nan radicands fail as well
         i = int(np.argmin(flat))    # argmin picks the first nan, if any
-        xb = np.atleast_1d(X).ravel()[i]
-        yb = np.atleast_1d(Y).ravel()[i]
+        xb = np.ravel(X)[i]
+        yb = np.ravel(Y)[i]
         raise AssumptionViolation(
             f"Assumption 2 violated at ({xb:.6g}, {yb:.6g}): radicand {flat[i]:.6g}")
     out = np.sqrt(rad) if side == "plus" else -np.sqrt(rad)
@@ -271,59 +272,38 @@ _GAUSS4_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461,
                             0.6521451548625461, 0.3478548451374538])
 
 
-def _aligned_layout(spec: ProblemSpec, n: int):
-    """Pick (nx, ny, p) with dx = k dy / p so characteristics hit nodes.
-
-    Returns None when no small integer stride p makes the row count whole;
-    the builder then falls back to per-node quadrature.
-    """
-    ratio = 2.0 * spec.a * spec.k / spec.length   # ny = ratio * nx / p
-    best = None
-    for p in range(1, 17):
-        ny_f = ratio * n / p
-        ny = int(round(ny_f))
-        if ny < 8 or abs(ny_f - ny) > 1e-9 * max(1.0, ny_f):
-            continue
-        score = abs(ny - n)
-        if best is None or score < best[3]:
-            best = (n, ny, p, score)
-    if best is None:
-        return None
-    return best[:3]
-
-
 def _aligned_branch_integral(spec: ProblemSpec, side: str, nx: int, ny: int, p: int):
-    """Characteristic integral of f on the table grid by row recursion.
+    """Characteristic integral of f at the table nodes by row recursion.
 
-    With dx = k dy / p the characteristic through node (i, j) meets node
-    (i -/+ p, j -/+ 1), so the line integral to the y boundary accumulates
-    one short Gauss segment per row, walking away from the branch's
-    boundary row (step -1 for 'minus', whose boundary is the bottom row, +1
-    for 'plus').  Columns are extended beyond the period, on the side the
-    characteristics come from, because f is evaluated at raw (unwrapped)
-    arguments.
+    Node (i, r) is the column x0 + i dx (dx = L / nx, i < nx) at the row
+    r dy away from the branch's boundary (y = -a + r dy for 'minus',
+    a - r dy for 'plus'), with dy = p dx / k.  The characteristic through
+    node (i, r) then meets node (i -/+ p, r - 1), so the line integral to
+    the boundary accumulates one short Gauss segment per row, walking away
+    from the boundary row.  Columns are extended beyond the period, on the
+    side the characteristics come from, because f is evaluated at raw
+    (unwrapped) arguments.  Returns the (nx, ny + 1) node values.
     """
     dx = spec.length / nx
-    dy = 2.0 * spec.a / ny
+    dy = p * dx / spec.k
     ext = p * ny
     half = 0.5 * spec.k * dy
     step = 1 if side == "plus" else -1
     lo = 0 if step > 0 else ext                  # column of x0
-    xs_ext = spec.x0 + dx * (np.arange(nx + 1 + ext) - lo)
+    xs_ext = spec.x0 + dx * (np.arange(nx + ext) - lo)
     mid = xs_ext + step * half
-    wrapped = slice(-p, None) if step > 0 else slice(0, p)
-    out = np.zeros((nx + 1, ny + 1))
+    out = np.zeros((nx, ny + 1))
     row = np.zeros_like(xs_ext)
-    for j in (range(ny - 1, -1, -1) if step > 0 else range(1, ny + 1)):
-        y = -spec.a + j * dy
+    for r in range(1, ny + 1):
+        y = step * (spec.a - r * dy)
         seg = np.zeros_like(xs_ext)
         for t, w in zip(_GAUSS4_NODES, _GAUSS4_WEIGHTS):
             s = mid + half * t
             seg += w * spec.f(s, y + (s - xs_ext) / spec.k)
-        row = np.roll(row, -step * p)
-        row[wrapped] = 0.0
-        row = row + half * seg
-        out[:, j] = row[lo:lo + nx + 1]
+        # the p entries np.roll wraps around sit on columns whose
+        # characteristics leave the extension; none of them reaches a kept column
+        row = np.roll(row, -step * p) + half * seg
+        out[:, r] = row[lo:lo + nx]
     return step * out    # the minus integral runs from x down to the boundary
 
 
@@ -370,110 +350,76 @@ def _cell_cubics(y, m, h):
             c * (m[1:] - m[:-1])]
 
 
-class _BicubicSpline:
-    """Not-a-knot tensor cubic spline through values[i, j] at
-    (x0 + i hx, y0 + j hy): the s = 0 bicubic of FITPACK (de Boor, ch. XVII).
-
-    Stored as 16 power-basis coefficients per cell, so a query is one gather
-    and two Horner passes.  Queries must lie on the grid's rectangle.
-    """
-
-    def __init__(self, values: np.ndarray, x0: float, y0: float, hx: float, hy: float):
-        self.x0, self.y0, self.hx, self.hy = x0, y0, hx, hy
-        nx, ny = (s - 1 for s in values.shape)
-        self.nx, self.ny = nx, ny
-        # second derivatives at the nodes (in x, in y and mixed), then the
-        # cubics along x of the values and of their y derivatives, then the
-        # cubics along y of each of those coefficients
-        m_y = _not_a_knot_curvature(values.T, hy).T
-        in_x = zip(_cell_cubics(values, _not_a_knot_curvature(values, hx), hx),
-                   _cell_cubics(m_y, _not_a_knot_curvature(m_y, hx), hx))
-        coef = [q for v, m in in_x for q in _cell_cubics(v.T, m.T, hy)]
-        self._coef = np.stack(coef, axis=-1).transpose(1, 0, 2).reshape(nx * ny, 16)
-
-    def __call__(self, x, y):
-        tx, ty = np.broadcast_arrays((np.asarray(x, dtype=float) - self.x0) / self.hx,
-                                     (np.asarray(y, dtype=float) - self.y0) / self.hy)
-        i = np.minimum(np.maximum(tx.astype(np.intp), 0), self.nx - 1)
-        j = np.minimum(np.maximum(ty.astype(np.intp), 0), self.ny - 1)
-        t = (tx - i)[..., None]
-        u = (ty - j)[..., None]
-        c = self._coef[i * self.ny + j].reshape(tx.shape + (4, 4))
-        in_y = ((c[..., 3] * u + c[..., 2]) * u + c[..., 1]) * u + c[..., 0]
-        return (((in_y[..., 3:] * t + in_y[..., 2:3]) * t + in_y[..., 1:2]) * t
-                + in_y[..., :1])[..., 0]
-
-
 class PhiTable:
-    """Bicubic lookup for one outer branch on [x0, x1] x [-a, a].
+    """One outer branch at the front's columns x0 + i L / nx, i < nx, as
+    one not-a-knot cubic spline in y per column.
 
-    Node values come from the aligned row recursion (or per-node quadrature
-    when no aligned layout exists); queries wrap x into the period, clip y
-    to [-a, a] and evaluate the not-a-knot tensor cubic spline through the
-    nodes (_BicubicSpline).
+    The rows are anchored at the branch's boundary (y = -a for 'minus',
+    y = a for 'plus') with spacing dy = p dx / k, p = max(1, round(2 a k / L)),
+    so the aligned row recursion applies for every k; the last row reaches
+    or passes the far boundary.  refine > 1 runs the recursion on refine
+    times as many columns (and so as many rows) and keeps every refine-th
+    column.  A query gives one y per column, clipped to [-a, a].
     """
 
-    def __init__(self, spec: ProblemSpec, side: str, n: int):
+    def __init__(self, spec: ProblemSpec, side: str, nx: int, refine: int = 1):
         self.spec = spec
         self.side = side
-        layout = _aligned_layout(spec, n)
-        if layout is not None:
-            self.nx, self.ny, p = layout
-            self.xs = np.linspace(spec.x0, spec.x1, self.nx + 1)
-            self.ys = np.linspace(-spec.a, spec.a, self.ny + 1)
-            integral = _aligned_branch_integral(spec, side, self.nx, self.ny, p)
-            X, Y = np.meshgrid(self.xs, self.ys, indexing="ij")
-            _, trace = _boundary_foot(spec, side, X, Y)
-            rad = np.asarray(trace) ** 2 - (2.0 / spec.k) * integral
-            if not np.all(rad > 0.0):
-                raise AssumptionViolation(
-                    f"Assumption 2 violated on the table grid: min radicand {rad.min():.6g}")
-            self.values = np.sqrt(rad) if side == "plus" else -np.sqrt(rad)
-        else:
-            self.nx = self.ny = n
-            self.xs = np.linspace(spec.x0, spec.x1, n + 1)
-            self.ys = np.linspace(-spec.a, spec.a, n + 1)
-            X, Y = np.meshgrid(self.xs, self.ys, indexing="ij")
-            self.values = np.asarray(eval_phi(spec, side, X, Y))
-        sign_ok = np.all(self.values < 0) if side == "minus" else np.all(self.values > 0)
-        if not sign_ok:
-            raise AssumptionViolation(f"outer branch '{side}' changes sign on the table grid")
-        self._spline = _BicubicSpline(self.values, spec.x0, -spec.a,
-                                      spec.length / self.nx, 2.0 * spec.a / self.ny)
+        p = max(1, int(round(2.0 * spec.a * spec.k / spec.length)))
+        self.dy = p * (spec.length / (nx * refine)) / spec.k     # as in the recursion
+        # a row count that is whole up to rounding is not rounded up; the
+        # not-a-knot spline needs at least 4 cells
+        self.ny = max(4, int(np.ceil(2.0 * spec.a / self.dy * (1.0 - 1e-12))))
+        integral = _aligned_branch_integral(spec, side, nx * refine, self.ny, p)[::refine]
+        xs = spec.x0 + spec.length / nx * np.arange(nx)
+        self._sign = 1.0 if side == "plus" else -1.0
+        ys = self._sign * (spec.a - self.dy * np.arange(self.ny + 1))
+        _, trace = _boundary_foot(spec, side, xs[:, None], ys)
+        rad = np.asarray(trace) ** 2 - (2.0 / spec.k) * integral
+        if not np.all(rad > 0.0):
+            raise AssumptionViolation(
+                f"Assumption 2 violated on the table grid: min radicand {rad.min():.6g}")
+        self.values = self._sign * np.sqrt(rad)
+        # cubics in the distance from the boundary, over dy
+        rows = self.values.T
+        self._coef = np.stack(
+            _cell_cubics(rows, _not_a_knot_curvature(rows, self.dy), self.dy), axis=-1)
+        self._cols = np.arange(nx)
 
-    def __call__(self, x, y):
-        spec = self.spec
-        xw = spec.x0 + np.mod(np.asarray(x, dtype=float) - spec.x0, spec.length)
-        yc = np.minimum(np.maximum(np.asarray(y, dtype=float), -spec.a), spec.a)
-        return self._spline(xw, yc)
+    def __call__(self, y):
+        a = self.spec.a
+        yc = np.minimum(np.maximum(np.asarray(y, dtype=float), -a), a)
+        t = (a - self._sign * yc) / self.dy
+        j = np.minimum(np.maximum(t.astype(np.intp), 0), self.ny - 1)
+        u = t - j
+        c = self._coef[j, self._cols]
+        return ((c[..., 3] * u + c[..., 2]) * u + c[..., 1]) * u + c[..., 0]
 
 
-def phi_table(spec: ProblemSpec, side: str, min_nodes: int) -> PhiTable:
-    """Lookup table of one outer branch, refined until its bicubic error is
-    below TABLE_INTERP_TOL; every call builds its table anew.
+def phi_table(spec: ProblemSpec, side: str, nx: int) -> PhiTable:
+    """Lookup table of one outer branch at nx front columns, refined until
+    its cubics in y are within TABLE_INTERP_TOL of direct quadrature; every
+    call builds its table anew.
 
-    The first table has min_nodes cells per side and is verified against
-    direct quadrature at 256 fixed probe points.  Only if that fails does
-    the resolution grow, by the O(h^4) error rule and at least by half.
+    The check is at two probe heights per column.  Only if it fails is the
+    recursion refined, by the O(dy^4) error rule and at least twofold.
     """
-    # the probes: the first 256 points of the R2 low-discrepancy sequence
+    # the probes: two y per column from the R2 low-discrepancy sequence
     # (Roberts 2018), whose irrational strides 1/g and 1/g^2 (g the plastic
-    # number) keep them off the nodes of every table
-    i, g = np.arange(1, 257), 1.324717957244746
-    px = spec.x0 + spec.length * np.mod(0.5 + i / g, 1.0)
-    py = -spec.a + 2.0 * spec.a * np.mod(0.5 + i / g ** 2, 1.0)
-    exact = eval_phi(spec, side, px, py)
-    n = int(min_nodes)
+    # number) keep them off the rows of every table
+    i, g = np.arange(1, nx + 1), 1.324717957244746
+    py = -spec.a + 2.0 * spec.a * np.mod(0.5 + np.stack([i / g, i / g ** 2]), 1.0)
+    px = spec.x0 + spec.length / nx * np.arange(nx)
+    exact = eval_phi(spec, side, np.broadcast_to(px, py.shape), py)
+    refine = 1
     while True:
-        table = PhiTable(spec, side, n)
-        err = float(np.max(np.abs(table(px, py) - exact)))
+        table = PhiTable(spec, side, nx, refine)
+        err = float(np.max(np.abs(table(py) - exact)))
         if err < TABLE_INTERP_TOL:
-            break
-        if n > 8192:
+            return table
+        if table.ny > 8192:
             raise NumericalError("could not reach table interpolation tolerance")
-        n = max(int(np.ceil(1.5 * n)),
-                int(np.ceil(n * (err / (0.5 * TABLE_INTERP_TOL)) ** 0.25)))
-    return table
+        refine *= max(2, int(np.ceil((err / (0.5 * TABLE_INTERP_TOL)) ** 0.25)))
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +467,6 @@ class FrontCurve:
                                     + (t ** 3 - t) * curv[:, right]))
         return vals[0], vals[1]
 
-    def check_invariants(self, a: float, k: float):
-        if not (np.all(self.h > -a) and np.all(self.h < a)):
-            raise AssumptionViolation("stored front leaves (-a, a)")
-        if not np.all(self.hx < 1.0 / k):
-            raise AssumptionViolation("stored front violates the slope bound")
-
 
 def solve_front(spec: ProblemSpec, nt: int, grid: Grid2D, t_end: float,
                 extra_times=()) -> FrontCurve:
@@ -534,18 +474,19 @@ def solve_front(spec: ProblemSpec, nt: int, grid: Grid2D, t_end: float,
 
         h_t = (k h_x - 1) (phi_plus + phi_minus)(x, h) / (2 (1 + h_x^2))
 
-    by method of lines on FRONT_REFINE * grid.n nodes: periodic central
-    differences for h_x plus a local Lax-Friedrichs dissipation (coefficient
-    = local wave speed * dx / 2), second order Runge-Kutta in time with a
-    step limited by FRONT_CFL.  Outputs are stored at nt + 1 uniform times
-    in [0, t_end] plus any requested extras; steps land on output times
+    by method of lines on FRONT_REFINE * grid.n nodes, which are also the
+    columns of the two phi tables: periodic central differences for h_x
+    plus a local Lax-Friedrichs dissipation (coefficient = local wave
+    speed * dx / 2), second order Runge-Kutta in time with a step limited
+    by FRONT_CFL.  Outputs are stored at nt + 1 uniform times in
+    [0, t_end] plus any requested extras; steps land on output times
     exactly.
     """
     nx = FRONT_REFINE * grid.n
     d = spec.length / nx
     xs = spec.x0 + d * np.arange(nx)
-    table_m = phi_table(spec, "minus", min_nodes=4 * max(grid.n, grid.m))
-    table_p = phi_table(spec, "plus", min_nodes=4 * max(grid.n, grid.m))
+    table_m = phi_table(spec, "minus", nx)
+    table_p = phi_table(spec, "plus", nx)
 
     # periodic neighbours: h[east] is np.roll(h, -1), h[west] np.roll(h, 1)
     east = np.r_[1:nx, 0]
@@ -556,7 +497,7 @@ def solve_front(spec: ProblemSpec, nt: int, grid: Grid2D, t_end: float,
 
     def rhs(h):
         hx = slope(h)
-        s = table_m(xs, h) + table_p(xs, h)
+        s = table_m(h) + table_p(h)
         denom = 1.0 + hx ** 2
         f_val = 0.5 * (spec.k * hx - 1.0) * s / denom
         wave = 0.5 * np.abs(s) * np.abs(spec.k - spec.k * hx ** 2 + 2.0 * hx) / denom ** 2
@@ -590,10 +531,8 @@ def solve_front(spec: ProblemSpec, nt: int, grid: Grid2D, t_end: float,
             stored_h.append(h.copy())
             stored_hx.append(hx.copy())
             next_out = min(next_out + 1, len(out_times) - 1)
-    front = FrontCurve(xs, spec.length, out_times[:len(stored_h)],
-                       np.asarray(stored_h), np.asarray(stored_hx))
-    front.check_invariants(spec.a, spec.k)
-    return front
+    return FrontCurve(xs, spec.length, out_times[:len(stored_h)],
+                      np.asarray(stored_h), np.asarray(stored_hx))
 
 
 # ---------------------------------------------------------------------------

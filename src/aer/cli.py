@@ -25,7 +25,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -407,10 +407,7 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
             continue
         mu, n = key
         try:
-            spec = base_spec if mu == base_spec.mu else asymptotics.ProblemSpec(
-                mu, base_spec.k, base_spec.x0, base_spec.x1, base_spec.a, base_spec.T,
-                base_spec.u_minus_a, base_spec.u_plus_a, base_spec.f,
-                base_spec.h0_star, base_spec.t0)
+            spec = base_spec if mu == base_spec.mu else replace(base_spec, mu=mu)
             groups[key] = (spec, SolverConfig(spec.grid(cfg.refine * n, cfg.refine * n),
                                               spec.t0, cfg.cfl, [spec.t0]), spec.grid(n, n))
         except ValueError as exc:     # a mus or grids value out of range
@@ -454,8 +451,7 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
             continue
         med = {}
         for row in rows:
-            med.setdefault(row[{"delta": "delta", "mu": "mu", "n": "n"}[axis]], []).append(
-                row["rel_err_f"])
+            med.setdefault(row[axis], []).append(row["rel_err_f"])
         xs = np.array(sorted(med))
         ys = np.array([float(np.median(med[x])) for x in xs])
         if np.all(xs > 0) and np.all(ys > 0):

@@ -241,7 +241,7 @@ def smooth_region(obs: Observation, region: str, discrepancy: str = "calibrated"
     rows = _region_rows(obs.mask, g.m, region)
     r = len(rows)
     if r < 3:
-        raise ValueError(f"{region} region has {r} rows; need at least 3")
+        raise LayerTooWide(f"{region} region has {r} rows; need at least 3")
     if target is None:
         if discrepancy == "calibrated":
             target = noise_misfit_target(obs, region)
@@ -432,17 +432,20 @@ class Prepared:
 
 
 def prepare(spec: ProblemSpec, cfg: SolverConfig, obs_grid: Grid2D) -> Prepared:
-    """Run the shared stages, each under its stage label: the forward solve
-    to t0 on cfg.grid (with cfg.cfl), restricted to obs_grid; the front on
-    obs_grid (200 steps up to t0); u0 on obs_grid, whose only use is its
-    error against the snapshot; and the layer band on obs_grid, labelled
-    as the observation it belongs to."""
+    """Run the shared stages, each under its stage label: the front on
+    obs_grid (200 steps up to t0); the forward solve to t0 on cfg.grid
+    (with cfg.cfl), restricted to obs_grid; u0 on obs_grid, whose only use
+    is its error against the snapshot; and the layer band on obs_grid,
+    labelled as the observation it belongs to."""
+    # the front goes first: freeing the forward solve's one large work block
+    # raises glibc's mmap and trim thresholds, so the smaller phi tables
+    # built after it would stay resident and raise the peak RSS
+    front = _stage("front", solve_front, spec, 200, obs_grid, spec.t0,
+                   extra_times=(spec.t0,))
     snapshot = _stage("forward", forward_solve, spec,
                       SolverConfig(cfg.grid, spec.t0, cfg.cfl, [spec.t0]))[0]
     if snapshot.grid != obs_grid:
         snapshot = snapshot.restrict(obs_grid)
-    front = _stage("front", solve_front, spec, 200, obs_grid, spec.t0,
-                   extra_times=(spec.t0,))
     u0 = _stage("asymptotic-field", lambda: assemble_u0(
         spec, front, obs_grid, spec.t0, outer_branches(spec, obs_grid)))
     mask = _stage("observation", layer_band, front, spec, spec.t0, obs_grid)

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -22,7 +23,6 @@ import aer.asymptotics as asymptotics
 from aer.asymptotics import (
     FrontCurve,
     PhiTable,
-    _BicubicSpline,
     _cumulative_simpson,
     _simpson,
     phi_table,
@@ -86,14 +86,17 @@ def test_phi_radicand_violation():
         eval_phi(s2, "minus", 0.0, 0.5)
 
 
+def _columns(spec, nx):
+    return spec.x0 + spec.length / nx * np.arange(nx)
+
+
 def test_phi_table_matches_direct_quadrature(ex1, ex2):
     rng = np.random.default_rng(2)
     for spec in (ex1, ex2):
         for side in ("minus", "plus"):
-            table = phi_table(spec, side, min_nodes=256)
-            x = spec.x0 + spec.length * rng.random(128)
-            y = -spec.a + 2 * spec.a * rng.random(128)
-            err = np.max(np.abs(table(x, y) - eval_phi(spec, side, x, y)))
+            table = phi_table(spec, side, 256)
+            y = -spec.a + 2 * spec.a * rng.random(256)
+            err = np.max(np.abs(table(y) - eval_phi(spec, side, _columns(spec, 256), y)))
             assert err < 1e-6
             sign = -1.0 if side == "minus" else 1.0
             assert np.all(sign * table.values > 0)
@@ -101,65 +104,78 @@ def test_phi_table_matches_direct_quadrature(ex1, ex2):
 
 @pytest.mark.parametrize("name", ["ex1", "ex2"])
 def test_phi_table_stops_at_its_floor(name, request):
-    # bicubic interpolation meets the tolerance on the min_nodes table, so
-    # no growth step is taken; checked at points the probes never saw
+    # the cubics in y meet the tolerance on the first table, so no
+    # refinement is taken; checked at heights the probes never saw
     spec = request.getfixturevalue(name)
     rng = np.random.default_rng(17)
-    x = spec.x0 + spec.length * rng.random(500)
-    y = -spec.a + 2 * spec.a * rng.random(500)
+    y = -spec.a + 2 * spec.a * rng.random((3, 200))
+    x = np.broadcast_to(_columns(spec, 200), y.shape)
     for side in ("minus", "plus"):
-        table = phi_table(spec, side, min_nodes=200)
-        assert table.values.size <= 256 ** 2
-        assert np.max(np.abs(table(x, y) - eval_phi(spec, side, x, y))) < 1e-6
+        table = phi_table(spec, side, 200)
+        assert table.values.shape == (200, 201)
+        assert np.max(np.abs(table(y) - eval_phi(spec, side, x, y))) < 1e-6
 
 
-def test_phi_table_periodic_in_x_and_clamped_in_y(ex2):
+@pytest.mark.parametrize("k", [0.3333, 3.7])
+def test_phi_table_for_any_k(ex2, k):
+    # 2 a k / L is not a whole number: the rows are anchored at the branch's
+    # boundary and the last one passes the far boundary
+    spec = dataclasses.replace(ex2, k=k)
+    rng = np.random.default_rng(23)
+    y = -spec.a + 2 * spec.a * rng.random((3, 200))
+    x = np.broadcast_to(_columns(spec, 200), y.shape)
+    for side in ("minus", "plus"):
+        table = phi_table(spec, side, 200)
+        assert table.ny * table.dy >= 2 * spec.a
+        assert np.max(np.abs(table(y) - eval_phi(spec, side, x, y))) < 1e-6
+
+
+def test_phi_table_clamped_in_y(ex2):
     table = PhiTable(ex2, "plus", 64)
-    rng = np.random.default_rng(5)
-    x = ex2.x0 + ex2.length * rng.random(50)
-    y = -ex2.a + 2 * ex2.a * rng.random(50)
-    np.testing.assert_allclose(table(x + ex2.length, y), table(x, y), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(table(x - 3 * ex2.length, y), table(x, y), rtol=0, atol=1e-12)
-    assert np.array_equal(table(x, np.full(50, ex2.a + 0.4)), table(x, np.full(50, ex2.a)))
-    assert np.array_equal(table(x, np.full(50, -ex2.a - 2.0)), table(x, np.full(50, -ex2.a)))
+    assert np.array_equal(table(np.full(64, ex2.a + 0.4)), table(np.full(64, ex2.a)))
+    assert np.array_equal(table(np.full(64, -ex2.a - 2.0)), table(np.full(64, -ex2.a)))
 
 
 def test_phi_table_fast_path_equals_generic(ex1):
-    table = PhiTable(ex1, "minus", 96)
+    # the row recursion gives the node values of per-node quadrature, and
+    # the table interpolates them; traces that vary in x check that each
+    # node takes the trace at its own characteristic's foot
+    spec = dataclasses.replace(ex1, u_minus_a=parse("-4 + 0.5*sin(pi*x/2)"),
+                               u_plus_a=parse("2 + 0.5*cos(pi*x/2)"))
     rng = np.random.default_rng(3)
-    ii = rng.integers(0, table.nx + 1, 40)
-    jj = rng.integers(0, table.ny + 1, 40)
-    direct = eval_phi(ex1, "minus", table.xs[ii], table.ys[jj])
-    assert np.max(np.abs(table.values[ii, jj] - direct)) < 1e-9
+    for side, sign in (("minus", -1.0), ("plus", 1.0)):
+        table = PhiTable(spec, side, 96)
+        rows = rng.integers(0, table.ny + 1, 96)
+        y = sign * (spec.a - rows * table.dy)
+        node = table.values[np.arange(96), rows]
+        assert np.max(np.abs(node - eval_phi(spec, side, _columns(spec, 96), y))) < 1e-9
+        np.testing.assert_allclose(table(y), node, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("shape", [(8, 11), (11, 8)])
-def test_bicubic_spline_matches_fitpack(shape):
-    # the not-a-knot tensor spline is FITPACK's s = 0 bicubic; odd and even
-    # node counts in each direction, every edge cell and the four corners
+@pytest.mark.parametrize("nx", [8, 11])
+def test_column_spline_matches_scipy(ex2, nx):
+    # each column holds SciPy's not-a-knot cubic spline through its nodes;
+    # ny = nx here, so odd and even node counts, every edge cell and both
+    # ends of each column, on both branches (whose rows run opposite ways)
     interpolate = pytest.importorskip("scipy.interpolate")
-    rng = np.random.default_rng(shape[0])
-    values = rng.standard_normal(shape)
-    x0, y0, hx, hy = -1.0, 2.0, 0.3, 0.7
-    xs = x0 + hx * np.arange(shape[0])
-    ys = y0 + hy * np.arange(shape[1])
-    x = rng.uniform(xs[0], xs[-1], 4000)
-    y = rng.uniform(ys[0], ys[-1], 4000)
-    ex = np.r_[xs[0], xs[0] + 0.4 * hx, xs[-1] - 0.4 * hx, xs[-1]]
-    ey = np.r_[ys[0], ys[0] + 0.4 * hy, ys[-1] - 0.4 * hy, ys[-1]]
-    edge_x, edge_y = np.meshgrid(ex, ey, indexing="ij")
-    side = rng.uniform(0.0, 1.0, 200)
-    x = np.r_[x, edge_x.ravel(), xs[0] + 0 * side, xs[-1] + 0 * side,
-              xs[0] + (xs[-1] - xs[0]) * side, xs[0] + (xs[-1] - xs[0]) * side]
-    y = np.r_[y, edge_y.ravel(), ys[0] + (ys[-1] - ys[0]) * side,
-              ys[0] + (ys[-1] - ys[0]) * side, ys[0] + 0 * side, ys[-1] + 0 * side]
-    want = interpolate.RectBivariateSpline(xs, ys, values, kx=3, ky=3, s=0).ev(x, y)
-    got = _BicubicSpline(values, x0, y0, hx, hy)(x, y)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    # and it interpolates
-    grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
-    np.testing.assert_allclose(_BicubicSpline(values, x0, y0, hx, hy)(grid_x, grid_y),
-                               values, rtol=0, atol=1e-12)
+    a = ex2.a
+    rng = np.random.default_rng(nx)
+    for side in ("minus", "plus"):
+        table = PhiTable(ex2, side, nx)
+        assert table.ny == nx
+        dy = table.dy
+        edges = np.r_[-a, -a + 0.4 * dy, a - 0.4 * dy, a]
+        y = np.vstack([-a + 2 * a * rng.random((200, nx)),
+                       np.repeat(edges[:, None], nx, axis=1)])
+        ys = -a + dy * np.arange(nx + 1)              # increasing, as SciPy wants
+        got = table(y)
+        at_node = table(np.full(nx, ys[3]))
+        for i in range(nx):
+            column = table.values[i] if side == "minus" else table.values[i, ::-1]
+            want = interpolate.CubicSpline(ys, column, bc_type="not-a-knot")(y[:, i])
+            assert np.max(np.abs(got[:, i] - want)) <= 1e-12 * np.max(np.abs(want))
+            # and it interpolates
+            assert abs(at_node[i] - column[3]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +244,9 @@ def test_nan_radicand_is_a_violation():
     assert np.isnan(rep.details["min_radicand_plus"])
     with pytest.raises(AssumptionViolation, match="radicand"):
         eval_phi(s, "minus", -1.9, 0.0)
+    X, Y = np.meshgrid(np.linspace(s.x0, s.x1, 5), np.linspace(-s.a, s.a, 5))
+    with pytest.raises(AssumptionViolation, match=r"at \(-2, -2\): radicand nan"):
+        eval_phi(s, "minus", X, Y)          # the message names the point of a 2-D query
     with pytest.raises(AssumptionViolation, match="radicand"):
         PhiTable(s, "plus", 64)
 
@@ -345,9 +364,8 @@ def test_front_exits_domain_raises():
 
 def test_front_example1_stays_inside(ex1, ex1_front):
     # transition layer remains within (-2, 2) for the whole horizon
-    assert ex1_front.h.min() > -2.0
-    assert ex1_front.h.max() < 2.0
-    ex1_front.check_invariants(ex1.a, ex1.k)
+    assert np.all(np.abs(ex1_front.h) < ex1.a)
+    assert np.all(ex1_front.hx < 1.0 / ex1.k)
 
 
 def test_front_sample_out_of_range(ex1_front):

@@ -349,6 +349,19 @@ def test_front_failure_names_its_stage(tmp_path, capsys, command):
     assert "[front] Assumption 3 violated: front left domain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["invert", "study"])
+def test_thin_region_exit_code(tmp_path, capsys, command):
+    # a low front on a coarse grid leaves the lower region two rows, too few
+    # to smooth: a numerical failure of the smoothing stage, not a traceback
+    path = tmp_path / "thin.ini"
+    path.write_text("[problem]\nh0_star = -1.3\n\n"
+                    "[forward]\nn = 8\nm = 8\nrefine = 4\n\n[study]\nseeds = 1\n")
+    code = main([command, "--preset", "example1", "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "[smoothing] lower region has 2 rows; need at least 3" in capsys.readouterr().err
+
+
 def test_cmd_study_single_point(tmp_path):
     path = tmp_path / "study1.ini"
     path.write_text(TINY + "\n[study]\nseeds = 3\n")

@@ -164,7 +164,7 @@ def test_smooth_region_needs_rows():
     obs, _ = _quadratic_observation()
     tiny = Observation(obs.grid, obs.t0, obs.u_delta, obs.delta, obs.seed,
                        RegionMask(1, 34), obs.noise_kind)
-    with pytest.raises(ValueError, match="at least 3"):
+    with pytest.raises(LayerTooWide, match="lower region has 2 rows; need at least 3"):
         smooth_region(tiny, "lower")
 
 
