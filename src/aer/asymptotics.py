@@ -570,16 +570,20 @@ def transition_width(spec: ProblemSpec, x, h0, h0x):
 
     Closed-form inversion of the logistic profile; the stretched exits are
     xi = -/+ log(2 p / mu^2 - 1) * sqrt(1 + h0x^2) / (p (1 - k h0x)) and the
-    width in y is their gap scaled back by mu * cos(alpha).
+    width in y is their gap scaled back by mu * cos(alpha).  A width that
+    is not finite (mu^2 under- or overflows) raises NumericalError.
     """
     p = np.asarray(_layer_jump(spec, x, h0))
     c = 1.0 - spec.k * np.asarray(h0x)
     if np.any(c <= 0.0):
         raise AssumptionViolation("slope bound fails where the width is requested")
-    arg = 2.0 * p / spec.mu ** 2 - 1.0
+    with np.errstate(divide="ignore", over="ignore"):     # checked below
+        arg = 2.0 * p / spec.mu ** 2 - 1.0
     if np.any(arg <= 0.0):
         raise AssumptionViolation("layer jump below threshold: no mu^2 crossing exists")
     out = 2.0 * spec.mu * np.log(arg) / (p * c)
+    if not np.all(np.isfinite(out)):
+        raise NumericalError(f"transition width is not finite at mu = {spec.mu:g}")
     return float(out) if np.ndim(out) == 0 else out
 
 

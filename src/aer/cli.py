@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -143,8 +142,9 @@ def _check_noise(section: str, deltas: list, seeds: list):
         if not (np.isfinite(delta) and delta >= 0.0):
             raise ConfigError(f"[{section}] delta = {delta}: must be finite and nonnegative")
     for seed in seeds:
-        if seed < 0:
-            raise ConfigError(f"[{section}] seed = {seed}: must be nonnegative")
+        # the Philox key of the noise holds 128 bits
+        if not 0 <= seed < 2 ** 128:
+            raise ConfigError(f"[{section}] seed = {seed}: must lie in [0, 2^128)")
 
 
 def load_config(preset: str | None, path: str | None, seed_override: int | None = None) -> RunConfig:
@@ -333,8 +333,7 @@ def cmd_asymptote(cfg: RunConfig, out: str) -> int:
 
 def cmd_invert(cfg: RunConfig, out: str) -> int:
     t_start = time.perf_counter()
-    prep = inverse.prepare(cfg.spec, SolverConfig(cfg.forward_grid, cfg.spec.t0, cfg.cfl,
-                                                  [cfg.spec.t0]), cfg.obs_grid)
+    prep = inverse.prepare(cfg.spec, cfg.forward_grid, cfg.cfl, cfg.obs_grid)
     res = inverse.run_aer_pipeline(prep, cfg.delta, cfg.seed, cfg.noise,
                                    cfg.gradient_measured, cfg.discrepancy)
     write_field_csv(os.path.join(out, "u_delta.csv"), res.observation.u_delta)
@@ -366,7 +365,7 @@ def _study_axes(cfg: RunConfig) -> dict:
 
 
 def _study_runs(cfg: RunConfig, axes: dict) -> list:
-    runs = [{}]
+    runs = [{"mu": cfg.spec.mu, "delta": cfg.delta, "n": cfg.n, "seed": cfg.seed}]
     for name, values in axes.items():
         runs = [dict(r, **{name: v}) for r in runs for v in values]
     return runs
@@ -388,54 +387,38 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
         raise ConfigError(f"[study] {exc}") from exc
     _check_noise("study", axes.get("delta", []), axes.get("seed", []))
     runs = _study_runs(cfg, axes)
-    text = os.environ.get("AER_MAX_WORKERS", "4")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"AER_MAX_WORKERS = {text!r}: must be a positive integer")
     base_spec = cfg.spec
 
     # the forward snapshot, front and u0 depend only on (mu, n): prepare each
     # group once, after every group has been checked, instead of per
     # (delta, seed) combination
     groups = {}
-    for params in runs:
-        key = (params.get("mu", base_spec.mu), params.get("n", cfg.n))
+    for run in runs:
+        key = (run["mu"], run["n"])
         if key in groups:
             continue
         mu, n = key
         try:
             spec = base_spec if mu == base_spec.mu else replace(base_spec, mu=mu)
-            groups[key] = (spec, SolverConfig(spec.grid(cfg.refine * n, cfg.refine * n),
-                                              spec.t0, cfg.cfl, [spec.t0]), spec.grid(n, n))
+            groups[key] = (spec, spec.grid(cfg.refine * n, cfg.refine * n), cfg.cfl,
+                           spec.grid(n, n))
         except ValueError as exc:     # a mus or grids value out of range
             raise ConfigError(f"[study] mu = {mu}, n = {n}: {exc}") from exc
     prepared = {key: inverse.prepare(*group) for key, group in groups.items()}
     widths = {key: _mid_width(prep) for key, prep in prepared.items()}
 
-    def one(params: dict) -> dict:
-        key = (params.get("mu", base_spec.mu), params.get("n", cfg.n))
-        prep, width0 = prepared[key], widths[key]
-        spec = prep.spec
-        res = inverse.run_aer_pipeline(
-            prep, params.get("delta", cfg.delta), params.get("seed", cfg.seed),
-            cfg.noise, cfg.gradient_measured, cfg.discrepancy)
-        return {"mu": spec.mu, "delta": params.get("delta", cfg.delta),
-                "n": prep.snapshot.grid.n, "seed": params.get("seed", cfg.seed),
-                "rel_err_f": res.reconstruction.rel_error,
-                "rel_err_u0": prep.u0_rel_error,
-                "m_minus": res.observation.mask.j_lo,
-                "m_plus": res.observation.mask.j_hi,
-                "width_x0": width0,
-                "width_scaled": width0 / (spec.mu * abs(np.log(spec.mu)))}
-
-    if workers > 1 and len(runs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, runs))
-    else:
-        rows = [one(r) for r in runs]
+    rows = []
+    for run in runs:
+        key = (run["mu"], run["n"])
+        prep, width0, mu = prepared[key], widths[key], run["mu"]
+        res = inverse.run_aer_pipeline(prep, run["delta"], run["seed"], cfg.noise,
+                                       cfg.gradient_measured, cfg.discrepancy)
+        rows.append(dict(run, rel_err_f=res.reconstruction.rel_error,
+                         rel_err_u0=prep.u0_rel_error,
+                         m_minus=res.observation.mask.j_lo,
+                         m_plus=res.observation.mask.j_hi,
+                         width_x0=width0,
+                         width_scaled=width0 / (mu * abs(np.log(mu)))))
 
     cols = ["mu", "delta", "n", "seed", "rel_err_f", "rel_err_u0",
             "m_minus", "m_plus", "width_x0", "width_scaled"]

@@ -66,8 +66,7 @@ class SolverConfig:
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
         self.snapshot_times = sorted(float(t) for t in self.snapshot_times)
-        if self.snapshot_times and (self.snapshot_times[0] < 0.0
-                                    or self.snapshot_times[-1] > self.t_end):
+        if not all(0.0 <= t <= self.t_end for t in self.snapshot_times):   # nan fails
             raise ValueError("snapshot times must lie in [0, t_end]")
 
 

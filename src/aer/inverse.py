@@ -431,11 +431,12 @@ class Prepared:
     mask: RegionMask
 
 
-def prepare(spec: ProblemSpec, cfg: SolverConfig, obs_grid: Grid2D) -> Prepared:
+def prepare(spec: ProblemSpec, forward_grid: Grid2D, cfl: float,
+            obs_grid: Grid2D) -> Prepared:
     """Run the shared stages, each under its stage label: the front on
-    obs_grid (200 steps up to t0); the forward solve to t0 on cfg.grid
-    (with cfg.cfl), restricted to obs_grid; u0 on obs_grid, whose only use
-    is its error against the snapshot; and the layer band on obs_grid,
+    obs_grid (200 steps up to t0); the forward solve to t0 on forward_grid
+    at CFL number cfl, restricted to obs_grid; u0 on obs_grid, whose only
+    use is its error against the snapshot; and the layer band on obs_grid,
     labelled as the observation it belongs to."""
     # the front goes first: freeing the forward solve's one large work block
     # raises glibc's mmap and trim thresholds, so the smaller phi tables
@@ -443,7 +444,7 @@ def prepare(spec: ProblemSpec, cfg: SolverConfig, obs_grid: Grid2D) -> Prepared:
     front = _stage("front", solve_front, spec, 200, obs_grid, spec.t0,
                    extra_times=(spec.t0,))
     snapshot = _stage("forward", forward_solve, spec,
-                      SolverConfig(cfg.grid, spec.t0, cfg.cfl, [spec.t0]))[0]
+                      SolverConfig(forward_grid, spec.t0, cfl, [spec.t0]))[0]
     if snapshot.grid != obs_grid:
         snapshot = snapshot.restrict(obs_grid)
     u0 = _stage("asymptotic-field", lambda: assemble_u0(

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -211,17 +212,21 @@ def test_invalid_problem_data_exit_codes(tmp_path, command, old, new, code):
     pytest.param("invert", "refine = 2", "refine = 0", id="refine"),
     pytest.param("forward", "snapshots = 0.15 0.3", "snapshots = 0.15 5", id="snapshot-past-T"),
     pytest.param("forward", "snapshots = 0.15 0.3", "snapshots = -0.1", id="negative-snapshot"),
+    pytest.param("forward", "snapshots = 0.15 0.3", "snapshots = nan", id="snapshot-nan"),
     pytest.param("study", "[inverse]", "[study]\nmus = 0.05 -0.05\n\n[inverse]", id="study-mus"),
     pytest.param("study", "[inverse]", "[study]\ngrids = 24 1\n\n[inverse]", id="study-grids"),
     pytest.param("invert", "delta = 0.01", "delta = -0.01", id="delta"),
     pytest.param("invert", "delta = 0.01", "delta = nan", id="delta-nan"),
     pytest.param("invert", "seed = 1", "seed = -1", id="seed"),
+    pytest.param("invert", "seed = 1", f"seed = {2 ** 128}", id="seed-2^128"),
     pytest.param("invert", "seed = 1", "seed = 1\nnoise = bogus", id="noise"),
     pytest.param("invert", "seed = 1", "seed = 1\ndiscrepancy = bogus", id="discrepancy"),
     pytest.param("study", "[inverse]", "[study]\ndeltas = 0.01 -0.01\n\n[inverse]",
                  id="study-deltas"),
     pytest.param("study", "[inverse]", "[study]\nseeds = 1 -1\n\n[inverse]", id="study-seeds"),
     pytest.param("study", "[inverse]", "[study]\nseeds = 1 x\n\n[inverse]", id="study-seed-token"),
+    pytest.param("study", "[inverse]", f"[study]\nseeds = 1 {2 ** 128}\n\n[inverse]",
+                 id="study-seed-2^128"),
     pytest.param("invert", "seed = 1", "seed = 1\ngradient_measured = maybe",
                  id="gradient-measured"),
 ])
@@ -229,19 +234,6 @@ def test_out_of_range_run_settings_exit_code(tmp_path, command, old, new):
     path = tmp_path / "range.ini"
     path.write_text(TINY.replace(old, new))
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
-
-
-@pytest.mark.parametrize("workers", ["two", "0"])
-def test_bad_worker_count_exit_code(tmp_path, monkeypatch, workers):
-    # rejected before the forward solve
-    def no_forward_solve(*args, **kwargs):
-        raise AssertionError("forward solve started")
-
-    monkeypatch.setenv("AER_MAX_WORKERS", workers)
-    monkeypatch.setattr(aer.inverse, "forward_solve", no_forward_solve)
-    path = tmp_path / "study.ini"
-    path.write_text(TINY + "\n[study]\nseeds = 1 2\n")
-    assert main(["study", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
 
 
 def test_malformed_expression_exit_code(tmp_path):
@@ -281,7 +273,11 @@ def test_cmd_invert_gradient_branch(tmp_path):
 
 
 def test_cmd_study_sweep_and_fit(tmp_path, monkeypatch):
-    monkeypatch.setenv("AER_MAX_WORKERS", "2")
+    # the recoveries run one after another in the calling thread
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     path = tmp_path / "study.ini"
     path.write_text(TINY + "\n[study]\ndeltas = 0.02 0.01\nseeds = 1 2\n")
     out = str(tmp_path / "study")
@@ -293,12 +289,11 @@ def test_cmd_study_sweep_and_fit(tmp_path, monkeypatch):
     assert len(summary["fits"]["delta"]["values"]) == 2
 
 
-def test_cmd_study_rows_do_not_depend_on_grid_order(tmp_path, monkeypatch):
+def test_cmd_study_rows_do_not_depend_on_grid_order(tmp_path):
     # each (mu, n) group is prepared from its own inputs only, so the row of
     # one grid is the same whichever grid the sweep visits first (the front
     # of the 24 x 24 group reads finer branch tables than the 12 x 12 one;
     # t0 = 0.6 keeps the problem apart from every other test's)
-    monkeypatch.setenv("AER_MAX_WORKERS", "1")
     rows = {}
     for grids in ("12 24", "24 12"):
         path = tmp_path / "grids.ini"
@@ -314,7 +309,6 @@ def test_cmd_study_rows_do_not_depend_on_grid_order(tmp_path, monkeypatch):
 def test_cmd_study_band_and_width_once_per_group(tmp_path, monkeypatch):
     # the band mask and the mid-period width depend on the (mu, n) group
     # alone: 2 groups x 2 deltas x 2 seeds make 8 rows from 2 of each
-    monkeypatch.setenv("AER_MAX_WORKERS", "2")
     calls = {"layer_band": 0, "transition_width": 0}
 
     def counted(module, name):
@@ -362,15 +356,39 @@ def test_thin_region_exit_code(tmp_path, capsys, command):
     assert "[smoothing] lower region has 2 rows; need at least 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["invert", "study", "asymptote"])
+def test_nonfinite_width_exit_code(tmp_path, capsys, command):
+    # mu^2 underflows to 0, so the layer width is inf: a numerical failure,
+    # not a traceback in the band mask nor inf in width_profile.csv
+    path = tmp_path / "tiny-mu.ini"
+    path.write_text(TINY.replace("mu = 0.05", "mu = 1e-300"))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "transition width is not finite" in err
+    if command != "asymptote":
+        assert "[observation]" in err
+
+
 def test_cmd_study_single_point(tmp_path):
+    # study and invert share prepare and run_aer_pipeline, so a one-row
+    # study carries the numbers of the invert run at the same delta and seed
     path = tmp_path / "study1.ini"
-    path.write_text(TINY + "\n[study]\nseeds = 3\n")
+    path.write_text(TINY.replace("delta = 0.01", "delta = 0.02")
+                    + "\n[study]\ndeltas = 0.02\nseeds = 3\n")
     out = str(tmp_path / "study1")
     assert main(["study", "--config", str(path), "--out", out]) == 0
     rows = open(os.path.join(out, "study.csv")).read().strip().splitlines()
     assert len(rows) == 2
     summary = json.load(open(os.path.join(out, "study_summary.json")))
     assert summary["fits"] == {}
+    inv = str(tmp_path / "invert3")
+    assert main(["invert", "--config", str(path), "--seed", "3", "--out", inv]) == 0
+    metrics = json.load(open(os.path.join(inv, "metrics.json")))
+    row = dict(zip(rows[0].split(","), rows[1].split(",")))
+    for key in ("rel_err_f", "rel_err_u0"):
+        assert float(row[key]) == metrics[key], key
+    for key in ("m_minus", "m_plus"):
+        assert int(row[key]) == metrics[key], key
 
 
 def test_runs_without_scipy(tiny_config, tmp_path):

@@ -16,7 +16,6 @@ from aer import (
     solve_front,
 )
 from aer.errors import DiscrepancyUnreachable, LayerTooWide
-from aer.forward import SolverConfig
 from aer.inverse import (
     Observation,
     _data_product,
@@ -115,7 +114,7 @@ def test_prepare_labels_a_too_wide_band_as_observation():
                     f=parse("0"), h0_star=0.0, t0=0.5)
     g = s.grid(16, 16)
     with pytest.raises(LayerTooWide, match=r"^\[observation\] layer too wide for this grid$"):
-        prepare(s, SolverConfig(g, s.t0, 0.4, [s.t0]), g)
+        prepare(s, g, 0.4, g)
 
 
 def test_layer_band_example1(ex1, ex1_front):
@@ -395,7 +394,6 @@ def test_pipeline_errors_carry_stage_labels():
     s = ProblemSpec(mu=0.08, k=2.0, x0=-2.0, x1=2.0, a=0.5, T=3.0,
                     u_minus_a=parse("-4"), u_plus_a=parse("2"),
                     f=parse("0"), h0_star=0.0, t0=2.0)
-    cfg = SolverConfig(s.grid(64, 64), s.t0, 0.4, [s.t0])
     from aer.errors import AerError
     with pytest.raises(AerError, match=r"\[front\]"):
-        prepare(s, cfg, s.grid(32, 32))
+        prepare(s, s.grid(64, 64), 0.4, s.grid(32, 32))
