@@ -48,14 +48,11 @@ from .inverse import (
     Prepared,
     ReconstructionResult,
     RegionSmoothing,
-    SmoothingResult,
-    add_noise,
     layer_band,
     make_observation,
     prepare,
     reconstruct_source,
     run_aer_pipeline,
-    smooth_observation,
     smooth_region,
 )
 

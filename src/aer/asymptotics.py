@@ -113,9 +113,6 @@ class AssumptionReport:
     details: dict
     messages: list = field(default_factory=list)
 
-    def __bool__(self):
-        return self.ok
-
 
 # ---------------------------------------------------------------------------
 # characteristic-line quadrature

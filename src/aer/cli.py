@@ -8,8 +8,9 @@ Subcommands
 
 Configs are INI files with [problem], [forward], [inverse], [study]
 sections; `--preset example1|example2` loads a built-in configuration that
-a config file (when also given) can override key by key.  Every JSON
-summary embeds the fully resolved configuration and seed, and CSV numbers
+a config file (when also given) can override key by key.  A section or key
+outside DEFAULTS is refused.  Every JSON summary embeds the fully resolved
+configuration (defaults, then preset, then file) and seed, and CSV numbers
 carry 17 significant digits so files round-trip bit-exactly.
 
 Exit status: 0 success, 2 assumption violation, 3 numerical failure,
@@ -34,6 +35,17 @@ from .expr import parse as parse_expr
 from .forward import SolverConfig, forward_solve
 from .grid import Field2D, Grid2D
 
+# every section and key a config may hold, with its default; None marks a
+# key without one: [problem] comes from a preset or the file, and a [study]
+# axis is swept only when given
+DEFAULTS = {
+    "problem": dict.fromkeys(("mu", "k", "x0", "x1", "a", "T", "u_minus_a", "u_plus_a",
+                              "f", "h0_star", "t0")),
+    "forward": {"n": "50", "m": "50", "cfl": "0.4", "refine": "4", "snapshots": ""},
+    "inverse": {"delta": "0.01", "seed": "1", "noise": "uniform",
+                "gradient_measured": "false", "discrepancy": "calibrated"},
+    "study": dict.fromkeys(("deltas", "mus", "grids", "seeds")),
+}
 PRESETS = {
     "example1": {
         "problem": {
@@ -41,12 +53,7 @@ PRESETS = {
             "u_minus_a": "-4", "u_plus_a": "2",
             "f": "cos(pi*x/4)*cos(pi*y/4)", "h0_star": "0", "t0": "0.7",
         },
-        "forward": {"n": "50", "m": "50", "cfl": "0.4", "refine": "4",
-                    "snapshots": "0.7"},
-        "inverse": {"delta": "0.01", "seed": "1", "noise": "uniform",
-                    "gradient_measured": "false",
-                    "discrepancy": "calibrated"},
-        "study": {},
+        "forward": {"snapshots": "0.7"},
     },
     "example2": {
         "problem": {
@@ -54,12 +61,7 @@ PRESETS = {
             "u_minus_a": "-8", "u_plus_a": "4",
             "f": "y-2*cos(4*pi*x)", "h0_star": "0", "t0": "0.2",
         },
-        "forward": {"n": "50", "m": "50", "cfl": "0.4", "refine": "4",
-                    "snapshots": "0.2"},
-        "inverse": {"delta": "0.01", "seed": "1", "noise": "uniform",
-                    "gradient_measured": "false",
-                    "discrepancy": "calibrated"},
-        "study": {},
+        "forward": {"snapshots": "0.2"},
     },
 }
 NOISE_KINDS = ("uniform", "gaussian")
@@ -94,28 +96,42 @@ class RunConfig:
 
 
 def _merge(preset: str | None, path: str | None) -> dict:
-    merged = {k: dict(v) for k, v in PRESETS.get(preset, {}).items()} if preset else {}
+    """DEFAULTS, overridden by the preset, overridden by the file."""
+    if not (preset or path):
+        raise ConfigError("no preset and no config file given")
     if preset and preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
+    merged = {section: {key: value for key, value in keys.items() if value is not None}
+              for section, keys in DEFAULTS.items()}
+    for section, values in PRESETS.get(preset, {}).items():
+        merged[section].update(values)
     if path:
         cp = configparser.ConfigParser()
         cp.optionxform = str          # keep key case: T vs t0
-        read = cp.read(path)
+        try:
+            read = cp.read(path)
+            sections = {name: dict(cp.items(name)) for name in cp.sections()}
+        except (configparser.Error, UnicodeDecodeError) as exc:   # not INI text
+            raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
         if not read:
             raise ConfigError(f"cannot read config file {path}")
-        for section in cp.sections():
-            merged.setdefault(section, {})
-            merged[section].update(dict(cp.items(section)))
-    if not merged:
-        raise ConfigError("no preset and no config file given")
+        if cp.defaults():
+            # configparser would copy these keys into every section
+            raise ConfigError(f"unknown section [{cp.default_section}]")
+        for section, values in sections.items():
+            if section not in DEFAULTS:
+                raise ConfigError(f"unknown section [{section}]; have {list(DEFAULTS)}")
+            for key in values:
+                if key not in DEFAULTS[section]:
+                    raise ConfigError(f"unknown key {key!r} in [{section}]; "
+                                      f"have {list(DEFAULTS[section])}")
+            merged[section].update(values)
     return merged
 
 
-def _get(section: dict, key: str, conv, default=None):
+def _get(section: dict, key: str, conv):
     if key not in section:
-        if default is None:
-            raise ConfigError(f"missing config key {key!r}")
-        return default
+        raise ConfigError(f"missing config key {key!r}")
     try:
         return conv(section[key])
     except ValueError as exc:
@@ -139,8 +155,9 @@ def _ints(text: str) -> list:
 
 def _check_noise(section: str, deltas: list, seeds: list):
     for delta in deltas:
-        if not (np.isfinite(delta) and delta >= 0.0):
-            raise ConfigError(f"[{section}] delta = {delta}: must be finite and nonnegative")
+        # the relative level of the noise factor 1 + delta (2 rand - 1)
+        if not 0.0 <= delta <= 1.0:
+            raise ConfigError(f"[{section}] delta = {delta}: must lie in [0, 1]")
     for seed in seeds:
         # the Philox key of the noise holds 128 bits
         if not 0 <= seed < 2 ** 128:
@@ -149,9 +166,9 @@ def _check_noise(section: str, deltas: list, seeds: list):
 
 def load_config(preset: str | None, path: str | None, seed_override: int | None = None) -> RunConfig:
     raw = _merge(preset, path)
-    prob = raw.get("problem", {})
-    fwd = raw.get("forward", {})
-    inv = raw.get("inverse", {})
+    prob = raw["problem"]
+    fwd = raw["forward"]
+    inv = raw["inverse"]
     fields = dict(
         mu=_get(prob, "mu", float),
         k=_get(prob, "k", float),
@@ -169,20 +186,20 @@ def load_config(preset: str | None, path: str | None, seed_override: int | None 
         spec = asymptotics.ProblemSpec(**fields)
     except ValueError as exc:     # a range or periodicity error in [problem]
         raise ConfigError(f"[problem] {exc}") from exc
-    seed = seed_override if seed_override is not None else _get(inv, "seed", int, 1)
+    seed = seed_override if seed_override is not None else _get(inv, "seed", int)
     run = RunConfig(
         spec=spec,
-        n=_get(fwd, "n", int, 50),
-        m=_get(fwd, "m", int, 50),
-        cfl=_get(fwd, "cfl", float, 0.4),
-        refine=_get(fwd, "refine", int, 4),
-        snapshots=_floats(fwd.get("snapshots", "")) if fwd.get("snapshots") else [],
-        delta=_get(inv, "delta", float, 0.01),
+        n=_get(fwd, "n", int),
+        m=_get(fwd, "m", int),
+        cfl=_get(fwd, "cfl", float),
+        refine=_get(fwd, "refine", int),
+        snapshots=_get(fwd, "snapshots", _floats),
+        delta=_get(inv, "delta", float),
         seed=seed,
-        noise=_get(inv, "noise", str, "uniform"),
-        gradient_measured=_get(inv, "gradient_measured", _bool, False),
-        discrepancy=_get(inv, "discrepancy", str, "calibrated"),
-        study=raw.get("study", {}),
+        noise=_get(inv, "noise", str),
+        gradient_measured=_get(inv, "gradient_measured", _bool),
+        discrepancy=_get(inv, "discrepancy", str),
+        study=raw["study"],
         raw=raw,
     )
     # out-of-range [inverse] and [forward] values exit 4 here, before any
@@ -339,7 +356,7 @@ def cmd_invert(cfg: RunConfig, out: str) -> int:
     write_field_csv(os.path.join(out, "u_delta.csv"), res.observation.u_delta)
     if res.smoothing is not None:
         g = cfg.obs_grid
-        for name, reg in (("lower", res.smoothing.lower), ("upper", res.smoothing.upper)):
+        for name, reg in zip(("lower", "upper"), res.smoothing):
             _matrix_csv(os.path.join(out, f"u_eps_{name}.csv"), g.xs, g.ys[reg.rows],
                         reg.u_eps)
     write_field_csv(os.path.join(out, "f_delta.csv"), res.reconstruction.f_delta)
@@ -348,6 +365,13 @@ def cmd_invert(cfg: RunConfig, out: str) -> int:
     metrics["wall_time_s"] = time.perf_counter() - t_start
     _write_json(os.path.join(out, "metrics.json"), _summary(cfg, metrics))
     return 0
+
+
+def _cell(v) -> str:
+    """A study.csv cell; an undefined value (None) is left empty."""
+    if v is None:
+        return ""
+    return _fmt(v) if isinstance(v, float) else str(v)
 
 
 def _study_axes(cfg: RunConfig) -> dict:
@@ -413,10 +437,10 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
         prep, width0, mu = prepared[key], widths[key], run["mu"]
         res = inverse.run_aer_pipeline(prep, run["delta"], run["seed"], cfg.noise,
                                        cfg.gradient_measured, cfg.discrepancy)
-        rows.append(dict(run, rel_err_f=res.reconstruction.rel_error,
-                         rel_err_u0=prep.u0_rel_error,
-                         m_minus=res.observation.mask.j_lo,
-                         m_plus=res.observation.mask.j_hi,
+        rows.append(dict(run, rel_err_f=res.metrics["rel_err_f"],
+                         rel_err_u0=res.metrics["rel_err_u0"],
+                         m_minus=res.metrics["m_minus"],
+                         m_plus=res.metrics["m_plus"],
                          width_x0=width0,
                          width_scaled=width0 / (mu * abs(np.log(mu)))))
 
@@ -424,13 +448,14 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
             "m_minus", "m_plus", "width_x0", "width_scaled"]
     lines = [",".join(cols)]
     for row in rows:
-        lines.append(",".join(_fmt(row[c]) if isinstance(row[c], float) else str(row[c])
-                              for c in cols))
+        lines.append(",".join(_cell(row[c]) for c in cols))
     _atomic_write(os.path.join(out, "study.csv"), ["\n".join(lines) + "\n"])
 
     fits = {}
+    # a zero source leaves rel_err_f undefined, and with it every median
+    defined = all(row["rel_err_f"] is not None for row in rows)
     for axis in axes:
-        if axis == "seed" or len(axes[axis]) < 2:
+        if axis == "seed" or len(axes[axis]) < 2 or not defined:
             continue
         med = {}
         for row in rows:

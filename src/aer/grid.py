@@ -38,10 +38,6 @@ class Grid2D:
             raise ValueError("need a > 0")
 
     @property
-    def length(self) -> float:
-        return self.x1 - self.x0
-
-    @property
     def d1(self) -> float:
         return (self.x1 - self.x0) / self.n
 
@@ -56,9 +52,6 @@ class Grid2D:
     @cached_property
     def ys(self) -> np.ndarray:
         return -self.a + self.d2 * np.arange(self.m + 1)
-
-    def node(self, i: int, j: int) -> tuple:
-        return (self.x0 + i * self.d1, -self.a + j * self.d2)
 
     def meshgrid(self):
         return np.meshgrid(self.xs, self.ys, indexing="ij")
@@ -94,9 +87,6 @@ class Field2D:
     def from_function(cls, grid: Grid2D, fn, time: float | None = None) -> "Field2D":
         X, Y = grid.meshgrid()
         return cls(grid, np.asarray(fn(X, Y), dtype=float), time)
-
-    def copy(self) -> "Field2D":
-        return Field2D(self.grid, self.values.copy(), self.time)
 
     def restrict(self, coarse: Grid2D) -> "Field2D":
         """Sample onto a coarser grid whose nodes are a subset of this one."""

@@ -2,27 +2,30 @@
 penalized smoothing with a discrepancy-chosen weight, and H1-regularized
 least-squares reconstruction of the source field.
 
-The recovered source approximates f through the reduced relation
+The recovered source approximates f through the reduced link equation
 f ~= u (k u_x + u_y) applied outside the transition band, where the
 snapshot is close to the smooth outer branches.
 
 The end-to-end chain has two parts.  prepare runs the stages that every
 (delta, seed) of one problem and observation grid shares (forward snapshot,
-front, u0 error, layer band) and returns them as a frozen Prepared;
-run_aer_pipeline runs one recovery from it.  No state outlives a call, so a
-result depends on its inputs alone, whatever ran before it.
+front, u0 error, layer band) and returns them as a frozen Prepared.
+run_aer_pipeline runs one recovery from it: it noises the snapshot,
+smooths each region outside the band (or takes the measured gradients),
+forms the data product u (k u_x + u_y) on the retained rows, and has
+reconstruct_source fit the source to that product.  No state outlives a
+call, so a result depends on its inputs alone, whatever ran before it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import grid as gridmod
 from .asymptotics import (FrontCurve, ProblemSpec, assemble_u0, outer_branches, solve_front,
                           transition_width)
-from .errors import AerError, DiscrepancyUnreachable, LayerTooWide
+from .errors import AerError, DiscrepancyUnreachable, LayerTooWide, ZeroNormError
 from .forward import SolverConfig, forward_solve
 from .grid import Field2D, Grid2D, RegionMask, rel_l2_error
 
@@ -42,29 +45,13 @@ def _noise_factors(shape, delta, gen, kind):
     raise ValueError(f"unknown noise kind {kind!r}")
 
 
-def add_noise(u: Field2D, delta: float, seed: int, kind: str = "uniform") -> Field2D:
-    """Multiplicative noise u * (1 + delta * (2 rand - 1)), rand ~ U[0, 1].
-
-    Draws come from the counter-based Philox generator keyed by the seed,
-    consumed in C (row-major) order of the value array, whose leading axis
-    is x.  Identical seeds give bit-identical observations.
-    """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    factors = _noise_factors(u.values.shape, delta, gen, kind)
-    return Field2D(u.grid, factors * u.values, u.time)
-
-
 @dataclass
 class Observation:
-    """Noisy snapshot at t0 together with its exclusion mask."""
+    """Noisy snapshot (its grid and time are those of u_delta) together
+    with its exclusion mask."""
 
-    grid: Grid2D
-    t0: float
     u_delta: Field2D
     delta: float
-    seed: int
     mask: RegionMask
     noise_kind: str = "uniform"
     ux_delta: Field2D | None = None
@@ -73,11 +60,32 @@ class Observation:
     def __post_init__(self):
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
-        self.mask.validate(self.grid)
+        self.mask.validate(self.u_delta.grid)
 
-    @property
-    def has_gradients(self) -> bool:
-        return self.ux_delta is not None and self.uy_delta is not None
+
+def make_observation(snapshot: Field2D, mask: RegionMask, delta: float, seed: int,
+                     noise_kind: str = "uniform", with_gradients: bool = False) -> Observation:
+    """Noise the snapshot (and optionally its grid gradients) and attach the
+    exclusion band.
+
+    Each value is multiplied by 1 + delta (2 rand - 1), rand ~ U[0, 1] (by
+    1 + delta N(0, 1) for the Gaussian kind).  Draws come from the
+    counter-based Philox generator keyed by the seed, consumed in C
+    (row-major) order of the value array, whose leading axis is x; gradient
+    draws follow the u draws in the same stream.  Identical seeds give
+    bit-identical observations.
+    """
+    grid = snapshot.grid
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    u_noisy = Field2D(grid, _noise_factors(snapshot.values.shape, delta, gen, noise_kind)
+                      * snapshot.values, snapshot.time)
+    ux = uy = None
+    if with_gradients:
+        gx = gridmod.diff_x(snapshot).values
+        gy = gridmod.diff_y(snapshot).values
+        ux = Field2D(grid, _noise_factors(gx.shape, delta, gen, noise_kind) * gx, snapshot.time)
+        uy = Field2D(grid, _noise_factors(gy.shape, delta, gen, noise_kind) * gy, snapshot.time)
+    return Observation(u_noisy, delta, mask, noise_kind, ux, uy)
 
 
 def layer_band(front: FrontCurve, spec: ProblemSpec, t0: float, grid: Grid2D) -> RegionMask:
@@ -160,20 +168,6 @@ class RegionSmoothing:
     cg_iterations: int = 0      # the solves are direct; kept for run summaries
 
 
-@dataclass
-class SmoothingResult:
-    lower: RegionSmoothing
-    upper: RegionSmoothing
-
-    @property
-    def eps_minus(self):
-        return self.lower.eps
-
-    @property
-    def eps_plus(self):
-        return self.upper.eps
-
-
 def _region_rows(mask: RegionMask, m: int, region: str) -> np.ndarray:
     if region == "lower":
         return mask.lower_rows()
@@ -190,7 +184,7 @@ def noise_misfit_target(obs: Observation, region: str) -> float:
     smoothing misfit to the region average of that quantity is the Morozov
     choice; the data themselves stand in for the unknown exact values.
     """
-    rows = _region_rows(obs.mask, obs.grid.m, region)
+    rows = _region_rows(obs.mask, obs.u_delta.grid.m, region)
     d = obs.u_delta.values[:, rows]
     ms = float(np.mean(d ** 2)) * obs.delta ** 2
     return ms / 3.0 if obs.noise_kind == "uniform" else ms
@@ -219,8 +213,8 @@ def _smoothing_solver(n: int, r: int, d1: float, d2: float):
     return _folded_periodic_solver(n, np.full(r, 1.0 / ((n + 1) * r)), penalty)
 
 
-def smooth_region(obs: Observation, region: str, discrepancy: str = "calibrated",
-                  target: float | None = None) -> RegionSmoothing:
+def smooth_region(obs: Observation, region: str,
+                  discrepancy: str = "calibrated") -> RegionSmoothing:
     """Curvature-penalized least squares fit to one region of the data.
 
     Minimizes  mean((v - u^delta)^2) + eps (||v_xx||^2 + ||v_yy||^2)  over
@@ -230,25 +224,23 @@ def smooth_region(obs: Observation, region: str, discrepancy: str = "calibrated"
     matches the target within 5 percent:
 
       * 'calibrated' (default): target = estimated noise mean square,
-      * 'delta4':               target = delta^4 as stated for the method,
-      * explicit target= overrides either.
+      * 'delta4':               target = delta^4 as stated for the method.
 
     Each trial weight solves the SPD normal equations directly and exactly
     (Fourier in x, Woodbury for the folded seam column; see
     _smoothing_solver), so cg_iterations is 0.
     """
-    g = obs.grid
+    g = obs.u_delta.grid
     rows = _region_rows(obs.mask, g.m, region)
     r = len(rows)
     if r < 3:
         raise LayerTooWide(f"{region} region has {r} rows; need at least 3")
-    if target is None:
-        if discrepancy == "calibrated":
-            target = noise_misfit_target(obs, region)
-        elif discrepancy == "delta4":
-            target = obs.delta ** 4
-        else:
-            raise ValueError(f"unknown discrepancy mode {discrepancy!r}")
+    if discrepancy == "calibrated":
+        target = noise_misfit_target(obs, region)
+    elif discrepancy == "delta4":
+        target = obs.delta ** 4
+    else:
+        raise ValueError(f"unknown discrepancy mode {discrepancy!r}")
 
     n = g.n
     data = obs.u_delta.values[:, rows]          # (n+1, R)
@@ -309,13 +301,6 @@ def _discrepancy_bisect(solve_at, target):
     return best
 
 
-def smooth_observation(obs: Observation, discrepancy: str = "calibrated") -> SmoothingResult:
-    return SmoothingResult(
-        lower=smooth_region(obs, "lower", discrepancy),
-        upper=smooth_region(obs, "upper", discrepancy),
-    )
-
-
 # ---------------------------------------------------------------------------
 # source reconstruction
 
@@ -323,7 +308,6 @@ def smooth_observation(obs: Observation, discrepancy: str = "calibrated") -> Smo
 class ReconstructionResult:
     f_delta: Field2D
     eps: float
-    rel_error: float | None
     residual: float
     cg_iterations: int = 0      # the solve is direct; kept for run summaries
 
@@ -332,48 +316,26 @@ def _data_product(u, ux, uy, k):
     return u * (k * ux + uy)
 
 
-def reconstruct_source(obs: Observation, spec: ProblemSpec,
-                       smoothing: SmoothingResult | None = None,
-                       eps: float | None = None) -> ReconstructionResult:
-    """H1-penalized least squares fit of the source to u (k u_x + u_y).
+def reconstruct_source(obs: Observation, product: np.ndarray) -> ReconstructionResult:
+    """H1-penalized least squares fit of the source to a data product.
 
-    The data product is formed on the retained rows only (from measured
-    gradients when provided, otherwise from the smoothed regions); the fit
-    runs over the full grid with penalty eps (||f||^2 + ||f_x||^2 +
-    ||f_y||^2), eps = delta^2 with a small floor, so the excluded band is
-    filled in smoothly by the H1 coupling.  After the seam fold the normal
-    equations are uniform in x apart from the doubled data count of column 0,
-    so they are solved exactly by _folded_periodic_solver (Fourier in x,
-    Woodbury for the retained rows of the seam column); cg_iterations is 0.
+    product is an (n+1) x (m+1) array of the reduced link equation's data
+    u (k u_x + u_y); only the rows the mask retains are read.  The fit runs
+    over the full grid with penalty eps (||f||^2 + ||f_x||^2 + ||f_y||^2),
+    eps = delta^2 with a small floor, so the excluded band is filled in
+    smoothly by the H1 coupling.  After the seam fold the normal equations
+    are uniform in x apart from the doubled data count of column 0, so they
+    are solved exactly by _folded_periodic_solver (Fourier in x, Woodbury
+    for the retained rows of the seam column); cg_iterations is 0.
     """
-    g = obs.grid
+    g = obs.u_delta.grid
     n, m = g.n, g.m
-    mask = obs.mask
-    retained = mask.retained_rows(m)
-    if retained.size == 0:
-        raise ValueError("mask retains no rows")
-    gdata = np.zeros((n + 1, m + 1))
-    have = np.zeros(m + 1, dtype=bool)
-    if smoothing is not None:
-        for reg in (smoothing.lower, smoothing.upper):
-            gdata[:, reg.rows] = _data_product(reg.u_eps, reg.ux, reg.uy, spec.k)
-            have[reg.rows] = True
-    elif obs.has_gradients:
-        prod = _data_product(obs.u_delta.values, obs.ux_delta.values,
-                             obs.uy_delta.values, spec.k)
-        gdata[:, retained] = prod[:, retained]
-        have[retained] = True
-    else:
-        raise ValueError("need either smoothing output or measured gradients")
-    if not np.all(have[retained]):
-        raise ValueError("data product missing on some retained rows")
-
-    if eps is None:
-        eps = max(obs.delta ** 2, EPS_FLOOR)
+    retained = obs.mask.retained_rows(m)
+    eps = max(obs.delta ** 2, EPS_FLOOR)
 
     bmat = np.zeros((n, m + 1))
-    bmat[:, retained] = gdata[:n, retained]
-    bmat[0, retained] += gdata[n, retained]
+    bmat[:, retained] = product[:n, retained]
+    bmat[0, retained] += product[n, retained]
     counts = np.zeros(m + 1)
     counts[retained] = 1.0
 
@@ -388,20 +350,11 @@ def reconstruct_source(obs: Observation, spec: ProblemSpec,
                + r_y.T @ (t_w[:, None] * r_y))
     fm = _folded_periodic_solver(n, counts, penalty)(eps, bmat)
     f_full = np.vstack([fm, fm[:1, :]])
-    f_field = Field2D(g, f_full, obs.t0)
+    f_field = Field2D(g, f_full, obs.u_delta.time)
 
-    diff = f_full[:, retained] - gdata[:, retained]
+    diff = f_full[:, retained] - product[:, retained]
     residual = float(np.sum(diff ** 2))
-
-    rel_error = None
-    if spec.f is not None:
-        from .errors import ZeroNormError
-        exact = Field2D.from_function(g, lambda X, Y: spec.f(X, Y))
-        try:
-            rel_error = rel_l2_error(f_field, exact)
-        except ZeroNormError:
-            rel_error = None
-    return ReconstructionResult(f_field, eps, rel_error, residual)
+    return ReconstructionResult(f_field, eps, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -456,46 +409,42 @@ def prepare(spec: ProblemSpec, forward_grid: Grid2D, cfl: float,
 @dataclass
 class PipelineResult:
     observation: Observation
-    smoothing: SmoothingResult | None
+    smoothing: tuple | None        # (lower, upper) RegionSmoothing, None if measured
     reconstruction: ReconstructionResult
-    metrics: dict = field(default_factory=dict)
-
-    @property
-    def rel_error(self):
-        return self.reconstruction.rel_error
-
-
-def make_observation(snapshot: Field2D, mask: RegionMask, delta: float, seed: int,
-                     noise_kind: str = "uniform", with_gradients: bool = False) -> Observation:
-    """Noise the snapshot (and optionally its grid gradients) and attach the
-    exclusion band.  Gradient noise draws follow the u draws in one stream."""
-    grid = snapshot.grid
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    u_noisy = Field2D(grid, _noise_factors(snapshot.values.shape, delta, gen, noise_kind)
-                      * snapshot.values, snapshot.time)
-    ux = uy = None
-    if with_gradients:
-        gx = gridmod.diff_x(snapshot).values
-        gy = gridmod.diff_y(snapshot).values
-        ux = Field2D(grid, _noise_factors(gx.shape, delta, gen, noise_kind) * gx, snapshot.time)
-        uy = Field2D(grid, _noise_factors(gy.shape, delta, gen, noise_kind) * gy, snapshot.time)
-    return Observation(grid, snapshot.time, u_noisy, delta, seed, mask,
-                       noise_kind, ux, uy)
+    metrics: dict
 
 
 def run_aer_pipeline(prep: Prepared, delta: float, seed: int, noise_kind: str = "uniform",
                      gradient_measured: bool = False,
                      discrepancy: str = "calibrated") -> PipelineResult:
-    """One recovery from the prepared stages: noise injection, band
-    exclusion, per-region smoothing (skipped when gradients are measured),
-    and source reconstruction with error metrics against the exact source.
+    """One recovery from the prepared stages.
+
+    Noises the snapshot (and its gradients, when they are measured), forms
+    the data product u (k u_x + u_y) on the rows the band mask retains,
+    from the smoothed fit of each region or from the measured gradients,
+    fits the source to it, and records the errors against the exact source
+    (rel_err_f is None when that source is identically zero).
     """
     spec = prep.spec
     obs = _stage("observation", make_observation, prep.snapshot, prep.mask, delta, seed,
                  noise_kind, with_gradients=gradient_measured)
-    smoothing = None if gradient_measured else _stage("smoothing", smooth_observation,
-                                                      obs, discrepancy)
-    recon = _stage("reconstruction", reconstruct_source, obs, spec, smoothing)
+    g = obs.u_delta.grid
+    product = np.zeros((g.n + 1, g.m + 1))
+    if gradient_measured:
+        smoothing = None
+        retained = obs.mask.retained_rows(g.m)
+        product[:, retained] = _data_product(obs.u_delta.values, obs.ux_delta.values,
+                                             obs.uy_delta.values, spec.k)[:, retained]
+    else:
+        smoothing = tuple(_stage("smoothing", smooth_region, obs, region, discrepancy)
+                          for region in ("lower", "upper"))
+        for reg in smoothing:
+            product[:, reg.rows] = _data_product(reg.u_eps, reg.ux, reg.uy, spec.k)
+    recon = _stage("reconstruction", reconstruct_source, obs, product)
+    try:
+        rel_err_f = rel_l2_error(recon.f_delta, Field2D.from_function(g, spec.f))
+    except ZeroNormError:
+        rel_err_f = None
     metrics = {
         "delta": delta,
         "seed": seed,
@@ -504,11 +453,11 @@ def run_aer_pipeline(prep: Prepared, delta: float, seed: int, noise_kind: str = 
         "m_minus": obs.mask.j_lo,
         "m_plus": obs.mask.j_hi,
         "rel_err_u0": prep.u0_rel_error,
-        "rel_err_f": recon.rel_error,
+        "rel_err_f": rel_err_f,
         "eps_f": recon.eps,
-        "eps_minus": smoothing.eps_minus if smoothing else None,
-        "eps_plus": smoothing.eps_plus if smoothing else None,
-        "misfit_minus": smoothing.lower.misfit if smoothing else None,
-        "misfit_plus": smoothing.upper.misfit if smoothing else None,
+        "eps_minus": smoothing[0].eps if smoothing else None,
+        "eps_plus": smoothing[1].eps if smoothing else None,
+        "misfit_minus": smoothing[0].misfit if smoothing else None,
+        "misfit_plus": smoothing[1].misfit if smoothing else None,
     }
     return PipelineResult(obs, smoothing, recon, metrics)

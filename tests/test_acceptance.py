@@ -37,12 +37,12 @@ from aer import (
     Grid2D,
     ProblemSpec,
     RegionMask,
-    add_noise,
     assemble_u0,
     eval_phi,
     eval_q0,
     eval_u1,
     layer_band,
+    make_observation,
     outer_branches,
     parse,
     rel_l2_error,
@@ -67,7 +67,8 @@ def ex1_delta_sweep(ex1_prepared):
     t_start = time.perf_counter()
     med = {}
     for delta in (0.04, 0.02, 0.01, 0.005):
-        errs = [run_aer_pipeline(ex1_prepared, delta, seed).rel_error for seed in SEEDS]
+        errs = [run_aer_pipeline(ex1_prepared, delta, seed).metrics["rel_err_f"]
+                for seed in SEEDS]
         med[delta] = float(np.median(errs))
     return med, time.perf_counter() - t_start
 
@@ -128,7 +129,7 @@ def test_c04_example1_inversion(ex1_delta_sweep):
 
 
 def test_c05_example2_inversion(ex2_prepared):
-    errs = [run_aer_pipeline(ex2_prepared, 0.01, seed).rel_error for seed in SEEDS]
+    errs = [run_aer_pipeline(ex2_prepared, 0.01, seed).metrics["rel_err_f"] for seed in SEEDS]
     value = float(np.median(errs))
     print(f"[C5] Example 2 median rel_err_f over 5 seeds at delta=1% = {value:.4f} "
           f"(band [0.20, 0.55], reference 0.3768)")
@@ -248,22 +249,22 @@ def test_c09_property_suite(ex1, ex1_front):
     g2 = Grid2D(0.0, 2.0, 1.0, 50, 45)
     u = Field2D.from_function(g2, lambda x, y: 4.0 + y + 0.5 * y ** 2
                               + 0.3 * np.cos(np.pi * x), time=0.5)
-    noisy = add_noise(u, 0.01, 3)
+    noisy = make_observation(u, RegionMask(31, 34), 0.01, 3).u_delta
     vals = noisy.values.copy()
     vals[-1, :] = vals[0, :]
-    obs = Observation(g2, 0.5, Field2D(g2, vals, 0.5), 0.01, 3, RegionMask(31, 34))
+    obs = Observation(Field2D(g2, vals, 0.5), 0.01, RegionMask(31, 34))
     reg = smooth_region(obs, "lower", discrepancy="delta4")
     ratio = reg.misfit / 0.01 ** 4
     lines.append(f"delta^4 discrepancy achieved/target = {ratio:.3f} (within [0.95, 1.05])")
     assert 0.95 <= ratio <= 1.05
-    obs_dup = Observation(g2, 0.5, noisy, 0.01, 3, RegionMask(31, 34))
+    obs_dup = Observation(noisy, 0.01, RegionMask(31, 34))
     with pytest.raises(DiscrepancyUnreachable):
         smooth_region(obs_dup, "lower", discrepancy="delta4")
     lines.append("unreachable delta^4 reported explicitly: True")
 
     # noise determinism
-    n1 = add_noise(u, 0.02, 11).values
-    n2 = add_noise(u, 0.02, 11).values
+    n1 = make_observation(u, RegionMask(31, 34), 0.02, 11).u_delta.values
+    n2 = make_observation(u, RegionMask(31, 34), 0.02, 11).u_delta.values
     lines.append(f"noise determinism bit-exact: {np.array_equal(n1, n2)}")
     assert np.array_equal(n1, n2)
 

@@ -478,7 +478,7 @@ def test_initial_condition_values(ex1, ex2):
     g1 = ex1.grid(16, 16)
     init1 = initial_condition(ex1, g1)
     i0, j0 = 8, 8  # node at (0, 0)
-    assert g1.node(i0, j0) == (0.0, 0.0)
+    assert (g1.xs[i0], g1.ys[j0]) == (0.0, 0.0)
     assert init1.values[i0, j0] == pytest.approx(3 * np.tanh(0.0) - 1.0, abs=1e-12)
     assert np.allclose(init1.values[:, -1], 2.0, atol=1e-9)   # saturated top row
     g2 = ex2.grid(16, 16)

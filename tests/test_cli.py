@@ -217,12 +217,17 @@ def test_invalid_problem_data_exit_codes(tmp_path, command, old, new, code):
     pytest.param("study", "[inverse]", "[study]\ngrids = 24 1\n\n[inverse]", id="study-grids"),
     pytest.param("invert", "delta = 0.01", "delta = -0.01", id="delta"),
     pytest.param("invert", "delta = 0.01", "delta = nan", id="delta-nan"),
+    pytest.param("invert", "delta = 0.01", "delta = 1.5", id="delta-above-1"),
+    pytest.param("invert", "delta = 0.01", "delta = 1e200", id="delta-1e200"),
+    pytest.param("invert", "delta = 0.01", "delta = 1e308", id="delta-1e308"),
     pytest.param("invert", "seed = 1", "seed = -1", id="seed"),
     pytest.param("invert", "seed = 1", f"seed = {2 ** 128}", id="seed-2^128"),
     pytest.param("invert", "seed = 1", "seed = 1\nnoise = bogus", id="noise"),
     pytest.param("invert", "seed = 1", "seed = 1\ndiscrepancy = bogus", id="discrepancy"),
     pytest.param("study", "[inverse]", "[study]\ndeltas = 0.01 -0.01\n\n[inverse]",
                  id="study-deltas"),
+    pytest.param("study", "[inverse]", "[study]\ndeltas = 0.01 1e200\n\n[inverse]",
+                 id="study-deltas-1e200"),
     pytest.param("study", "[inverse]", "[study]\nseeds = 1 -1\n\n[inverse]", id="study-seeds"),
     pytest.param("study", "[inverse]", "[study]\nseeds = 1 x\n\n[inverse]", id="study-seed-token"),
     pytest.param("study", "[inverse]", f"[study]\nseeds = 1 {2 ** 128}\n\n[inverse]",
@@ -234,6 +239,50 @@ def test_out_of_range_run_settings_exit_code(tmp_path, command, old, new):
     path = tmp_path / "range.ini"
     path.write_text(TINY.replace(old, new))
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+
+
+@pytest.mark.parametrize("command", ["forward", "invert", "study"])
+@pytest.mark.parametrize("old, new, name", [
+    pytest.param("delta = 0.01", "dleta = 0.04", "'dleta' in [inverse]", id="key"),
+    pytest.param("[inverse]", "[studdy]\nseeds = 1 2\n\n[inverse]", "[studdy]", id="section"),
+    pytest.param("[problem]", "[DEFAULT]\ndelta = 0.04\n\n[problem]", "[DEFAULT]",
+                 id="DEFAULT-section"),
+])
+def test_unknown_config_name_exit_code(tmp_path, capsys, command, old, new, name):
+    # a misspelt key or section is refused by name, before any work, instead
+    # of running on the default it failed to override
+    path = tmp_path / "unknown.ini"
+    path.write_text(TINY.replace(old, new))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+    assert name in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(b"delta = 0.04\n" + TINY.encode(), id="no-section-header"),
+    pytest.param(TINY.replace("delta = 0.01", "delta = 1%").encode(), id="bare-percent"),
+    pytest.param(TINY.replace("delta = 0.01", "delta = 0.01 \xff").encode("latin-1"),
+                 id="not-utf-8"),
+])
+def test_unparsable_config_exit_code(tmp_path, text):
+    path = tmp_path / "unparsable.ini"
+    path.write_bytes(text)
+    assert main(["invert", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+
+
+def test_summary_records_resolved_config(tiny_config, tmp_path):
+    # TINY gives [inverse] delta and seed only; the summary still records
+    # every [forward] and [inverse] key with the value the run used
+    out = str(tmp_path / "inv")
+    assert main(["invert", "--config", tiny_config, "--out", out]) == 0
+    config = json.load(open(os.path.join(out, "metrics.json")))["config"]
+    assert sorted(config["forward"]) == ["cfl", "m", "n", "refine", "snapshots"]
+    assert sorted(config["inverse"]) == ["delta", "discrepancy", "gradient_measured",
+                                         "noise", "seed"]
+    assert config["inverse"]["noise"] == "uniform"
+    assert config["inverse"]["gradient_measured"] == "false"
+    assert config["inverse"]["discrepancy"] == "calibrated"
+    assert config["forward"]["snapshots"] == "0.15 0.3"
 
 
 def test_malformed_expression_exit_code(tmp_path):
@@ -287,6 +336,25 @@ def test_cmd_study_sweep_and_fit(tmp_path, monkeypatch):
     summary = json.load(open(os.path.join(out, "study_summary.json")))
     assert "delta" in summary["fits"]
     assert len(summary["fits"]["delta"]["values"]) == 2
+
+
+def test_cmd_study_zero_source(tmp_path):
+    # an identically zero source has no relative recovery error: the study
+    # leaves the cell empty, fits no axis on it, and succeeds as invert does
+    path = tmp_path / "zero.ini"
+    path.write_text("[problem]\nf = 0\n\n[study]\ndeltas = 0.02 0.01\nseeds = 1\n")
+    out = str(tmp_path / "zero")
+    assert main(["study", "--preset", "example1", "--config", str(path), "--out", out]) == 0
+    lines = open(os.path.join(out, "study.csv")).read().splitlines()
+    cols = lines[0].split(",")
+    assert len(lines) == 1 + 2
+    for line in lines[1:]:
+        row = dict(zip(cols, line.split(",")))
+        assert row["rel_err_f"] == ""
+        assert float(row["rel_err_u0"]) > 0.0
+    summary = json.load(open(os.path.join(out, "study_summary.json")))
+    assert summary["fits"] == {}
+    assert summary["runs"] == 2
 
 
 def test_cmd_study_rows_do_not_depend_on_grid_order(tmp_path):

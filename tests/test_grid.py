@@ -29,8 +29,8 @@ def test_grid_validation():
     g = Grid2D(-2.0, 2.0, 2.0, 50, 40)
     assert g.d1 == pytest.approx(0.08)
     assert g.d2 == pytest.approx(0.1)
-    assert g.node(0, 0) == (-2.0, -2.0)
-    assert g.node(50, 40) == (2.0, 2.0)
+    assert (g.xs[0], g.ys[0]) == (-2.0, -2.0)
+    assert (g.xs[50], g.ys[40]) == (2.0, 2.0)
 
 
 def test_field_validation():
