@@ -19,8 +19,10 @@ branches.  This module computes, to leading order:
   * the front motion h0(x, t) from a first order evolution equation,
   * the logistic layer profile joining the branches across the front and
     the resulting layer width,
-  * the first order outer correction obtained by transport along the same
-    characteristics.
+  * the first order outer correction u1, transported along the same
+    characteristics with phi as its integrating factor: one _char_integral
+    of the finite-difference Laplacian of phi per point, refined to 1e-8
+    (U1_TOL) because that Laplacian is smooth to about 1e-8 only.
 
 Expressions for f and the boundary traces are evaluated at raw arguments,
 without wrapping into [x0, x1]; this is what makes the closed forms for the
@@ -49,7 +51,6 @@ TABLE_INTERP_TOL = 1e-6  # required accuracy of the phi tables' cubics in y
 FRONT_REFINE = 4         # front nodes per observation-grid cell in x
 FRONT_CFL = 0.4          # CFL number of the front solver
 U1_TOL = 1e-8            # first-order correction quadrature tolerance
-U1_MAX_LEVEL = 12        # at most 32 * 2^11 intervals per characteristic
 _EXP_CLIP = 700.0
 
 
@@ -131,12 +132,12 @@ QUAD_MAX_LEVEL = 10          # at most 2^10 panels, 16384 nodes per point
 QUAD_CALL_POINTS = 1 << 20   # at most this many evaluation points per call of f
 
 
-def _char_integral(fxy, X, Y, E, k):
+def _char_integral(fxy, X, Y, E, k, tol=QUAD_TOL):
     """integral of f(s, Y + (s - X)/k) ds from s = X to s = E, elementwise.
 
     Composite 16-point Gauss-Legendre rule on 1, 2, 4, ... equal panels of
     the unit parameter t, s = X + t (E - X).  A point stops refining when
-    two successive levels agree to QUAD_TOL, or when its value is not
+    two successive levels agree to tol, or when its value is not
     finite (it cannot converge; it is returned as it is and rejected by the
     radicand checks).  The points still refining are evaluated in chunks of
     at most QUAD_CALL_POINTS nodes per call of f.
@@ -162,7 +163,7 @@ def _char_integral(fxy, X, Y, E, k):
         done = ~np.isfinite(val)
         with np.errstate(invalid="ignore"):     # inf - inf, inf * 0: nan, as meant
             if prev is not None:
-                done |= np.abs((val - prev) * L[active]) <= QUAD_TOL
+                done |= np.abs((val - prev) * L[active]) <= tol
             out[active[done]] = val[done] * L[active[done]]
         active, prev = active[~done], val[~done]
         if active.size == 0:
@@ -623,18 +624,14 @@ def initial_condition(spec: ProblemSpec, grid: Grid2D) -> Field2D:
 # ---------------------------------------------------------------------------
 # first-order outer correction
 
-def transport_coefficients(spec: ProblemSpec, side: str, x, y):
-    """Reaction coefficient and forcing of the first-order outer equation.
-
-    Both are ratios of derivatives of the outer branch; derivatives are
-    central finite differences of the branch evaluator with the step
-    1e-4 L, tied to the domain length (independent of mu).
-    """
+def _phi_derivatives(spec: ProblemSpec, side: str, x, y):
+    """The outer branch, its gradient and its Laplacian at the broadcast
+    points (x, y): central finite differences of eval_phi with the step
+    1e-4 L, tied to the domain length (independent of mu)."""
     h_fd = 1e-4 * spec.length
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     x, y = np.broadcast_arrays(x, y)
-    shape = x.shape
     xf = x.ravel()
     yf = y.ravel()
     pts_x = np.concatenate([xf, xf + h_fd, xf - h_fd, xf, xf])
@@ -645,80 +642,38 @@ def transport_coefficients(spec: ProblemSpec, side: str, x, y):
     dphi_y = (phi_yp - phi_ym) / (2.0 * h_fd)
     d2phi_x = (phi_xp - 2.0 * phi0 + phi_xm) / h_fd ** 2
     d2phi_y = (phi_yp - 2.0 * phi0 + phi_ym) / h_fd ** 2
-    p = (spec.k * dphi_x + dphi_y) / phi0
-    w = -(d2phi_x + d2phi_y) / phi0
-    return p.reshape(shape), w.reshape(shape)
+    return [v.reshape(x.shape) for v in (phi0, dphi_x, dphi_y, d2phi_x + d2phi_y)]
+
+
+def transport_coefficients(spec: ProblemSpec, side: str, x, y):
+    """Reaction coefficient P and forcing W of the first-order outer
+    equation du1/ds = (W - P u1)/k along a characteristic: ratios of the
+    outer branch's finite-difference derivatives."""
+    phi0, dphi_x, dphi_y, lap = _phi_derivatives(spec, side, x, y)
+    return (spec.k * dphi_x + dphi_y) / phi0, -lap / phi0
 
 
 def eval_u1(spec: ProblemSpec, side: str, x, y):
     """First-order outer correction by transport along the characteristic.
 
-    Solves du1/ds = (W - P u1)/k from the anchoring boundary (u1 = 0 there)
-    to the target point via the exponential-integral closed form, with the
-    running integral of P/k evaluated by cumulative Simpson on a refining
-    node ladder (to U1_TOL, at most U1_MAX_LEVEL levels).
+    Along a characteristic P = (k phi_x + phi_y)/phi = k d(ln|phi|)/ds, so
+    phi is the integrating factor of du1/ds = (W - P u1)/k:
+    k d(phi u1)/ds = phi W = -lap(phi).  With u1 = 0 at the anchoring
+    boundary,
+
+        u1(x, y) = 1/(k phi(x, y)) * integral of lap(phi) ds
+                   from s = x to the boundary foot,
+
+    one _char_integral of the finite-difference Laplacian.  That Laplacian
+    is smooth only to about 1e-8 (round-off over the squared step), so the
+    integral refines to U1_TOL: at QUAD_TOL every point would refine to the
+    panel cap without converging.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     x, y = np.broadcast_arrays(x, y)
-    shape = x.shape
-    xf = x.ravel()
-    yf = y.ravel()
-    s_b, _ = _boundary_foot(spec, side, xf, yf)
-    span = xf - s_b
-    out = np.zeros_like(xf)
-    live = np.abs(span) > 0.0
-    if np.any(live):
-        out[live] = _u1_quadrature(spec, side, xf[live], yf[live], s_b[live])
-    out = out.reshape(shape)
-    return float(out) if shape == () else out
-
-
-def _simpson(y, h):
-    """Composite Simpson rule along the last axis: an even number of
-    intervals of width h."""
-    return h / 3.0 * np.sum(y[..., :-2:2] + 4.0 * y[..., 1::2] + y[..., 2::2], axis=-1)
-
-
-def _cumulative_simpson(y, h):
-    """Running Simpson integral along the last axis from 0 (an even number
-    of intervals of width h).  Each pair of intervals (y0, y1, y2) is split
-    into h/12 (5 y0 + 8 y1 - y2) and h/12 (-y0 + 8 y1 + 5 y2), the quadratic
-    through the three nodes integrated over each half."""
-    y0, y1, y2 = y[..., :-2:2], y[..., 1::2], y[..., 2::2]
-    parts = np.empty(y.shape[:-1] + (y.shape[-1] - 1,))
-    parts[..., 0::2] = h / 12.0 * (5.0 * y0 + 8.0 * y1 - y2)
-    parts[..., 1::2] = h / 12.0 * (-y0 + 8.0 * y1 + 5.0 * y2)
-    out = np.zeros(y.shape)
-    np.cumsum(parts, axis=-1, out=out[..., 1:])
-    return out
-
-
-def _u1_quadrature(spec, side, xf, yf, s_b):
-    # integrate on the unit parameter so the plus side (whose anchoring
-    # boundary lies at larger s) is handled by the signed span; points that
-    # have converged freeze while the rest keep refining
-    out = np.zeros_like(xf)
-    prev = np.full_like(xf, np.nan)
-    active = np.ones(xf.size, dtype=bool)
-    n = 32
-    for _ in range(U1_MAX_LEVEL):
-        idx = np.nonzero(active)[0]
-        t = np.linspace(0.0, 1.0, n + 1)
-        span = (xf[idx] - s_b[idx])[:, None]
-        s = s_b[idx][:, None] + t[None, :] * span
-        sigma = yf[idx][:, None] + (s - xf[idx][:, None]) / spec.k
-        p, w = transport_coefficients(spec, side, s, sigma)
-        g = _cumulative_simpson(p * span / spec.k, 1.0 / n)
-        expo = np.clip(g - g[:, -1:], -_EXP_CLIP, _EXP_CLIP)
-        integrand = np.exp(expo) * w * span / spec.k
-        val = _simpson(integrand, 1.0 / n)
-        out[idx] = val
-        done = np.abs(val - prev[idx]) <= U1_TOL
-        prev[idx] = val
-        active[idx[done]] = False
-        if not np.any(active):
-            return out
-        n *= 2
-    warnings.warn("first-order correction quadrature did not converge to tolerance")
-    return out
+    foot, _ = _boundary_foot(spec, side, x, y)
+    integral = _char_integral(lambda s, sigma: _phi_derivatives(spec, side, s, sigma)[3],
+                              x, y, foot, spec.k, U1_TOL)
+    out = integral.reshape(x.shape) / (spec.k * eval_phi(spec, side, x, y))
+    return float(out) if x.shape == () else out

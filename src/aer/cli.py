@@ -496,6 +496,9 @@ def main(argv=None) -> int:
     except (NumericalError, AerError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("numerical failure: out of memory; try a smaller grid", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

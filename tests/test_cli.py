@@ -437,6 +437,18 @@ def test_nonfinite_width_exit_code(tmp_path, capsys, command):
         assert "[observation]" in err
 
 
+@pytest.mark.parametrize("command", ["asymptote", "invert", "study"])
+def test_out_of_memory_exit_code(tiny_config, tmp_path, capsys, monkeypatch, command):
+    # an allocation that fails (say the phi tables of a large grid under a
+    # memory limit) is a numerical failure, not a traceback
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 488. MiB")
+
+    monkeypatch.setattr(aer.asymptotics, "phi_table", no_memory)
+    assert main([command, "--config", tiny_config, "--out", str(tmp_path / "o")]) == 3
+    assert "numerical failure: out of memory" in capsys.readouterr().err
+
+
 def test_cmd_study_single_point(tmp_path):
     # study and invert share prepare and run_aer_pipeline, so a one-row
     # study carries the numbers of the invert run at the same delta and seed
