@@ -51,6 +51,7 @@ TABLE_INTERP_TOL = 1e-6  # required accuracy of the phi tables' cubics in y
 FRONT_REFINE = 4         # front nodes per observation-grid cell in x
 FRONT_CFL = 0.4          # CFL number of the front solver
 U1_TOL = 1e-8            # first-order correction quadrature tolerance
+TABLE_NODE_BUDGET = 1 << 20  # most nodes of one first phi table a run may ask for
 _EXP_CLIP = 700.0
 
 
@@ -270,6 +271,9 @@ _GAUSS4_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461,
                             0.6521451548625461, 0.3478548451374538])
 
 
+_TABLE_CALL_POINTS = 1 << 15    # about this many evaluation points per call of f
+
+
 def _aligned_branch_integral(spec: ProblemSpec, side: str, nx: int, ny: int, p: int):
     """Characteristic integral of f at the table nodes by row recursion.
 
@@ -281,6 +285,13 @@ def _aligned_branch_integral(spec: ProblemSpec, side: str, nx: int, ny: int, p: 
     from the boundary row.  Columns are extended beyond the period, on the
     side the characteristics come from, because f is evaluated at raw
     (unwrapped) arguments.  Returns the (nx, ny + 1) node values.
+
+    The 4 Gauss abscissae of every column and their offsets along the
+    characteristic are the same in every row, so they are formed once, and
+    f is evaluated for a block of rows at a time, at most
+    _TABLE_CALL_POINTS points per call (one row at least); the rows of a
+    block are then summed and accumulated one by one, in the order of a
+    row-by-row evaluation.
     """
     dx = spec.length / nx
     dy = p * dx / spec.k
@@ -290,18 +301,31 @@ def _aligned_branch_integral(spec: ProblemSpec, side: str, nx: int, ny: int, p: 
     lo = 0 if step > 0 else ext                  # column of x0
     xs_ext = spec.x0 + dx * (np.arange(nx + ext) - lo)
     mid = xs_ext + step * half
+    S = mid + half * _GAUSS4_NODES[:, None, None]        # (4, 1, columns)
+    offset = (S - xs_ext) / spec.k
+    block = max(1, _TABLE_CALL_POINTS // S.size)
+    # row r takes the previous row shifted by p columns towards the
+    # boundary, so the last p columns (plus) or the first p (minus) keep
+    # stale values; they sit on characteristics that leave the extension,
+    # and none of them reaches a kept column
+    cols = xs_ext.size
+    if step > 0:
+        dst, src = slice(0, cols - p), slice(p, cols)
+    else:
+        dst, src = slice(p, cols), slice(0, cols - p)
     out = np.zeros((nx, ny + 1))
-    row = np.zeros_like(xs_ext)
-    for r in range(1, ny + 1):
-        y = step * (spec.a - r * dy)
-        seg = np.zeros_like(xs_ext)
-        for t, w in zip(_GAUSS4_NODES, _GAUSS4_WEIGHTS):
-            s = mid + half * t
-            seg += w * spec.f(s, y + (s - xs_ext) / spec.k)
-        # the p entries np.roll wraps around sit on columns whose
-        # characteristics leave the extension; none of them reaches a kept column
-        row = np.roll(row, -step * p) + half * seg
-        out[:, r] = row[lo:lo + nx]
+    row = np.zeros(cols)
+    for r0 in range(1, ny + 1, block):
+        rows = np.arange(r0, min(r0 + block, ny + 1))
+        ys = step * (spec.a - rows * dy)
+        vals = spec.f(S, ys[:, None] + offset)           # (4, rows, columns)
+        seg = np.zeros(vals.shape[1:])
+        for i, w in enumerate(_GAUSS4_WEIGHTS):
+            seg += w * vals[i]
+        seg *= half
+        for j, r in enumerate(rows):
+            row[dst] = row[src] + seg[j, dst]
+            out[:, r] = row[lo:lo + nx]
     return step * out    # the minus integral runs from x down to the boundary
 
 
@@ -348,6 +372,25 @@ def _cell_cubics(y, m, h):
             c * (m[1:] - m[:-1])]
 
 
+def _table_rows(spec: ProblemSpec, nx: int):
+    """Row stride p (in columns), row spacing dy and row count ny of a
+    table on nx columns (see PhiTable).  p is a whole float, so that a
+    stride too large for an int still gives a row count."""
+    p = max(1.0, float(np.round(2.0 * spec.a * spec.k / spec.length)))
+    dy = p * (spec.length / nx) / spec.k     # as in the recursion
+    # a row count that is whole up to rounding is not rounded up; the
+    # not-a-knot spline needs at least 4 cells
+    return p, dy, max(4, int(np.ceil(2.0 * spec.a / dy * (1.0 - 1e-12))))
+
+
+def front_table_nodes(spec: ProblemSpec, n: int) -> int:
+    """Nodes of each first phi table of a front on an n-cell grid:
+    FRONT_REFINE n columns by ny + 1 rows.  A table and its cubics take
+    about 150 bytes per node at their peak."""
+    nx = FRONT_REFINE * n
+    return nx * (_table_rows(spec, nx)[2] + 1)
+
+
 class PhiTable:
     """One outer branch at the front's columns x0 + i L / nx, i < nx, as
     one not-a-knot cubic spline in y per column.
@@ -363,12 +406,8 @@ class PhiTable:
     def __init__(self, spec: ProblemSpec, side: str, nx: int, refine: int = 1):
         self.spec = spec
         self.side = side
-        p = max(1, int(round(2.0 * spec.a * spec.k / spec.length)))
-        self.dy = p * (spec.length / (nx * refine)) / spec.k     # as in the recursion
-        # a row count that is whole up to rounding is not rounded up; the
-        # not-a-knot spline needs at least 4 cells
-        self.ny = max(4, int(np.ceil(2.0 * spec.a / self.dy * (1.0 - 1e-12))))
-        integral = _aligned_branch_integral(spec, side, nx * refine, self.ny, p)[::refine]
+        p, self.dy, self.ny = _table_rows(spec, nx * refine)
+        integral = _aligned_branch_integral(spec, side, nx * refine, self.ny, int(p))[::refine]
         xs = spec.x0 + spec.length / nx * np.arange(nx)
         self._sign = 1.0 if side == "plus" else -1.0
         ys = self._sign * (spec.a - self.dy * np.arange(self.ny + 1))

@@ -164,6 +164,16 @@ def _check_noise(section: str, deltas: list, seeds: list):
             raise ConfigError(f"[{section}] seed = {seed}: must lie in [0, 2^128)")
 
 
+def _check_table_size(section: str, spec: asymptotics.ProblemSpec, n: int):
+    """A front whose phi tables would exceed the node budget is refused
+    before any work."""
+    nodes = asymptotics.front_table_nodes(spec, n)
+    if nodes > asymptotics.TABLE_NODE_BUDGET:
+        raise ConfigError(f"[{section}] n = {n}: each phi table of the front would hold "
+                          f"{nodes} nodes, over the budget of "
+                          f"{asymptotics.TABLE_NODE_BUDGET}")
+
+
 def load_config(preset: str | None, path: str | None, seed_override: int | None = None) -> RunConfig:
     raw = _merge(preset, path)
     prob = raw["problem"]
@@ -216,6 +226,7 @@ def load_config(preset: str | None, path: str | None, seed_override: int | None 
     except ValueError as exc:     # n, m, refine, cfl or a snapshot time
         raise ConfigError(f"[forward] n = {run.n}, m = {run.m}, refine = {run.refine}, "
                           f"cfl = {run.cfl}: {exc}") from exc
+    _check_table_size("forward", spec, run.n)
     return run
 
 
@@ -273,9 +284,22 @@ def read_field_csv(path: str, grid: Grid2D | None = None) -> Field2D:
 
 
 def write_front_csv(path: str, front: asymptotics.FrontCurve):
-    nt, nx = front.h.shape
-    _write_csv(path, "t,x,h0,h0_x", np.column_stack([
-        np.repeat(front.times, nx), np.tile(front.xs, nt), front.h.ravel(), front.hx.ravel()]))
+    """CSV of one row t,x,h0,h0_x per time and front node, times outermost.
+
+    Each t and each x is formatted once: the rows of one time are one
+    template, the time's text joining the per-x tails ",x,%.17g,%.17g\\n",
+    so only h0 and h0_x are formatted per row.
+    """
+    tails = [f",{_fmt(x)},%.17g,%.17g\n" for x in front.xs.tolist()]
+    values = np.stack([front.h, front.hx], axis=-1).reshape(front.times.size, -1).tolist()
+
+    def blocks():
+        yield "t,x,h0,h0_x\n"
+        for t, row in zip(front.times.tolist(), values):
+            text = _fmt(t)
+            yield (text + text.join(tails)) % tuple(row)
+
+    _atomic_write(path, blocks())
 
 
 def _atomic_write(path: str, chunks):
@@ -299,14 +323,14 @@ def _summary(cfg: RunConfig, extra: dict) -> dict:
 # subcommands
 
 def cmd_forward(cfg: RunConfig, out: str) -> int:
+    """Solve on the forward grid, the data source of invert and study, and
+    write each snapshot restricted to the observation grid."""
     t_start = time.perf_counter()
-    grid = cfg.obs_grid
-    sc = SolverConfig(grid, max(cfg.snapshots) if cfg.snapshots else cfg.spec.t0,
+    sc = SolverConfig(cfg.forward_grid, max(cfg.snapshots) if cfg.snapshots else cfg.spec.t0,
                       cfg.cfl, cfg.snapshots)
-    result = forward_solve(cfg.spec, sc, record_dt=True)
-    snaps, dts = result
+    snaps, dts = forward_solve(cfg.spec, sc, record_dt=True)
     for f in snaps:
-        write_field_csv(os.path.join(out, f"u_t{f.time:g}.csv"), f)
+        write_field_csv(os.path.join(out, f"u_t{f.time:g}.csv"), f.restrict(cfg.obs_grid))
     _write_json(os.path.join(out, "forward_summary.json"), _summary(cfg, {
         "snapshots_written": [f.time for f in snaps],
         "steps": len(dts),
@@ -428,6 +452,7 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
                            spec.grid(n, n))
         except ValueError as exc:     # a mus or grids value out of range
             raise ConfigError(f"[study] mu = {mu}, n = {n}: {exc}") from exc
+        _check_table_size("study", spec, n)
     prepared = {key: inverse.prepare(*group) for key, group in groups.items()}
     widths = {key: _mid_width(prep) for key, prep in prepared.items()}
 

@@ -176,6 +176,77 @@ def test_column_spline_matches_scipy(ex2, nx):
             assert abs(at_node[i] - column[3]) <= 1e-12
 
 
+def _per_row_branch_integral(spec, side, nx, ny, p):
+    """Reference for _aligned_branch_integral: the row recursion with four
+    calls of f per row, each on one row of the extended columns."""
+    dx = spec.length / nx
+    dy = p * dx / spec.k
+    ext = p * ny
+    half = 0.5 * spec.k * dy
+    step = 1 if side == "plus" else -1
+    lo = 0 if step > 0 else ext
+    xs_ext = spec.x0 + dx * (np.arange(nx + ext) - lo)
+    mid = xs_ext + step * half
+    out = np.zeros((nx, ny + 1))
+    row = np.zeros_like(xs_ext)
+    for r in range(1, ny + 1):
+        y = step * (spec.a - r * dy)
+        seg = np.zeros_like(xs_ext)
+        for t, w in zip(asymptotics._GAUSS4_NODES, asymptotics._GAUSS4_WEIGHTS):
+            s = mid + half * t
+            seg += w * spec.f(s, y + (s - xs_ext) / spec.k)
+        row = np.roll(row, -step * p) + half * seg
+        out[:, r] = row[lo:lo + nx]
+    return step * out
+
+
+@pytest.mark.parametrize("name, source", [
+    pytest.param("ex1", None, id="ex1-p2"),
+    pytest.param("ex2", None, id="ex2-p1"),
+    pytest.param("ex1", "sin(3*x)*exp(y/4) + x*y", id="ex1-mixed-source"),
+    pytest.param("ex2", "cos(7*x)*(1 + y^2) - 0.5*x", id="ex2-mixed-source"),
+])
+@pytest.mark.parametrize("rows_per_block", [None, 1, 7])
+def test_blocked_table_integral_equals_per_row_oracle(name, source, rows_per_block,
+                                                      request, monkeypatch):
+    # evaluating f for blocks of rows sums the same terms in the same order
+    # as the per-row loop, so every node value is bit-identical; 7 rows per
+    # block leave a short last block (200 rows)
+    spec = request.getfixturevalue(name)
+    if source is not None:
+        spec = dataclasses.replace(spec, f=parse(source))
+    p, _, ny = asymptotics._table_rows(spec, 200)
+    if rows_per_block is not None:
+        monkeypatch.setattr(asymptotics, "_TABLE_CALL_POINTS",
+                            rows_per_block * 4 * (200 + int(p) * ny))
+    for side in ("minus", "plus"):
+        want = _per_row_branch_integral(spec, side, 200, ny, int(p))
+        got = asymptotics._aligned_branch_integral(spec, side, 200, ny, int(p))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_table_size_of_an_overflowing_stride(ex1):
+    # 2 a k / L overflows to inf: the row count still comes out (the spans
+    # of the characteristics, not the table size, make such a problem fail)
+    spec = dataclasses.replace(ex1, k=1e308)
+    assert asymptotics.front_table_nodes(spec, 50) == 200 * 5
+    assert asymptotics.front_table_nodes(ex1, 50) == 200 * 201
+
+
+def test_table_build_calls_f_once_per_block(ex2):
+    rec = _RecordingSource(ex2.f)
+    spec = dataclasses.replace(ex2, f=rec)
+    for side in ("minus", "plus"):
+        rec.shapes.clear()
+        table = PhiTable(spec, side, 200)
+        points = 4 * (200 + table.ny)          # p = 1: 4 Gauss nodes per column
+        rows = max(1, asymptotics._TABLE_CALL_POINTS // points)
+        assert len(rec.shapes) <= -(-table.ny // rows)
+        assert sum(int(np.prod(s)) for s in rec.shapes) == table.ny * points
+        assert max(int(np.prod(s)) for s in rec.shapes) <= max(
+            asymptotics._TABLE_CALL_POINTS, points)
+
+
 # ---------------------------------------------------------------------------
 # assumption checkers
 

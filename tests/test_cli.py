@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -92,8 +93,9 @@ def test_field_csv_round_trip(tmp_path):
 
 
 def test_csv_blocks_match_per_value_format(tmp_path, monkeypatch):
-    # one "%.17g" template per block of rows writes what _fmt writes value
-    # by value, across block boundaries and for the awkward values
+    # one "%.17g" template per block of rows (per time in front.csv, whose
+    # t and x are formatted once) writes what _fmt writes value by value,
+    # across block boundaries and for the awkward values
     monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
     rng = np.random.default_rng(3)
     special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
@@ -137,6 +139,23 @@ def test_cmd_forward_writes_snapshots(tiny_config, tmp_path):
     # written snapshots round-trip bit exactly
     f = read_field_csv(os.path.join(out, "u_t0.3.csv"))
     assert f.values.shape == (25, 25)
+
+
+def test_cmd_forward_writes_the_inversion_data(tmp_path):
+    # aer forward solves on the refine * n grid, as prepare does for invert
+    # and study, and writes the snapshot on the n grid; with t0 as the only
+    # snapshot both take the same steps (an earlier snapshot time clips a
+    # step and moves the later values by round-off)
+    path = tmp_path / "t0.ini"
+    path.write_text(TINY.replace("snapshots = 0.15 0.3", "snapshots = 0.3"))
+    out = str(tmp_path / "fw")
+    assert main(["forward", "--config", str(path), "--out", out]) == 0
+    cfg = load_config(None, str(path))
+    prep = aer.inverse.prepare(cfg.spec, cfg.forward_grid, cfg.cfl, cfg.obs_grid)
+    written = read_field_csv(os.path.join(out, "u_t0.3.csv"), cfg.obs_grid)
+    assert written.values.tobytes() == prep.snapshot.values.tobytes()
+    summary = json.load(open(os.path.join(out, "forward_summary.json")))
+    assert sum(summary["dt_history"]) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_cmd_forward_empty_snapshot_list(tmp_path, tiny_config):
@@ -447,6 +466,37 @@ def test_out_of_memory_exit_code(tiny_config, tmp_path, capsys, monkeypatch, com
     monkeypatch.setattr(aer.asymptotics, "phi_table", no_memory)
     assert main([command, "--config", tiny_config, "--out", str(tmp_path / "o")]) == 3
     assert "numerical failure: out of memory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text", [
+    pytest.param(command, "[forward]\nn = 2000\nm = 3\nrefine = 1\n", id=f"{command}-n")
+    for command in ("forward", "asymptote", "invert", "study")] + [
+    pytest.param("study", "[study]\ngrids = 50 2000\n", id="study-grids")])
+def test_table_size_exit_code(tmp_path, capsys, command, text):
+    # (4 * 2000)^2 table nodes would take gigabytes: refused before any work
+    path = tmp_path / "big.ini"
+    path.write_text(text)
+    start = time.perf_counter()
+    code = main([command, "--preset", "example1", "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    budget = aer.asymptotics.TABLE_NODE_BUDGET
+    assert f"n = 2000: each phi table of the front would hold {8000 * 8001} nodes, " \
+           f"over the budget of {budget}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", ["example1", "example2"])
+def test_table_budget_admits_the_presets(tmp_path, preset):
+    # n = 255 is the largest grid of either preset within the budget
+    path = tmp_path / "n.ini"
+    for n, admitted in ((50, True), (100, True), (255, True), (256, False)):
+        path.write_text(f"[forward]\nn = {n}\n")
+        if admitted:
+            assert load_config(preset, str(path)).n == n
+        else:
+            with pytest.raises(ConfigError, match="over the budget"):
+                load_config(preset, str(path))
 
 
 def test_cmd_study_single_point(tmp_path):
