@@ -35,8 +35,6 @@ from .grid import (
     Field2D,
     Grid2D,
     RegionMask,
-    diff2_x,
-    diff2_y,
     diff_x,
     diff_y,
     l2_norm,

@@ -16,7 +16,8 @@ branches.  This module computes, to leading order:
     the lookup tables that the front equation reads (one cubic spline in
     y per front node) are built by an aligned row recursion and checked
     against it,
-  * the front motion h0(x, t) from a first order evolution equation,
+  * the front motion h0(x, t) from a first order evolution equation, read
+    where it was solved: at its nodes and stored times, not interpolated,
   * the logistic layer profile joining the branches across the front and
     the resulting layer width,
   * the first order outer correction u1, transported along the same
@@ -50,6 +51,7 @@ QUAD_TOL = 1e-10         # characteristic-integral tolerance
 TABLE_INTERP_TOL = 1e-6  # required accuracy of the phi tables' cubics in y
 FRONT_REFINE = 4         # front nodes per observation-grid cell in x
 FRONT_CFL = 0.4          # CFL number of the front solver
+FRONT_OUTPUTS = 200      # uniform output intervals of the front solver
 U1_TOL = 1e-8            # first-order correction quadrature tolerance
 TABLE_NODE_BUDGET = 1 << 20  # most nodes of one first phi table a run may ask for
 _EXP_CLIP = 700.0
@@ -391,6 +393,15 @@ def front_table_nodes(spec: ProblemSpec, n: int) -> int:
     return nx * (_table_rows(spec, nx)[2] + 1)
 
 
+def front_table_columns(spec: ProblemSpec, n: int) -> float:
+    """Columns the row recursion of each first phi table of a front on an
+    n-cell grid works on: FRONT_REFINE n plus p ny extension columns, a
+    float, since p grows with k beyond any int."""
+    nx = FRONT_REFINE * n
+    p, _, ny = _table_rows(spec, nx)
+    return nx + p * ny
+
+
 class PhiTable:
     """One outer branch at the front's columns x0 + i L / nx, i < nx, as
     one not-a-knot cubic spline in y per column.
@@ -464,7 +475,8 @@ def phi_table(spec: ProblemSpec, side: str, nx: int) -> PhiTable:
 
 @dataclass
 class FrontCurve:
-    """Front position h0 and slope on an x grid at a sequence of times."""
+    """Front position h0 and slope at the front nodes xs (one period, x1
+    excluded) and the stored times; read where it was solved."""
 
     xs: np.ndarray       # (nx,) periodic nodes, last point excluded
     length: float
@@ -473,40 +485,23 @@ class FrontCurve:
     hx: np.ndarray       # (nt, nx)
 
     def sample(self, t: float, xq) -> tuple:
-        """Front position and slope at time t, interpolated onto xq."""
-        if not self.times[0] - 1e-12 <= t <= self.times[-1] + 1e-12:
-            raise ValueError(f"t = {t} outside stored range "
-                             f"[{self.times[0]}, {self.times[-1]}]")
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) <= 1e-9:
-            row_h, row_hx = self.h[idx], self.hx[idx]
-        else:
-            j = int(np.searchsorted(self.times, t))
-            w = (t - self.times[j - 1]) / (self.times[j] - self.times[j - 1])
-            row_h = (1 - w) * self.h[j - 1] + w * self.h[j]
-            row_hx = (1 - w) * self.hx[j - 1] + w * self.hx[j]
-        # periodic cubic spline through the uniform nodes: the cyclic system
-        # M[i-1] + 4 M[i] + M[i+1] = 6 (second difference) / d^2 is diagonal
-        # in Fourier space
-        n = self.xs.size
-        d = self.length / n
-        rows = np.stack([row_h, row_hx])
-        second = np.roll(rows, 1, axis=-1) - 2.0 * rows + np.roll(rows, -1, axis=-1)
-        symbol = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
-        curv = np.fft.irfft(np.fft.rfft(second, axis=-1) / symbol, n, axis=-1) * (6.0 / d ** 2)
-        s = np.mod(np.asarray(xq, dtype=float) - self.xs[0], self.length) / d
-        left = np.minimum(s.astype(np.intp), n - 1)
-        right = (left + 1) % n
-        t = s - left
-        t_left = 1.0 - t
-        vals = (t_left * rows[:, left] + t * rows[:, right]
-                + (d ** 2 / 6.0) * ((t_left ** 3 - t_left) * curv[:, left]
-                                    + (t ** 3 - t) * curv[:, right]))
-        return vals[0], vals[1]
+        """Front position and slope h[it, j], hx[it, j] at the stored time t
+        (within 1e-9) and the front nodes xq (modulo L, within 1e-6 of a
+        node spacing; x1 is node 0).  Any other t or xq raises ValueError."""
+        it = int(np.argmin(np.abs(self.times - t)))
+        if not abs(self.times[it] - t) <= 1e-9:
+            raise ValueError(f"t = {t} is not a stored time of the front "
+                             f"({self.times.size} in [{self.times[0]}, {self.times[-1]}])")
+        s = np.mod(np.asarray(xq, dtype=float) - self.xs[0], self.length) \
+            * (self.xs.size / self.length)
+        j = np.rint(s)
+        if not np.all(np.abs(s - j) <= 1e-6):
+            raise ValueError("x is not a front node")
+        j = j.astype(np.intp) % self.xs.size
+        return self.h[it, j], self.hx[it, j]
 
 
-def solve_front(spec: ProblemSpec, nt: int, grid: Grid2D, t_end: float,
-                extra_times=()) -> FrontCurve:
+def solve_front(spec: ProblemSpec, grid: Grid2D, t_end: float) -> FrontCurve:
     """Integrate the front evolution equation
 
         h_t = (k h_x - 1) (phi_plus + phi_minus)(x, h) / (2 (1 + h_x^2))
@@ -515,8 +510,8 @@ def solve_front(spec: ProblemSpec, nt: int, grid: Grid2D, t_end: float,
     columns of the two phi tables: periodic central differences for h_x
     plus a local Lax-Friedrichs dissipation (coefficient = local wave
     speed * dx / 2), second order Runge-Kutta in time with a step limited
-    by FRONT_CFL.  Outputs are stored at nt + 1 uniform times in
-    [0, t_end] plus any requested extras; steps land on output times
+    by FRONT_CFL.  Outputs are stored at FRONT_OUTPUTS + 1 uniform times in
+    [0, t_end] and at spec.t0 when t0 <= t_end; steps land on output times
     exactly.
     """
     nx = FRONT_REFINE * grid.n
@@ -542,8 +537,8 @@ def solve_front(spec: ProblemSpec, nt: int, grid: Grid2D, t_end: float,
         return f_val + visc, float(np.max(wave))
 
     out_times = np.sort(np.concatenate([
-        np.linspace(0.0, t_end, nt + 1),
-        np.asarray([t for t in extra_times if 0.0 <= t <= t_end], dtype=float)]))
+        np.linspace(0.0, t_end, FRONT_OUTPUTS + 1),
+        np.asarray([spec.t0] if spec.t0 <= t_end else [], dtype=float)]))
     out_times = out_times[np.r_[True, out_times[1:] != out_times[:-1]]]
     h = np.full(nx, float(spec.h0_star))
     stored_h = [h.copy()]
@@ -552,7 +547,8 @@ def solve_front(spec: ProblemSpec, nt: int, grid: Grid2D, t_end: float,
     next_out = 1
     while t < t_end - 1e-13:
         r1, wave = rhs(h)
-        dt = min(FRONT_CFL * d / max(wave, 1e-12), t_end / nt, out_times[next_out] - t)
+        dt = min(FRONT_CFL * d / max(wave, 1e-12), t_end / FRONT_OUTPUTS,
+                 out_times[next_out] - t)
         h_star = h + dt * r1
         r2, _ = rhs(h_star)
         h = h + 0.5 * dt * (r1 + r2)
@@ -630,15 +626,18 @@ def outer_branches(spec: ProblemSpec, grid: Grid2D) -> tuple:
     return eval_phi(spec, "minus", X, Y), eval_phi(spec, "plus", X, Y)
 
 
-def assemble_u0(spec: ProblemSpec, front: FrontCurve, grid: Grid2D, t: float,
+def assemble_u0(spec: ProblemSpec, front: FrontCurve, grid: Grid2D,
                 branches: tuple) -> Field2D:
-    """Zeroth-order asymptotic field: outer branch plus layer corrector.
+    """Zeroth-order asymptotic field at t0: outer branch plus layer corrector.
 
-    branches is outer_branches(spec, grid).  Branch choice at a node is by
-    y <= h0(x, t) (ties go to the lower branch; both branches agree there
+    The front is read at the grid's x nodes and t0, so they must be front
+    nodes and a stored time (solve_front on grid, or on a grid whose n is
+    a multiple of grid.n, up to t0 or past it); branches is
+    outer_branches(spec, grid).  Branch choice at a node is by
+    y <= h0(x, t0) (ties go to the lower branch; both branches agree there
     by construction).
     """
-    h0, h0x = front.sample(t, grid.xs)
+    h0, h0x = front.sample(spec.t0, grid.xs)
     phm, php = branches
     p = _layer_jump(spec, grid.xs, h0)
     Y = grid.ys[None, :]
@@ -648,7 +647,7 @@ def assemble_u0(spec: ProblemSpec, front: FrontCurve, grid: Grid2D, t: float,
     q_plus = _q0_profile(-p[:, None], xi, spec.k, h0x[:, None])
     lower = Y <= h0[:, None]
     values = np.where(lower, phm + q_minus, php + q_plus)
-    return Field2D(grid, values, t)
+    return Field2D(grid, values, spec.t0)
 
 
 def initial_condition(spec: ProblemSpec, grid: Grid2D) -> Field2D:

@@ -165,13 +165,18 @@ def _check_noise(section: str, deltas: list, seeds: list):
 
 
 def _check_table_size(section: str, spec: asymptotics.ProblemSpec, n: int):
-    """A front whose phi tables would exceed the node budget is refused
-    before any work."""
+    """A front whose phi tables would hold, or whose row recursion would
+    work on, more than the node budget is refused before any work."""
+    budget = asymptotics.TABLE_NODE_BUDGET
     nodes = asymptotics.front_table_nodes(spec, n)
-    if nodes > asymptotics.TABLE_NODE_BUDGET:
+    if nodes > budget:
         raise ConfigError(f"[{section}] n = {n}: each phi table of the front would hold "
-                          f"{nodes} nodes, over the budget of "
-                          f"{asymptotics.TABLE_NODE_BUDGET}")
+                          f"{nodes} nodes, over the budget of {budget}")
+    columns = asymptotics.front_table_columns(spec, n)
+    if columns > budget:
+        raise ConfigError(f"[{section}] n = {n}, k = {spec.k:g}: the row recursion of each "
+                          f"phi table of the front would work on {columns:.6g} columns, "
+                          f"over the budget of {budget}")
 
 
 def load_config(preset: str | None, path: str | None, seed_override: int | None = None) -> RunConfig:
@@ -358,13 +363,13 @@ def cmd_asymptote(cfg: RunConfig, out: str) -> int:
     branches = asymptotics.outer_branches(spec, grid)
     for side, phi in zip(("minus", "plus"), branches):
         write_field_csv(os.path.join(out, f"phi_{side}.csv"), Field2D(grid, phi))
-    front = asymptotics.solve_front(spec, 200, grid, spec.T, extra_times=(spec.t0,))
+    front = asymptotics.solve_front(spec, grid, spec.T)
     write_front_csv(os.path.join(out, "front.csv"), front)
     h0, h0x = front.sample(spec.t0, grid.xs)
     width = np.asarray(asymptotics.transition_width(spec, grid.xs, h0, h0x))
     _write_csv(os.path.join(out, "width_profile.csv"), "x,h0,h0_x,width",
                np.column_stack([grid.xs, h0, h0x, width]))
-    u0 = asymptotics.assemble_u0(spec, front, grid, spec.t0, branches)
+    u0 = asymptotics.assemble_u0(spec, front, grid, branches)
     write_field_csv(os.path.join(out, f"u0_t{spec.t0:g}.csv"), u0)
     report["front_range"] = [float(front.h.min()), float(front.h.max())]
     report["wall_time_s"] = time.perf_counter() - t_start
@@ -420,7 +425,8 @@ def _study_runs(cfg: RunConfig, axes: dict) -> list:
 
 
 def _mid_width(prep: inverse.Prepared) -> float:
-    """Transition width at t0 in the middle of the x period."""
+    """Transition width at t0 in the middle of the x period, a front node
+    (FRONT_REFINE n is even) though not a grid node when n is odd."""
     spec = prep.spec
     x_mid = 0.5 * (spec.x0 + spec.x1)
     h0, h0x = prep.front.sample(spec.t0, np.array([x_mid]))

@@ -122,9 +122,6 @@ class RegionMask:
     def retained_rows(self, m: int) -> np.ndarray:
         return np.r_[self.lower_rows(), self.upper_rows(m)]
 
-    def band_rows(self, m: int) -> np.ndarray:
-        return np.arange(self.j_lo + 1, self.j_hi)
-
 
 # ---------------------------------------------------------------------------
 # difference operators
@@ -136,24 +133,14 @@ class RegionMask:
 # quadratics (the one-sided 4-point stencil is exact through cubics).
 
 
-def _core(values: np.ndarray) -> np.ndarray:
-    return values[:-1, :]
-
-
-def _close(core_out: np.ndarray) -> np.ndarray:
-    return np.vstack([core_out, core_out[:1, :]])
+def diff_x_values(v: np.ndarray, d1: float) -> np.ndarray:
+    core = v[:-1]
+    out = (np.roll(core, -1, axis=0) - np.roll(core, 1, axis=0)) / (2.0 * d1)
+    return np.vstack([out, out[:1]])
 
 
 def diff_x(f: Field2D) -> Field2D:
-    v = _core(f.values)
-    out = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2.0 * f.grid.d1)
-    return Field2D(f.grid, _close(out), f.time)
-
-
-def diff2_x(f: Field2D) -> Field2D:
-    v = _core(f.values)
-    out = (np.roll(v, -1, axis=0) - 2.0 * v + np.roll(v, 1, axis=0)) / f.grid.d1 ** 2
-    return Field2D(f.grid, _close(out), f.time)
+    return Field2D(f.grid, diff_x_values(f.values, f.grid.d1), f.time)
 
 
 def diff_y_values(v: np.ndarray, d2: float) -> np.ndarray:
@@ -179,10 +166,6 @@ def diff2_y_values(v: np.ndarray, d2: float) -> np.ndarray:
 
 def diff_y(f: Field2D) -> Field2D:
     return Field2D(f.grid, diff_y_values(f.values, f.grid.d2), f.time)
-
-
-def diff2_y(f: Field2D) -> Field2D:
-    return Field2D(f.grid, diff2_y_values(f.values, f.grid.d2), f.time)
 
 
 def l2_norm(f: Field2D) -> float:

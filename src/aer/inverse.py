@@ -88,13 +88,14 @@ def make_observation(snapshot: Field2D, mask: RegionMask, delta: float, seed: in
     return Observation(u_noisy, delta, mask, noise_kind, ux, uy)
 
 
-def layer_band(front: FrontCurve, spec: ProblemSpec, t0: float, grid: Grid2D) -> RegionMask:
-    """Global row band covering the transition layer at time t0.
+def layer_band(front: FrontCurve, spec: ProblemSpec, grid: Grid2D) -> RegionMask:
+    """Global row band covering the transition layer at time t0, read from
+    the front at the grid's x nodes and t0 (see assemble_u0).
 
     j_lo is the largest row with y <= min_x(h0 - width/2), j_hi the smallest
     with y >= max_x(h0 + width/2); rows strictly between are excluded.
     """
-    h0, h0x = front.sample(t0, grid.xs)
+    h0, h0x = front.sample(spec.t0, grid.xs)
     width = np.asarray(transition_width(spec, grid.xs, h0, h0x))
     lo = float(np.min(h0 - 0.5 * width))
     hi = float(np.max(h0 + 0.5 * width))
@@ -257,8 +258,7 @@ def smooth_region(obs: Observation, region: str,
 
     eps, vm, misfit = _discrepancy_bisect(solve_at, target)
     v_full = np.vstack([vm, vm[:1, :]])
-    ux_core = (np.roll(vm, -1, axis=0) - np.roll(vm, 1, axis=0)) / (2.0 * g.d1)
-    ux = np.vstack([ux_core, ux_core[:1, :]])
+    ux = gridmod.diff_x_values(v_full, g.d1)
     uy = (_rows_first_diff(r, g.d2) @ v_full.T).T
     return RegionSmoothing(rows, v_full, ux, uy, eps, misfit, target)
 
@@ -387,22 +387,22 @@ class Prepared:
 def prepare(spec: ProblemSpec, forward_grid: Grid2D, cfl: float,
             obs_grid: Grid2D) -> Prepared:
     """Run the shared stages, each under its stage label: the front on
-    obs_grid (200 steps up to t0); the forward solve to t0 on forward_grid
-    at CFL number cfl, restricted to obs_grid; u0 on obs_grid, whose only
-    use is its error against the snapshot; and the layer band on obs_grid,
-    labelled as the observation it belongs to."""
+    obs_grid up to t0 (stored at FRONT_OUTPUTS + 1 times, t0 the last); the
+    forward solve to t0 on forward_grid at CFL number cfl, restricted to
+    obs_grid; u0 on obs_grid, whose only use is its error against the
+    snapshot; and the layer band on obs_grid, labelled as the observation it
+    belongs to.  u0 and the band read the front at its nodes and at t0."""
     # the front goes first: freeing the forward solve's one large work block
     # raises glibc's mmap and trim thresholds, so the smaller phi tables
     # built after it would stay resident and raise the peak RSS
-    front = _stage("front", solve_front, spec, 200, obs_grid, spec.t0,
-                   extra_times=(spec.t0,))
+    front = _stage("front", solve_front, spec, obs_grid, spec.t0)
     snapshot = _stage("forward", forward_solve, spec,
                       SolverConfig(forward_grid, spec.t0, cfl, [spec.t0]))[0]
     if snapshot.grid != obs_grid:
         snapshot = snapshot.restrict(obs_grid)
     u0 = _stage("asymptotic-field", lambda: assemble_u0(
-        spec, front, obs_grid, spec.t0, outer_branches(spec, obs_grid)))
-    mask = _stage("observation", layer_band, front, spec, spec.t0, obs_grid)
+        spec, front, obs_grid, outer_branches(spec, obs_grid)))
+    mask = _stage("observation", layer_band, front, spec, obs_grid)
     return Prepared(spec, snapshot, front, rel_l2_error(u0, snapshot), mask)
 
 

@@ -66,14 +66,12 @@ CLOSED_FORMS = {"ex1": (phi1_minus, phi1_plus), "ex2": (phi2_minus, phi2_plus)}
 @pytest.fixture(scope="session")
 def ex1_front(ex1):
     """Front for the full horizon t in [0, 1], outputs include t0."""
-    return solve_front(ex1, 200, ex1.grid(100, 100), t_end=ex1.T,
-                       extra_times=(ex1.t0,))
+    return solve_front(ex1, ex1.grid(100, 100), t_end=ex1.T)
 
 
 @pytest.fixture(scope="session")
 def ex2_front(ex2):
-    return solve_front(ex2, 200, ex2.grid(100, 100), t_end=ex2.T,
-                       extra_times=(ex2.t0,))
+    return solve_front(ex2, ex2.grid(100, 100), t_end=ex2.T)
 
 
 @pytest.fixture(scope="session")
@@ -94,9 +92,9 @@ def _prepared(spec, snapshot_fine, front):
     session's 200 x 200 snapshot and its front over the whole horizon."""
     grid = spec.grid(50, 50)
     snapshot = snapshot_fine.restrict(grid)
-    u0 = assemble_u0(spec, front, grid, spec.t0, outer_branches(spec, grid))
+    u0 = assemble_u0(spec, front, grid, outer_branches(spec, grid))
     return Prepared(spec, snapshot, front, rel_l2_error(u0, snapshot),
-                    layer_band(front, spec, spec.t0, grid))
+                    layer_band(front, spec, grid))
 
 
 @pytest.fixture(scope="session")

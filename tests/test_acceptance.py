@@ -94,7 +94,7 @@ def test_c02_example1_forward_asymptotic_agreement(ex1, ex1_front):
     t_start = time.perf_counter()
     grid = ex1.grid(100, 100)
     snap = forward_solve(ex1, SolverConfig(grid, ex1.t0, 0.4, [ex1.t0]))[0]
-    u0 = assemble_u0(ex1, ex1_front, grid, ex1.t0, outer_branches(ex1, grid))
+    u0 = assemble_u0(ex1, ex1_front, grid, outer_branches(ex1, grid))
     err = rel_l2_error(u0, snap)
     elapsed = time.perf_counter() - t_start
     print(f"[C2] Example 1 rel_l2_error(U0, forward) = {err:.4f} "
@@ -111,7 +111,7 @@ def test_c03_example2_forward_asymptotic_agreement(ex2, ex2_front):
     t_start = time.perf_counter()
     grid = ex2.grid(100, 100)
     snap = forward_solve(ex2, SolverConfig(grid, ex2.t0, 0.4, [ex2.t0]))[0]
-    u0 = assemble_u0(ex2, ex2_front, grid, ex2.t0, outer_branches(ex2, grid))
+    u0 = assemble_u0(ex2, ex2_front, grid, outer_branches(ex2, grid))
     err = rel_l2_error(u0, snap)
     elapsed = time.perf_counter() - t_start
     print(f"[C3] Example 2 rel_l2_error(U0, forward) = {err:.4f} "
@@ -155,8 +155,8 @@ def _zero_level(snapshot, grid):
 
 def test_c06_mask_indices(ex1, ex1_front, ex2, ex2_front, ex2_snapshot_fine):
     grid2 = ex2.grid(50, 50)
-    m1 = layer_band(ex1_front, ex1, ex1.t0, ex1.grid(50, 50))
-    m2 = layer_band(ex2_front, ex2, ex2.t0, grid2)
+    m1 = layer_band(ex1_front, ex1, ex1.grid(50, 50))
+    m2 = layer_band(ex2_front, ex2, grid2)
     level = _zero_level(ex2_snapshot_fine, grid2)
 
     def covers(mask):
@@ -227,7 +227,7 @@ def test_c09_property_suite(ex1, ex1_front):
     drift = ProblemSpec(mu=0.08, k=2.0, x0=-2.0, x1=2.0, a=2.0, T=3.0,
                         u_minus_a=parse("-4"), u_plus_a=parse("2"),
                         f=parse("0"), h0_star=0.0, t0=1.0)
-    front = solve_front(drift, 100, drift.grid(32, 32), t_end=1.5)
+    front = solve_front(drift, drift.grid(32, 32), t_end=1.5)
     h, _ = front.sample(1.5, np.linspace(-2, 2, 9))
     front_err = float(np.max(np.abs(h - 1.5)))
     lines.append(f"front closed-form case error {front_err:.1e} (tol 1e-4)")

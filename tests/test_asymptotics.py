@@ -21,7 +21,6 @@ from aer import (
 )
 import aer.asymptotics as asymptotics
 from aer.asymptotics import (
-    FrontCurve,
     PhiTable,
     phi_table,
 )
@@ -381,33 +380,37 @@ def test_quadrature_calls_stay_under_the_point_cap(monkeypatch):
 
 def test_front_constant_when_branch_sum_vanishes():
     s = _symmetric_spec(c=3.0)
-    front = solve_front(s, 50, s.grid(32, 32), t_end=1.0)
+    front = solve_front(s, s.grid(32, 32), t_end=1.0)
     assert np.max(np.abs(front.h - 0.0)) < 1e-12
 
 
 def test_front_closed_form_drift():
     s = _drift_spec()
-    front = solve_front(s, 100, s.grid(32, 32), t_end=1.5)
-    for t in (0.5, 1.0, 1.5):
-        h, hx = front.sample(t, np.linspace(-2, 2, 9))
+    front = solve_front(s, s.grid(32, 32), t_end=1.5)
+    for t, h, hx in zip(front.times, front.h, front.hx):
         assert np.max(np.abs(h - t)) < 1e-4
         assert np.max(np.abs(hx)) < 1e-8
 
 
-@pytest.mark.parametrize("n", [9, 16])
-def test_front_sample_matches_periodic_cubic_spline(n):
-    interpolate = pytest.importorskip("scipy.interpolate")
-    rng = np.random.default_rng(n)
-    xs = -2.0 + 4.0 / n * np.arange(n)
-    h, hx = rng.standard_normal((2, n))
-    front = FrontCurve(xs, 4.0, np.array([0.0]), h[None], hx[None])
-    xq = np.r_[rng.uniform(-7.0, 9.0, 2000), xs, 2.0, -2.0 - 1e-15]
-    got_h, got_hx = front.sample(0.0, xq)
-    xw = xs[0] + np.mod(xq - xs[0], 4.0)
-    for got, row in ((got_h, h), (got_hx, hx)):
-        want = interpolate.CubicSpline(np.append(xs, 2.0), np.append(row, row[0]),
-                                       bc_type="periodic")(xw)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+def test_front_sample_is_a_node_lookup():
+    # the front is read where it was solved: at its nodes, x1 and the nodes
+    # one period away included, and at its stored times
+    s = _drift_spec()
+    front = solve_front(s, s.grid(8, 8), t_end=1.5)
+    assert s.t0 in front.times
+    rng = np.random.default_rng(9)
+    front.h = rng.standard_normal(front.h.shape)
+    front.hx = rng.standard_normal(front.hx.shape)
+    j = np.r_[np.arange(front.xs.size), 0, 5, 7]
+    xq = np.r_[front.xs, s.x1, front.xs[5] + s.length, front.xs[7] - s.length]
+    for it in (0, 7, front.times.size - 1):
+        h, hx = front.sample(front.times[it], xq)
+        assert h.tobytes() == front.h[it, j].tobytes()
+        assert hx.tobytes() == front.hx[it, j].tobytes()
+    with pytest.raises(ValueError, match="front node"):
+        front.sample(front.times[3], np.array([front.xs[2] + 0.3 * (front.xs[1] - front.xs[0])]))
+    with pytest.raises(ValueError, match="stored time"):
+        front.sample(0.5 * (front.times[3] + front.times[4]), front.xs)
 
 
 def test_front_does_not_depend_on_earlier_fronts():
@@ -416,9 +419,9 @@ def test_front_does_not_depend_on_earlier_fronts():
     s = ProblemSpec(mu=0.08, k=2.0, x0=-2.0, x1=2.0, a=2.0, T=1.0,
                     u_minus_a=parse("-4"), u_plus_a=parse("2"),
                     f=parse("cos(pi*x/4)*cos(pi*y/4)"), h0_star=0.0, t0=0.5)
-    first = solve_front(s, 50, s.grid(50, 50), 0.5)
-    solve_front(s, 50, s.grid(100, 100), 0.5)
-    again = solve_front(s, 50, s.grid(50, 50), 0.5)
+    first = solve_front(s, s.grid(50, 50), 0.5)
+    solve_front(s, s.grid(100, 100), 0.5)
+    again = solve_front(s, s.grid(50, 50), 0.5)
     assert np.array_equal(again.h, first.h)
     assert np.array_equal(again.hx, first.hx)
 
@@ -428,7 +431,7 @@ def test_front_exits_domain_raises():
                     u_minus_a=parse("-4"), u_plus_a=parse("2"),
                     f=parse("0"), h0_star=0.0, t0=0.4)
     with pytest.raises(AssumptionViolation, match="front left domain"):
-        solve_front(s, 100, s.grid(32, 32), t_end=3.0)
+        solve_front(s, s.grid(32, 32), t_end=3.0)
 
 
 def test_front_example1_stays_inside(ex1, ex1_front):
@@ -532,9 +535,9 @@ def test_transition_width_threshold_error():
 # ---------------------------------------------------------------------------
 # zeroth-order field and initial condition
 
-def test_assemble_u0_branch_match_and_bounds(ex1, ex1_front):
+def test_assemble_u0_branch_match_and_bounds(ex1):
     g = ex1.grid(64, 64)
-    u0 = assemble_u0(ex1, ex1_front, g, ex1.t0, outer_branches(ex1, g))
+    u0 = assemble_u0(ex1, solve_front(ex1, g, ex1.t0), g, outer_branches(ex1, g))
     assert u0.time == ex1.t0
     assert u0.values.min() > -4.5 and u0.values.max() < 2.3
     # far below the front the field follows the lower branch

@@ -486,6 +486,23 @@ def test_table_size_exit_code(tmp_path, capsys, command, text):
            f"over the budget of {budget}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["asymptote", "invert"])
+@pytest.mark.parametrize("k", ["1e300", "1e12"])
+def test_table_columns_exit_code(tmp_path, capsys, command, k):
+    # the row recursion of a phi table works on 4 n + p ny columns, p =
+    # round(2 a k / L): at these k too many for memory or for an array, so
+    # refused before any work, by name
+    path = tmp_path / "k.ini"
+    path.write_text(f"[problem]\nk = {k}\n")
+    start = time.perf_counter()
+    code = main([command, "--preset", "example1", "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert f"n = 50, k = {float(k):g}: the row recursion of each phi table" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("preset", ["example1", "example2"])
 def test_table_budget_admits_the_presets(tmp_path, preset):
     # n = 255 is the largest grid of either preset within the budget
@@ -521,6 +538,56 @@ def test_cmd_study_single_point(tmp_path):
         assert int(row[key]) == metrics[key], key
 
 
+@pytest.mark.parametrize("command, text", [
+    pytest.param("asymptote", "", id="asymptote"),
+    pytest.param("invert", "", id="invert"),
+    pytest.param("study", "\n[study]\ngrids = 23\n", id="study")])
+def test_odd_grid(tmp_path, command, text):
+    # with n odd the middle of the period (study's width_x0) is a front node
+    # (the front has 4 n) but not a grid node; the front is read at its nodes
+    path = tmp_path / "odd.ini"
+    path.write_text(TINY.replace("n = 24", "n = 23") + text)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
+def _src_env():
+    """The directory aer is imported from, and an environment whose
+    PYTHONPATH puts it first."""
+    src = os.path.dirname(os.path.dirname(aer.__file__))
+    return src, dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+@pytest.mark.parametrize("command", ["invert", "asymptote"])
+def test_benchmark_child_traces_the_cli(tiny_config, tmp_path, command):
+    # bench/child.py runs the CLI with every public function of aer traced
+    # and reads counters off some results (bench/run.py --trace 1 reports
+    # them); a change of those functions' signatures or results shows here
+    src, env = _src_env()
+    child = os.path.join(os.path.dirname(src), "bench", "child.py")
+    if not os.path.exists(child):
+        pytest.skip("no bench/ beside the aer sources")
+    record = tmp_path / "record.json"
+    run = subprocess.run([sys.executable, child, "--src", src, "--record", str(record),
+                          "--trace", "--", command, "--config", tiny_config,
+                          "--out", str(tmp_path / "o")],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    rec = json.loads(record.read_text())
+    assert rec["rc"] == 0
+    info = {}
+    for span in rec["spans"]:
+        info.setdefault(span[2], []).append(span[6])
+    tables = info["asymptotics.phi_table"]
+    assert sorted(t["side"] for t in tables) == ["minus", "plus"]
+    assert all(t["nodes"] > 0 for t in tables)
+    if command == "invert":
+        assert [s["steps"] > 0 for s in info["forward.forward_solve"]] == [True]
+        regions = info["inverse.smooth_region"]
+        assert sorted(r["region"] for r in regions) == ["lower", "upper"]
+        assert all(r["eps"] > 0 for r in regions)
+
+
 def test_runs_without_scipy(tiny_config, tmp_path):
     # a fresh interpreter, so no other test's import can hide one of aer's;
     # aer asymptote also has no use for numpy's lazily imported numpy.ma and
@@ -535,9 +602,7 @@ def test_runs_without_scipy(tiny_config, tmp_path):
                 print([name for name in ("numpy.ma", "numpy.random") if name in sys.modules])
         print(sorted(name for name in sys.modules if name.startswith("scipy")))
     """)
-    src = os.path.dirname(os.path.dirname(aer.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    _, env = _src_env()
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300)
     assert run.returncode == 0, run.stderr

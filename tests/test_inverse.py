@@ -94,8 +94,8 @@ def test_layer_band_minimal_exclusion():
                     u_minus_a=parse("-3"), u_plus_a=parse("3"),
                     f=parse("0"), h0_star=0.0, t0=0.5)
     g = s.grid(20, 20)
-    front = solve_front(s, 50, g, t_end=0.5, extra_times=(0.5,))
-    mask = layer_band(front, s, 0.5, g)
+    front = solve_front(s, g, t_end=0.5)
+    mask = layer_band(front, s, g)
     assert mask.j_hi - mask.j_lo in (1, 2)
 
 
@@ -104,9 +104,9 @@ def test_layer_band_too_wide():
                     u_minus_a=parse("-3"), u_plus_a=parse("3"),
                     f=parse("0"), h0_star=0.0, t0=0.5)
     g = s.grid(16, 16)
-    front = solve_front(s, 50, g, t_end=0.5, extra_times=(0.5,))
+    front = solve_front(s, g, t_end=0.5)
     with pytest.raises(LayerTooWide):
-        layer_band(front, s, 0.5, g)
+        layer_band(front, s, g)
 
 
 def test_prepare_labels_a_too_wide_band_as_observation():
@@ -121,7 +121,7 @@ def test_prepare_labels_a_too_wide_band_as_observation():
 
 
 def test_layer_band_example1(ex1, ex1_front):
-    mask = layer_band(ex1_front, ex1, ex1.t0, ex1.grid(50, 50))
+    mask = layer_band(ex1_front, ex1, ex1.grid(50, 50))
     assert 29 <= mask.j_lo <= 33
     assert 37 <= mask.j_hi <= 41
 
@@ -369,7 +369,7 @@ def test_pipeline_monotone_noise_trend(ex1_prepared):
 
 def test_make_observation_with_gradients_deterministic(ex1, ex1_front, ex1_snapshot_fine):
     snap = ex1_snapshot_fine.restrict(ex1.grid(50, 50))
-    mask = layer_band(ex1_front, ex1, ex1.t0, snap.grid)
+    mask = layer_band(ex1_front, ex1, snap.grid)
     o1 = make_observation(snap, mask, 0.02, 9, with_gradients=True)
     o2 = make_observation(snap, mask, 0.02, 9, with_gradients=True)
     assert np.array_equal(o1.ux_delta.values, o2.ux_delta.values)
