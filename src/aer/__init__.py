@@ -52,6 +52,7 @@ from .inverse import (
     reconstruct_source,
     run_aer_pipeline,
     smooth_region,
+    smoothing_factors,
 )
 
 __version__ = "0.1.0"

@@ -12,8 +12,11 @@ front, u0 error, layer band) and returns them as a frozen Prepared.
 run_aer_pipeline runs one recovery from it: it noises the snapshot,
 smooths each region outside the band (or takes the measured gradients),
 forms the data product u (k u_x + u_y) on the retained rows, and has
-reconstruct_source fit the source to that product.  No state outlives a
-call, so a result depends on its inputs alone, whatever ran before it.
+reconstruct_source fit the source to that product.  Prepared also carries
+each smoothing region's penalty factors, so the bisection's trial weights
+cost a diagonal scaling each.  No state outlives a call (Prepared is the
+caller's, and is only read), so a result depends on its inputs alone,
+whatever ran before it.
 """
 
 from __future__ import annotations
@@ -119,18 +122,21 @@ def _rows_first_diff(r, d):
     return gridmod.diff_y_values(np.eye(r), d).T
 
 
-def _folded_periodic_solver(n: int, weight: np.ndarray, penalty: np.ndarray):
+def _folded_periodic_solver(n: int, weight: np.ndarray, inverse_blocks):
     """Exact solver of (diag(2, 1, ..., 1) (x) diag(weight) + eps K) v = b.
 
     Unknowns are v[i, j], i < n the periodic x columns (column n folded onto
     column 0, hence its doubled data weight), j < r the rows.  K is block
-    circulant in x and penalty[k] its real symmetric r x r block for Fourier
-    mode k = 0..n/2.  An rfft along x turns the uniform part into the blocks
-    B_k = diag(weight) + eps penalty[k]; the extra weight of column 0 is the
-    update U diag(w_s) U^T, U = e_0 (x) (the rows s with nonzero weight),
-    removed exactly by the Woodbury identity with capacitance
-    diag(1/w_s) + G[s, s], where G = (1/n) sum_k mult_k B_k^-1 is the (0, 0)
-    block of B^-1 (modes 0 and n/2 count once, the others twice).
+    circulant in x with a real symmetric r x r block for each Fourier mode
+    k = 0..n/2.  An rfft along x turns the uniform part into the blocks
+    B_k = diag(weight) + eps K_k; inverse_blocks(eps) returns the stack of
+    their inverses, shape (n/2 + 1, r, r), so the caller chooses how they are
+    formed (a batched inverse, or a diagonal scaling of factors computed
+    once).  The extra weight of column 0 is the update U diag(w_s) U^T,
+    U = e_0 (x) (the rows s with nonzero weight), removed exactly by the
+    Woodbury identity with capacitance diag(1/w_s) + G[s, s], where
+    G = (1/n) sum_k mult_k B_k^-1 is the (0, 0) block of B^-1 (modes 0 and
+    n/2 count once, the others twice).
 
     Returns solve(eps, b) for b of shape (n, r).
     """
@@ -141,10 +147,9 @@ def _folded_periodic_solver(n: int, weight: np.ndarray, penalty: np.ndarray):
         mult[-1] = 1.0
     seam = np.flatnonzero(weight)
     inv_weight = np.diag(1.0 / weight[seam])
-    base = np.diag(weight)
 
     def solve(eps, b):
-        b_inv = np.linalg.inv(base + eps * penalty)
+        b_inv = inverse_blocks(eps)
         y = np.fft.irfft((b_inv @ np.fft.rfft(b, axis=0)[..., None])[..., 0], n, axis=0)
         g = np.tensordot(mult, b_inv, axes=1) / n
         z = np.zeros(weight.size)
@@ -166,6 +171,8 @@ class RegionSmoothing:
     eps: float
     misfit: float               # achieved mean-square data misfit
     target: float
+    misfit_top: float | None    # misfit at the bracket top eps = 1e2 / target;
+                                # None when the floor rule returns first
     cg_iterations: int = 0      # the solves are direct; kept for run summaries
 
 
@@ -191,17 +198,18 @@ def noise_misfit_target(obs: Observation, region: str) -> float:
     return ms / 3.0 if obs.noise_kind == "uniform" else ms
 
 
-def _smoothing_solver(n: int, r: int, d1: float, d2: float):
-    """Exact solver of the normal equations (C + eps K) v = b of smooth_region.
+def _penalty_factors(n: int, r: int, d1: float, d2: float):
+    """Spectral factors (vecs, vals) of the smoothing penalty's mode blocks.
 
-    Unknowns are v[i, j], i < n the periodic x columns, j < r the region rows.
-    K = (Cxx^T Cxx) (x) T + I_n (x) Q with Cxx the circulant second difference,
-    T = d1 d2 diag(trapezoid in y) and Q = Ryy^T T Ryy, and
-    C = (diag(2, 1, ..., 1) (x) I_r) / N, N = (n + 1) r, because column n
-    folds onto column 0.  Mode k of K is p_k T + Q, p_k the squared
-    eigenvalues of Cxx; see _folded_periodic_solver.
-
-    Returns solve(eps, b) for b of shape (n, r).
+    K = (Cxx^T Cxx) (x) T + I_n (x) Q on the n periodic x columns and r
+    region rows, with Cxx the circulant second difference,
+    T = d1 d2 diag(trapezoid in y) and Q = Ryy^T T Ryy.  Mode k of K is
+    P_k = p_k T + Q, p_k the squared eigenvalues of Cxx, and
+    P_k = vecs[k] diag(vals[k]) vecs[k]^T.  The blocks are symmetric
+    positive semi-definite (P_0 = Q vanishes on the affine functions of y),
+    so the SVD's left vectors and singular values are their eigenpairs.
+    np.linalg.svd is used rather than np.linalg.eigh: eigh, measured in its
+    place, woke OpenBLAS's second thread and made a study sweep slower.
     """
     trap = np.full(r, 1.0)
     trap[0] = trap[-1] = 0.5
@@ -211,10 +219,48 @@ def _smoothing_solver(n: int, r: int, d1: float, d2: float):
     k = np.arange(n // 2 + 1)
     p = ((2.0 * np.cos(2.0 * np.pi * k / n) - 2.0) / d1 ** 2) ** 2
     penalty = p[:, None, None] * np.diag(t_w) + q_w          # p_k T + Q per mode
-    return _folded_periodic_solver(n, np.full(r, 1.0 / ((n + 1) * r)), penalty)
+    vecs, vals, _ = np.linalg.svd(penalty)
+    return vecs, vals
 
 
-def smooth_region(obs: Observation, region: str,
+def smoothing_factors(grid: Grid2D, mask: RegionMask) -> dict:
+    """Region name -> _penalty_factors of its rows on grid, or None for a
+    region of fewer than 3 rows (smooth_region refuses it, and the y second
+    difference leaves a row of a 2-row region unset).  prepare computes them
+    once for every (delta, seed) of a group; they depend on the grid and the
+    mask alone."""
+    factors = {}
+    for region in ("lower", "upper"):
+        r = len(_region_rows(mask, grid.m, region))
+        factors[region] = _penalty_factors(grid.n, r, grid.d1, grid.d2) if r >= 3 else None
+    return factors
+
+
+def _smoothing_solver(n: int, factors: tuple):
+    """Exact solver of the normal equations (C + eps K) v = b of smooth_region.
+
+    Unknowns are v[i, j], i < n the periodic x columns, j < r the region rows,
+    and factors = (vecs, vals) of K's mode blocks (_penalty_factors).
+    C = (diag(2, 1, ..., 1) (x) I_r) / N, N = (n + 1) r, because column n
+    folds onto column 0.  The data weight w = 1/N is uniform, so
+    B_k^-1 = (w + eps P_k)^-1 = vecs[k] diag(1 / (w + eps vals[k])) vecs[k]^T:
+    every trial weight costs a diagonal scaling and one batched product, not
+    a factorisation.  See _folded_periodic_solver.
+
+    Returns solve(eps, b) for b of shape (n, r).
+    """
+    vecs, vals = factors
+    r = vals.shape[-1]
+    w = 1.0 / ((n + 1) * r)
+    vecs_t = vecs.transpose(0, 2, 1)
+
+    def inverse_blocks(eps):
+        return (vecs / (w + eps * vals)[:, None, :]) @ vecs_t
+
+    return _folded_periodic_solver(n, np.full(r, w), inverse_blocks)
+
+
+def smooth_region(obs: Observation, region: str, factors: tuple,
                   discrepancy: str = "calibrated") -> RegionSmoothing:
     """Curvature-penalized least squares fit to one region of the data.
 
@@ -227,7 +273,10 @@ def smooth_region(obs: Observation, region: str,
       * 'calibrated' (default): target = estimated noise mean square,
       * 'delta4':               target = delta^4 as stated for the method.
 
-    Each trial weight solves the SPD normal equations directly and exactly
+    factors are the spectral factors of this region's penalty blocks,
+    smoothing_factors(grid, mask)[region]; prepare builds them once per
+    group, so every trial weight of every recovery is a diagonal scaling of
+    them.  Each trial solves the SPD normal equations directly and exactly
     (Fourier in x, Woodbury for the folded seam column; see
     _smoothing_solver), so cg_iterations is 0.
     """
@@ -249,18 +298,18 @@ def smooth_region(obs: Observation, region: str,
     rhs = data[:n, :].copy()
     rhs[0, :] += data[n, :]                     # column n duplicates column 0
     rhs /= N
-    solve = _smoothing_solver(n, r, g.d1, g.d2)
+    solve = _smoothing_solver(n, factors)
 
     def solve_at(eps):
         vm = solve(eps, rhs)
         misfit = (np.sum((vm - data[:n, :]) ** 2) + np.sum((vm[0] - data[n]) ** 2)) / N
         return vm, float(misfit)
 
-    eps, vm, misfit = _discrepancy_bisect(solve_at, target)
+    eps, vm, misfit, misfit_top = _discrepancy_bisect(solve_at, target)
     v_full = np.vstack([vm, vm[:1, :]])
     ux = gridmod.diff_x_values(v_full, g.d1)
     uy = (_rows_first_diff(r, g.d2) @ v_full.T).T
-    return RegionSmoothing(rows, v_full, ux, uy, eps, misfit, target)
+    return RegionSmoothing(rows, v_full, ux, uy, eps, misfit, target, misfit_top)
 
 
 def _discrepancy_bisect(solve_at, target):
@@ -271,13 +320,16 @@ def _discrepancy_bisect(solve_at, target):
     bisection therefore continues toward the low-weight edge of the window
     (the least smoothing consistent with the discrepancy level) until the
     log10 bracket LOG_EPS_BRACKET has shrunk to a 1% step in the weight.
+
+    Returns (eps, v, misfit, misfit at the bracket top / target); the last
+    is None when the floor rule returns before the top is solved.
     """
     lo, hi = LOG_EPS_BRACKET
     v_lo, m_lo = solve_at(10.0 ** lo)
     if m_lo >= target * (1.0 - MISFIT_RTOL):
         # floor rule: smallest weight already at or above the target
         if m_lo <= max(target * (1.0 + MISFIT_RTOL), 1e-13):
-            return 10.0 ** lo, v_lo, m_lo
+            return 10.0 ** lo, v_lo, m_lo, None
         raise DiscrepancyUnreachable(
             f"misfit at bracket floor is {m_lo:.3e}, above target {target:.3e}")
     v_hi, m_hi = solve_at(10.0 ** hi)
@@ -298,7 +350,7 @@ def _discrepancy_bisect(solve_at, target):
     if best is None:
         raise DiscrepancyUnreachable(
             f"bisection exhausted without entering the 5% window of {target:.3e}")
-    return best
+    return best + (m_hi / target,)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +400,8 @@ def reconstruct_source(obs: Observation, product: np.ndarray) -> ReconstructionR
     sx2 = np.sin(2.0 * np.pi * k / n) ** 2 / g.d1 ** 2
     penalty = ((1.0 + sx2)[:, None, None] * np.diag(t_w)
                + r_y.T @ (t_w[:, None] * r_y))
-    fm = _folded_periodic_solver(n, counts, penalty)(eps, bmat)
+    fm = _folded_periodic_solver(
+        n, counts, lambda e: np.linalg.inv(np.diag(counts) + e * penalty))(eps, bmat)
     f_full = np.vstack([fm, fm[:1, :]])
     f_field = Field2D(g, f_full, obs.u_delta.time)
 
@@ -375,13 +428,18 @@ class Prepared:
     """What every (delta, seed) of one problem and observation grid shares:
     the forward snapshot at t0 on the observation grid, the front curve up
     to t0, the relative L2 error of the asymptotic field u0 against the
-    snapshot and the band mask of the transition layer at t0."""
+    snapshot, the band mask of the transition layer at t0, and each
+    smoothing region's penalty factors (smoothing_factors of the grid and
+    mask).  The factors depend on the grid and mask alone, so they are
+    computed here once and every trial weight of every recovery in the
+    group reuses them."""
 
     spec: ProblemSpec
     snapshot: Field2D
     front: FrontCurve
     u0_rel_error: float
     mask: RegionMask
+    factors: dict
 
 
 def prepare(spec: ProblemSpec, forward_grid: Grid2D, cfl: float,
@@ -390,8 +448,11 @@ def prepare(spec: ProblemSpec, forward_grid: Grid2D, cfl: float,
     obs_grid up to t0 (stored at FRONT_OUTPUTS + 1 times, t0 the last); the
     forward solve to t0 on forward_grid at CFL number cfl, restricted to
     obs_grid; u0 on obs_grid, whose only use is its error against the
-    snapshot; and the layer band on obs_grid, labelled as the observation it
-    belongs to.  u0 and the band read the front at its nodes and at t0."""
+    snapshot; the layer band on obs_grid, labelled as the observation it
+    belongs to; and the smoothing regions' penalty factors (an SVD of each
+    region's mode blocks, see _penalty_factors), None for a region too
+    narrow to smooth, whose error smooth_region reports.  u0 and the band
+    read the front at its nodes and at t0."""
     # the front goes first: freeing the forward solve's one large work block
     # raises glibc's mmap and trim thresholds, so the smaller phi tables
     # built after it would stay resident and raise the peak RSS
@@ -403,7 +464,8 @@ def prepare(spec: ProblemSpec, forward_grid: Grid2D, cfl: float,
     u0 = _stage("asymptotic-field", lambda: assemble_u0(
         spec, front, obs_grid, outer_branches(spec, obs_grid)))
     mask = _stage("observation", layer_band, front, spec, obs_grid)
-    return Prepared(spec, snapshot, front, rel_l2_error(u0, snapshot), mask)
+    return Prepared(spec, snapshot, front, rel_l2_error(u0, snapshot), mask,
+                    smoothing_factors(obs_grid, mask))
 
 
 @dataclass
@@ -436,7 +498,8 @@ def run_aer_pipeline(prep: Prepared, delta: float, seed: int, noise_kind: str = 
         product[:, retained] = _data_product(obs.u_delta.values, obs.ux_delta.values,
                                              obs.uy_delta.values, spec.k)[:, retained]
     else:
-        smoothing = tuple(_stage("smoothing", smooth_region, obs, region, discrepancy)
+        smoothing = tuple(_stage("smoothing", smooth_region, obs, region,
+                                 prep.factors[region], discrepancy)
                           for region in ("lower", "upper"))
         for reg in smoothing:
             product[:, reg.rows] = _data_product(reg.u_eps, reg.ux, reg.uy, spec.k)
@@ -459,5 +522,7 @@ def run_aer_pipeline(prep: Prepared, delta: float, seed: int, noise_kind: str = 
         "eps_plus": smoothing[1].eps if smoothing else None,
         "misfit_minus": smoothing[0].misfit if smoothing else None,
         "misfit_plus": smoothing[1].misfit if smoothing else None,
+        "misfit_top_minus": smoothing[0].misfit_top if smoothing else None,
+        "misfit_top_plus": smoothing[1].misfit_top if smoothing else None,
     }
     return PipelineResult(obs, smoothing, recon, metrics)

@@ -13,6 +13,7 @@ from aer import (
     outer_branches,
     parse,
     rel_l2_error,
+    smoothing_factors,
     solve_front,
 )
 from aer.forward import SolverConfig, forward_solve
@@ -93,8 +94,9 @@ def _prepared(spec, snapshot_fine, front):
     grid = spec.grid(50, 50)
     snapshot = snapshot_fine.restrict(grid)
     u0 = assemble_u0(spec, front, grid, outer_branches(spec, grid))
-    return Prepared(spec, snapshot, front, rel_l2_error(u0, snapshot),
-                    layer_band(front, spec, grid))
+    mask = layer_band(front, spec, grid)
+    return Prepared(spec, snapshot, front, rel_l2_error(u0, snapshot), mask,
+                    smoothing_factors(grid, mask))
 
 
 @pytest.fixture(scope="session")

@@ -48,6 +48,7 @@ from aer import (
     rel_l2_error,
     run_aer_pipeline,
     smooth_region,
+    smoothing_factors,
     solve_front,
     transition_width,
     transport_coefficients,
@@ -253,13 +254,14 @@ def test_c09_property_suite(ex1, ex1_front):
     vals = noisy.values.copy()
     vals[-1, :] = vals[0, :]
     obs = Observation(Field2D(g2, vals, 0.5), 0.01, RegionMask(31, 34))
-    reg = smooth_region(obs, "lower", discrepancy="delta4")
+    factors = smoothing_factors(g2, obs.mask)["lower"]
+    reg = smooth_region(obs, "lower", factors, discrepancy="delta4")
     ratio = reg.misfit / 0.01 ** 4
     lines.append(f"delta^4 discrepancy achieved/target = {ratio:.3f} (within [0.95, 1.05])")
     assert 0.95 <= ratio <= 1.05
     obs_dup = Observation(noisy, 0.01, RegionMask(31, 34))
     with pytest.raises(DiscrepancyUnreachable):
-        smooth_region(obs_dup, "lower", discrepancy="delta4")
+        smooth_region(obs_dup, "lower", factors, discrepancy="delta4")
     lines.append("unreachable delta^4 reported explicitly: True")
 
     # noise determinism

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -141,16 +142,13 @@ def test_cmd_forward_writes_snapshots(tiny_config, tmp_path):
     assert f.values.shape == (25, 25)
 
 
-def test_cmd_forward_writes_the_inversion_data(tmp_path):
+def test_cmd_forward_writes_the_inversion_data(tiny_config, tmp_path):
     # aer forward solves on the refine * n grid, as prepare does for invert
-    # and study, and writes the snapshot on the n grid; with t0 as the only
-    # snapshot both take the same steps (an earlier snapshot time clips a
-    # step and moves the later values by round-off)
-    path = tmp_path / "t0.ini"
-    path.write_text(TINY.replace("snapshots = 0.15 0.3", "snapshots = 0.3"))
+    # and study, and writes the snapshot on the n grid; the earlier snapshot
+    # at 0.15 leaves the march alone, so the t0 snapshot is the inversion's
     out = str(tmp_path / "fw")
-    assert main(["forward", "--config", str(path), "--out", out]) == 0
-    cfg = load_config(None, str(path))
+    assert main(["forward", "--config", tiny_config, "--out", out]) == 0
+    cfg = load_config(None, tiny_config)
     prep = aer.inverse.prepare(cfg.spec, cfg.forward_grid, cfg.cfl, cfg.obs_grid)
     written = read_field_csv(os.path.join(out, "u_t0.3.csv"), cfg.obs_grid)
     assert written.values.tobytes() == prep.snapshot.values.tobytes()
@@ -327,6 +325,22 @@ def test_cmd_invert_metrics(tiny_config, tmp_path):
     assert metrics["seed"] == 1
     for name in ("u_delta.csv", "u_eps_lower.csv", "u_eps_upper.csv", "f_delta.csv"):
         assert os.path.exists(os.path.join(out, name)), name
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.0])
+def test_cmd_invert_records_the_bracket_top(tmp_path, delta):
+    # misfit at the top of the weight bracket over the target: at least the
+    # window's floor when the bisection ran, null when the floor rule chose
+    path = tmp_path / "top.ini"
+    path.write_text(TINY.replace("delta = 0.01", f"delta = {delta}"))
+    out = str(tmp_path / "inv")
+    assert main(["invert", "--config", str(path), "--out", out]) == 0
+    metrics = json.load(open(os.path.join(out, "metrics.json")))
+    for key in ("misfit_top_minus", "misfit_top_plus"):
+        if delta > 0:
+            assert math.isfinite(metrics[key]) and metrics[key] >= 0.95, key
+        else:
+            assert metrics[key] is None, key
 
 
 def test_cmd_invert_gradient_branch(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,14 @@ from aer import (
     reconstruct_source,
     run_aer_pipeline,
     smooth_region,
+    smoothing_factors,
     solve_front,
 )
 from aer.errors import DiscrepancyUnreachable, LayerTooWide
 from aer.inverse import (
     Observation,
     _data_product,
+    _penalty_factors,
     _rows_first_diff,
     _rows_second_diff,
     _smoothing_solver,
@@ -38,6 +42,12 @@ def _quadratic_observation(delta=0.01, seed=3, n=50, m=45, periodic_noise=False)
         noisy = Field2D(g, vals, u.time)
     mask = RegionMask(31, 34)
     return Observation(noisy, delta, mask), u
+
+
+def _smooth(obs, region, **kwargs):
+    """smooth_region with the region's factors built as prepare builds them."""
+    factors = smoothing_factors(obs.u_delta.grid, obs.mask)[region]
+    return smooth_region(obs, region, factors, **kwargs)
 
 
 def _noised(u, delta, seed, kind="uniform"):
@@ -132,7 +142,7 @@ def test_layer_band_example1(ex1, ex1_front):
 def test_smooth_region_calibrated_postcondition():
     obs, exact = _quadratic_observation()
     for region in ("lower", "upper"):
-        reg = smooth_region(obs, region)
+        reg = _smooth(obs, region)
         assert 0.95 * reg.target <= reg.misfit <= 1.05 * reg.target
         rows = reg.rows
         err = np.sqrt(np.mean((reg.u_eps - exact.values[:, rows]) ** 2))
@@ -142,7 +152,7 @@ def test_smooth_region_calibrated_postcondition():
 
 def test_smooth_region_delta4_postcondition_periodic_measurement():
     obs, _ = _quadratic_observation(periodic_noise=True)
-    reg = smooth_region(obs, "lower", discrepancy="delta4")
+    reg = _smooth(obs, "lower", discrepancy="delta4")
     target = obs.delta ** 4
     assert 0.95 * target <= reg.misfit <= 1.05 * target
 
@@ -152,12 +162,12 @@ def test_smooth_region_delta4_unreachable_with_independent_seam_draws():
     # cannot reach delta^4; an explicit report is required, never a silent miss
     obs, _ = _quadratic_observation(periodic_noise=False)
     with pytest.raises(DiscrepancyUnreachable, match="above target"):
-        smooth_region(obs, "lower", discrepancy="delta4")
+        _smooth(obs, "lower", discrepancy="delta4")
 
 
 def test_smooth_region_noiseless_floor_rule():
     obs, exact = _quadratic_observation(delta=0.0)
-    reg = smooth_region(obs, "lower")
+    reg = _smooth(obs, "lower")
     assert reg.misfit <= 1e-14
     assert np.max(np.abs(reg.u_eps - obs.u_delta.values[:, reg.rows])) < 1e-6
 
@@ -166,7 +176,7 @@ def test_smooth_region_needs_rows():
     obs, _ = _quadratic_observation()
     tiny = Observation(obs.u_delta, obs.delta, RegionMask(1, 34), obs.noise_kind)
     with pytest.raises(LayerTooWide, match="lower region has 2 rows; need at least 3"):
-        smooth_region(tiny, "lower")
+        _smooth(tiny, "lower")
 
 
 def test_smooth_region_unreachable_top():
@@ -175,14 +185,27 @@ def test_smooth_region_unreachable_top():
     obs, _ = _quadratic_observation()
     loud = Observation(obs.u_delta, 1e3, obs.mask)
     with pytest.raises(DiscrepancyUnreachable, match="below target"):
-        smooth_region(loud, "lower")
+        _smooth(loud, "lower")
+
+
+def test_smooth_region_prepared_factors_match_fresh(ex1):
+    # the factors prepare keeps for a group give the same smoothing, bit for
+    # bit, as factors built afresh for the call
+    prep = prepare(ex1, ex1.grid(48, 48), 0.4, ex1.grid(24, 24))
+    obs = make_observation(prep.snapshot, prep.mask, 0.01, 4)
+    fresh = smoothing_factors(obs.u_delta.grid, obs.mask)
+    for region in ("lower", "upper"):
+        kept = smooth_region(obs, region, prep.factors[region])
+        new = smooth_region(obs, region, fresh[region])
+        assert kept.eps == new.eps and kept.misfit == new.misfit
+        assert kept.u_eps.tobytes() == new.u_eps.tobytes()
 
 
 def test_smoothing_error_monotone_in_delta():
     errors = []
     for delta in (0.04, 0.02, 0.01):
         obs, exact = _quadratic_observation(delta=delta, seed=11)
-        reg = smooth_region(obs, "lower")
+        reg = _smooth(obs, "lower")
         rows = reg.rows
         exact_vals = exact.values[:, rows]
         d1 = obs.u_delta.grid.d1
@@ -208,12 +231,18 @@ def _dense_rows_second_diff(r, d):
     return A / d ** 2
 
 
-@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("n", [7, 8, 50])
 @pytest.mark.parametrize("r", [3, 4, 6])
 @pytest.mark.parametrize("eps", [1e-14, 1e-4, 1e2])
 def test_smoothing_solver_matches_dense_solve(n, r, eps):
     # dense C + eps K in the smoothing's unknown order (x outer, row inner);
-    # odd and even n exercise the rfft with and without a Nyquist mode
+    # odd and even n exercise the rfft with and without a Nyquist mode, and
+    # n = 50 is the presets' observation grid.  r = 3 takes the three-row
+    # stencil, r = 4 the smallest one-sided edge rows.  The eps are the
+    # bisection bracket's ends, where the data weight meets P_0's null space
+    # (the affine functions of y) and where the penalty dominates, and a
+    # weight in between.  The solver scales the spectral factors of the
+    # mode blocks, so this checks them against the assembled matrix.
     d1, d2 = 4.0 / n, 0.2
     N = (n + 1) * r
     cxx = (np.roll(np.eye(n), 1, axis=0) - 2.0 * np.eye(n) + np.roll(np.eye(n), -1, axis=0)) / d1 ** 2
@@ -227,7 +256,7 @@ def test_smoothing_solver_matches_dense_solve(n, r, eps):
     A = np.kron(np.diag(counts), np.eye(r)) / N + eps * K
     b = np.random.default_rng(n * r).standard_normal((n, r))
     want = np.linalg.solve(A, b.ravel()).reshape(n, r)
-    got = _smoothing_solver(n, r, d1, d2)(eps, b)
+    got = _smoothing_solver(n, _penalty_factors(n, r, d1, d2))(eps, b)
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
@@ -331,6 +360,31 @@ def test_pipeline_determinism(ex1_prepared):
     r2 = run_aer_pipeline(ex1_prepared, 0.01, 5)
     assert r1.metrics["rel_err_f"] == r2.metrics["rel_err_f"]
     assert np.array_equal(r1.observation.u_delta.values, r2.observation.u_delta.values)
+
+
+def test_pipeline_result_does_not_depend_on_earlier_recoveries(ex1_prepared):
+    # the group's factors are only read: a recovery run first on a Prepared
+    # and the same recovery run after another one agree bit for bit
+    g = ex1_prepared.snapshot.grid
+    prep = replace(ex1_prepared, factors=smoothing_factors(g, ex1_prepared.mask))
+    first = run_aer_pipeline(prep, 0.02, 3)
+    run_aer_pipeline(prep, 0.04, 8)
+    again = run_aer_pipeline(prep, 0.02, 3)
+    assert first.metrics == again.metrics
+    assert (first.reconstruction.f_delta.values.tobytes()
+            == again.reconstruction.f_delta.values.tobytes())
+
+
+def test_pipeline_narrow_region(ex1_prepared):
+    # a band that leaves the lower region 2 rows gets no factors for it:
+    # smoothing reports the region, measured gradients need no smoothing
+    g = ex1_prepared.snapshot.grid
+    mask = RegionMask(1, ex1_prepared.mask.j_hi)
+    prep = replace(ex1_prepared, mask=mask, factors=smoothing_factors(g, mask))
+    assert prep.factors["lower"] is None
+    with pytest.raises(LayerTooWide, match=r"^\[smoothing\] lower region has 2 rows"):
+        run_aer_pipeline(prep, 0.01, 1)
+    assert run_aer_pipeline(prep, 0.01, 1, gradient_measured=True).smoothing is None
 
 
 def test_pipeline_gradient_branch_skips_smoothing(ex1_prepared):
