@@ -32,7 +32,7 @@ import numpy as np
 from . import asymptotics, inverse
 from .errors import AerError, AssumptionViolation, ConfigError, NumericalError
 from .expr import parse as parse_expr
-from .forward import SolverConfig, forward_solve
+from .forward import SolverConfig, column_blocks, forward_solve
 from .grid import Field2D, Grid2D
 
 # every section and key a config may hold, with its default; None marks a
@@ -340,6 +340,7 @@ def cmd_forward(cfg: RunConfig, out: str) -> int:
         "snapshots_written": [f.time for f in snaps],
         "steps": len(dts),
         "dt_history": dts,
+        "forward_blocks": column_blocks(cfg.forward_grid),
         "wall_time_s": time.perf_counter() - t_start,
     }))
     return 0
@@ -498,7 +499,9 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
             fits[axis] = {"values": xs.tolist(), "median_rel_err_f": ys.tolist(),
                           "loglog_slope": slope}
     _write_json(os.path.join(out, "study_summary.json"), _summary(cfg, {
-        "fits": fits, "runs": len(rows), "wall_time_s": time.perf_counter() - t_start}))
+        "fits": fits, "runs": len(rows),
+        "forward_blocks": [prep.forward_blocks for prep in prepared.values()],
+        "wall_time_s": time.perf_counter() - t_start}))
     return 0
 
 

@@ -9,26 +9,15 @@ fluxes for the quadratic terms with local wave speeds k|u| and |u|, a
 standard five-point Laplacian, periodic wrap in x, Dirichlet rows pinned to
 the boundary traces after every stage, and explicit two-stage Runge-Kutta
 with a CFL-limited step.  The scheme is deterministic: identical inputs
-give bit-identical snapshots.
+give bit-identical snapshots, whatever the number of column blocks.
 
 Viscous face flux.  The five-point Laplacian is a difference of face
 differences, u_E - 2u + u_W = (u_E - u) - (u - u_W), so the diffusion is
 carried by the same faces as the advection.  Each face flux is written
 already divided by its cell width, with the constants scaled once per
 solve, so a right-hand side is a difference of face values and does no
-division.
-
-Layout.  The state lives in an (n+2) x (m+1) array with axis 0 along x:
-columns 1..n hold grid columns 0..n-1, and columns 0 and n+1 are periodic
-ghosts, copied from columns n and 1 before every right-hand side.  On the
-array's flat view a y neighbour is at offset +-1 and an x neighbour at
-offset +-(m+1), so every stencil term is one contiguous slice and the x
-wrap needs no np.roll.  The stencil is evaluated over the whole flat core
-span and the two Dirichlet rows of the result are zeroed afterwards.  Work
-arrays are allocated once per solve and every step writes into them: a
-right-hand side takes 21 passes over the state and a step about 50.  Each
-node sees the same floating-point operations in the same order as the
-textbook form
+division.  Each node sees the same floating-point operations in the same
+order as the textbook form
 
     F(a, b) = cx (a^2 + b^2) - (ax max(|a|, |b|) + mx) (b - a)
     G(a, b) = cy (a^2 + b^2) - (ay max(|a|, |b|) + my) (b - a)
@@ -42,17 +31,69 @@ G_S = G(u_S, u), G_N = G(u, u_N) its y faces.  The snapshots are
 bit-identical to that form; the test suite keeps it, written with np.roll,
 as an oracle, and keeps the five-point form it replaces as a second
 reference that agrees to round-off.
+
+Column blocks.  The n grid columns are split into column_blocks(grid)
+blocks of nearly equal width, and each block marches in its own process:
+block 0 in the calling process, the others in os.fork()ed workers that do
+only ufunc passes and pipe I/O and end with os._exit.  Block b is a slab
+of (nb + 4) x (m+1) nodes, axis 0 along x: its nb grid columns and
+GHOST = 2 ghost columns on each side.  On the slab's flat view a y
+neighbour is at offset +-1 and an x neighbour at offset +-(m+1), so every
+stencil term is one contiguous slice.  A step forms r(u) on the owned
+columns and one ghost column per side, so the first stage u* is known
+there too and r(u*) on the owned columns needs nothing from another
+process; the stencil is evaluated over whole flat spans and the Dirichlet
+rows of the result are zeroed afterwards.  After the step each block posts
+its two first and two last owned columns and its max|u| to a mailbox,
+meets the others at a barrier, and copies its ghost columns from its
+neighbours' posts; every process then takes the same dt, from the same
+global max|u|.  The mailbox has one half per step parity, so a process
+that runs a step ahead never overwrites a post another still reads.  With
+one block the block is its own neighbour and the exchange is the periodic
+ghost copy, with no process started: there is one march, not two.  All
+slabs, the mailbox and the snapshot buffers are views of one anonymous
+shared mmap, allocated once per solve and returned to the system as a
+whole; a right-hand side takes 21 passes over a slab and a step about 50,
+all into that memory.
+
+The barrier is blocking: a worker writes one byte up its pipe to the
+calling process and reads one back; the calling process reads a byte from
+every worker, then writes one to each.  Only a worker holds the write end
+of its up pipe and only the calling process those of the down pipes, so a
+process that dies is seen as end of file, never waited for: a worker that
+ends early stops the march with a NumericalError, and the calling process
+kills and reaps every worker on its way out, normal or not (KeyboardInterrupt
+included).  Processes, not threads: a step is about 50 short ufunc calls,
+and two threads that each release and retake the GIL around every call
+took 1.11-1.29 s (CPU 1.5-2.1 s) on the 200 x 200 Example 1 march,
+against 1.19-1.25 s serial.  Each process's thread is pinned to its own
+CPU of os.sched_getaffinity(0) during the march (the caller's mask is
+restored afterwards): unpinned processes that wake each other through
+pipes took 0.79-1.20 s, the slowest with CPU time equal to wall time, both
+on one CPU; pinned, 0.64-0.74 s.  On Python >= 3.12, os.fork() in a
+process with OpenBLAS threads alive emits a DeprecationWarning; the
+workers call no BLAS routine.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
+import os
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .asymptotics import ProblemSpec, initial_condition
-from .errors import AssumptionViolation, SolverBlowUp
+from .errors import AssumptionViolation, NumericalError, SolverBlowUp
 from .grid import Field2D, Grid2D
+
+GHOST = 2                  # ghost columns per side of a block
+# the fewest grid nodes per block: a split pays only where a block's share
+# of a step outweighs the barrier and the fork (measurements in
+# column_blocks)
+MIN_BLOCK_NODES = 10_000
 
 
 @dataclass
@@ -70,6 +111,120 @@ class SolverConfig:
             raise ValueError("snapshot times must lie in [0, t_end]")
 
 
+def column_blocks(grid: Grid2D) -> int:
+    """The number of column blocks forward_solve marches grid in: one per
+    usable CPU, with at least MIN_BLOCK_NODES nodes and GHOST columns in
+    each, and 1 where os.fork or os.sched_setaffinity is missing.
+
+    Measured on a 2-core Xeon (KVM), Example 1 to t0 on n x n grids, wall
+    time of one solve in fresh processes, serial -> 2 blocks (CPU time):
+    50: 17-27 -> 21-32 ms; 70: 40-59 -> 29-37 ms; 85: 49-64 -> 47-67 ms;
+    100: 72-107 -> 71-77 ms (CPU 72-107 -> 127-140 ms); 150: 0.32-0.34 ->
+    0.26-0.30 s (CPU 0.32-0.33 -> 0.43-0.47 s); 200: 1.19-1.54 -> 0.64-0.93
+    s (CPU unchanged, 1.2-1.5 s); 400: 26.6 -> 13.5 s.  Starting and
+    reaping a worker costs about 3-4 ms, and each process pays the ~47 us
+    of call overhead of a step, so 100 x 100 (10201 nodes) stays serial
+    and the split starts at 2 MIN_BLOCK_NODES nodes, about 141 x 141.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(cpus, grid.n * (grid.m + 1) // MIN_BLOCK_NODES, grid.n // GHOST))
+
+
+class _Team:
+    """The worker processes of a split march and the pipes of its barrier
+    (module docstring).  Worker p, 1 <= p < blocks, has an up pipe, whose
+    write end only it holds, and a down pipe, whose write end only the
+    calling process holds."""
+
+    def __init__(self, blocks):
+        self.pids = {}
+        self.up = {p: os.pipe() for p in range(1, blocks)}
+        self.down = {p: os.pipe() for p in range(1, blocks)}
+        self.fds = {fd for pipes in (self.up, self.down) for pair in pipes.values()
+                    for fd in pair}
+
+    def start(self, p, run, cpu):
+        """Fork worker p to run(p, its barrier) pinned to cpu; it exits 0
+        when run returns and 1 when it raises."""
+        up, down = self.up[p][1], self.down[p][0]
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            raise NumericalError(f"cannot start the forward worker of column block {p}: "
+                                 f"{exc}") from exc
+        if pid == 0:
+            code = 1
+            try:
+                for fd in self.fds - {up, down}:
+                    os.close(fd)
+                os.sched_setaffinity(0, {cpu})
+                run(p, lambda: self.worker_wait(up, down))
+                code = 0
+            finally:
+                os._exit(code)
+        self.pids[p] = pid
+        for fd in (up, down):
+            os.close(fd)
+            self.fds.discard(fd)
+
+    @staticmethod
+    def worker_wait(up, down):
+        os.write(up, b"\0")
+        if not os.read(down, 1):
+            raise EOFError("the calling process is gone")
+
+    def main_wait(self):
+        """Wait for every worker's post, and release the workers.  One
+        worker waits for the calling process's post alone, so its byte goes
+        down first and each process sleeps at most once a step."""
+        if len(self.down) == 1:
+            self.release()
+        for p, (fd, _) in self.up.items():
+            if not os.read(fd, 1):
+                self.reap(p, early=True)
+        if len(self.down) > 1:
+            self.release()
+
+    def release(self):
+        for p, (_, fd) in self.down.items():
+            try:
+                os.write(fd, b"\0")
+            except BrokenPipeError:
+                self.reap(p, early=True)
+
+    def reap(self, p, early=False):
+        """Wait for worker p to end; raise if it ended early or failed."""
+        _, status = os.waitpid(self.pids.pop(p), 0)
+        code = os.waitstatus_to_exitcode(status)
+        if early or code:
+            raise NumericalError(f"forward worker of column block {p} ended "
+                                 f"{'early' if early else 'in error'} (exit status {code})")
+
+    def close(self):
+        """Kill and reap every worker still unreaped, and close the pipes."""
+        for pid in self.pids.values():
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+        self.pids.clear()
+        for fd in self.fds:
+            os.close(fd)
+        self.fds.clear()
+
+
+def _shared_zeros(size):
+    """size float64 zeros in one anonymous mapping that forked processes
+    share."""
+    try:
+        return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
+    except OSError as exc:
+        raise MemoryError(f"cannot map {8 * size} bytes for the forward march") from exc
+
+
 def forward_solve(spec: ProblemSpec, cfg: SolverConfig, u_init: Field2D | None = None,
                   record_dt: bool = False):
     """March to t_end, returning Field2D snapshots at the requested times.
@@ -83,7 +238,9 @@ def forward_solve(spec: ProblemSpec, cfg: SolverConfig, u_init: Field2D | None =
     interpolated between steps.  A trailing snapshot at t_end is not
     implied: only cfg.snapshot_times are returned.  A source or boundary
     trace that is not finite on the grid raises AssumptionViolation before
-    the first step.
+    the first step.  The march runs in column_blocks(cfg.grid) column
+    blocks (module docstring); the snapshots and dt list do not depend on
+    their number.
     """
     grid = cfg.grid
     if cfg.t_end > spec.T:
@@ -101,138 +258,210 @@ def forward_solve(spec: ProblemSpec, cfg: SolverConfig, u_init: Field2D | None =
         if not np.all(np.isfinite(vals)):
             raise AssumptionViolation(f"{name} is not finite on the solver grid")
 
-    # ghost-column layout (module docstring): U[1:n+1] holds grid columns
-    # 0..n-1, U[0] and U[n+1] copy U[n] and U[1]; on the flat view a y
-    # neighbour is at offset +-1, an x neighbour at offset +-s
     s = m + 1
-    N = n * s                              # the core span [s, s + N)
-    core = slice(s, s + N)
-    # every array of the march is a view of one block, allocated once: the
-    # state U, the first-stage state V, the square and magnitude of the
-    # state, three face-length buffers and the two stage right-hand sides.
-    # One block goes back to the system as a whole when the solve ends;
-    # separate arrays of these sizes can stay on the heap and raise the
-    # caller's peak RSS by about 2 MB at 200 x 200
-    lengths = [(n + 2) * s] * 4 + [(n + 1) * s] * 3 + [N] * 2
-    U, V, sq, mag, fa, fb, fc, r1, r2 = np.split(np.empty(sum(lengths)),
-                                                 np.cumsum(lengths)[:-1])
-    U, V = U.reshape(n + 2, s), V.reshape(n + 2, s)
-    U[1:n + 1] = u_init.values[:-1, :]
-    U[1:n + 1, 0] = trace_lo
-    U[1:n + 1, -1] = trace_hi
-    f_flat = f_vals.ravel()
+    blocks = column_blocks(grid)
+    cuts = [n * b // blocks for b in range(blocks + 1)]
+    times = cfg.snapshot_times
+    post = 2 * GHOST * s + 1               # a block's post: edge columns, max|u|
+    # per block: the state U, the first-stage state V, the square and
+    # magnitude of the state (width s each), three face buffers, r(u) on
+    # width - 2 columns and r(u*) on the owned ones
+    slab_lengths = []
+    for c0, c1 in zip(cuts, cuts[1:]):
+        width = c1 - c0 + 2 * GHOST
+        slab_lengths.append([width * s] * 4 + [(width - 1) * s] * 3
+                            + [(width - 2) * s, (c1 - c0) * s])
+    lengths = [2 * blocks * post, len(times) * (n + 1) * s] + sum(slab_lengths, [])
+    parts = np.split(_shared_zeros(sum(lengths)), np.cumsum(lengths)[:-1])
+    mailbox = parts[0].reshape(2, blocks, post)
+    snap_vals = parts[1].reshape(len(times), n + 1, s)
+    slabs = [parts[2 + 9 * b:11 + 9 * b] for b in range(blocks)]
 
     diff_bound = 1.0 / (2.0 * spec.mu * (1.0 / d1 ** 2 + 1.0 / d2 ** 2))
     # face flux constants, already divided by the cell width (docstring)
     cx, ax, mx = -0.25 * spec.k / d1, 0.5 * spec.k / d1, spec.mu / d1 ** 2
     cy, ay, my = -0.25 / d2, 0.5 / d2, spec.mu / d2 ** 2
 
-    def fill(W):
-        """Copy W's ghost columns and store |W| in mag, as rhs(W) expects."""
-        W[0] = W[n]
-        W[n + 1] = W[1]
-        np.abs(W.ravel(), out=mag)
+    def march(b, wait):
+        """Block b's march to t_end, meeting the other blocks at wait();
+        returns the dt list and the time of each snapshot taken, in order.
+        Every block takes the same steps and snapshots; block 0 also
+        checks the off-march snapshots, which need every block's part."""
+        c0, c1 = cuts[b], cuts[b + 1]
+        width = c1 - c0 + 2 * GHOST
+        u, v, sq, mag, fa, fb, fc, r1, r2 = slabs[b]
+        U, V = u.reshape(width, s), v.reshape(width, s)
+        cols = np.arange(c0 - GHOST, c1 + GHOST) % n
+        slab_lo, slab_hi = trace_lo[cols], trace_hi[cols]
+        f1 = f_vals[cols[1:-1]].ravel()        # f where r(u) is formed
+        # flat spans: the owned columns, and those with one ghost per side
+        own, wide = slice(GHOST * s, (width - GHOST) * s), slice(s, (width - 1) * s)
+        edge = GHOST * s
+        left, right = mailbox[:, (b - 1) % blocks], mailbox[:, (b + 1) % blocks]
 
-    def flux(w, lo, hi, c, alpha, nu, out):
-        """Viscous Rusanov flux c (a^2 + b^2) - (alpha max(|a|, |b|) + nu) (b - a)
-        on the faces between w[lo] = a and w[hi] = b, into out."""
-        tmp, diff = fc[:out.size], fb[:out.size]
-        np.add(sq[lo], sq[hi], out=out)
-        out *= c
-        np.maximum(mag[lo], mag[hi], out=tmp)
-        tmp *= alpha
-        tmp += nu
-        np.subtract(w[hi], w[lo], out=diff)
-        tmp *= diff
-        out -= tmp
+        # every pass of a step works on views made here, once per solve
+        def flux_passes(w, lo, hi, c, alpha, nu, out):
+            """The viscous Rusanov flux c (a^2 + b^2) - (alpha max(|a|, |b|) + nu) (b - a)
+            on the faces between w[lo] = a and w[hi] = b, into out."""
+            tmp, diff = fc[:out.size], fb[:out.size]
+            sq_lo, sq_hi, mag_lo, mag_hi, w_lo, w_hi = sq[lo], sq[hi], mag[lo], mag[hi], w[lo], w[hi]
 
-    def rhs(W, out):
-        """Semi-discrete right-hand side on the core span of W into out;
-        the Dirichlet rows of out are zero.  W's ghost columns and mag must
-        be current (fill)."""
-        w = W.ravel()
-        np.square(w, out=sq)
-        # x faces between columns r and r+1, r = 0..n; column r gets
-        # face r-1 - face r
-        flux(w, slice(0, s + N), slice(s, None), cx, ax, mx, fa)
-        np.subtract(fa[:N], fa[s:], out=out)
-        # y faces between flat nodes p and p+1 for p in [s-1, s+N); a face
-        # that wraps from one column to the next only reaches the Dirichlet
-        # rows
-        fy, gy = fa[:N + 1], fb[:N]
-        flux(w, slice(s - 1, s + N), slice(s, s + N + 1), cy, ay, my, fy)
-        np.subtract(fy[:-1], fy[1:], out=gy)
-        out += gy
-        out -= f_flat
-        o = out.reshape(n, s)
-        o[:, 0] = 0.0
-        o[:, -1] = 0.0
+            def flux():
+                np.add(sq_lo, sq_hi, out=out)
+                np.multiply(out, c, out=out)
+                np.maximum(mag_lo, mag_hi, out=tmp)
+                np.multiply(tmp, alpha, out=tmp)
+                np.add(tmp, nu, out=tmp)
+                np.subtract(w_hi, w_lo, out=diff)
+                np.multiply(tmp, diff, out=tmp)
+                np.subtract(out, tmp, out=out)
+            return flux
 
-    def close(t):
-        # after fill, U[n+1] repeats U[1]: the grid's column n
-        return Field2D(grid, U[1:].copy(), t)
+        def rhs_passes(w, first, out, f):
+            """The semi-discrete right-hand side on the slab columns from
+            first on, as many as out holds, into out; the Dirichlet rows of
+            out are zero.  mag must hold |w| one column further each side."""
+            N, base = out.size, first * s
+            span = slice(base - s, base + N + s)
+            w_span, sq_span = w[span], sq[span]
+            # x faces between columns r and r+1, r = first-1 ..; column r
+            # gets face r-1 - face r
+            x_flux = flux_passes(w, slice(base - s, base + N), slice(base, base + N + s),
+                                 cx, ax, mx, fa[:N + s])
+            fx_w, fx_e = fa[:N], fa[s:N + s]
+            # y faces between flat nodes p and p+1 for p in [base-1, base+N);
+            # a face that wraps from one column to the next only reaches
+            # the Dirichlet rows
+            y_flux = flux_passes(w, slice(base - 1, base + N), slice(base, base + N + 1),
+                                 cy, ay, my, fa[:N + 1])
+            fy_s, fy_n, gy = fa[:N], fa[1:N + 1], fb[:N]
+            o = out.reshape(-1, s)
+            rows = o[:, 0], o[:, -1]
 
-    def heun(dt, out):
-        """u + (dt/2) (r(u) + r(u*)) into the flat core out, the operations
-        and their order those of a march step; r1 = r(u) must be current.
-        Uses V and r2 as scratch."""
-        np.multiply(r1, dt, out=v)
-        np.add(v, u, out=v)
-        V[1:n + 1, 0] = trace_lo
-        V[1:n + 1, -1] = trace_hi
-        fill(V)
-        rhs(V, r2)
-        np.add(r2, r1, out=r2)
-        np.multiply(r2, 0.5 * dt, out=r2)
-        np.add(u, r2, out=out)
+            def rhs():
+                np.square(w_span, out=sq_span)
+                x_flux()
+                np.subtract(fx_w, fx_e, out=out)
+                y_flux()
+                np.subtract(fy_s, fy_n, out=gy)
+                np.add(out, gy, out=out)
+                np.subtract(out, f, out=out)
+                for row in rows:
+                    row.fill(0.0)
+            return rhs
 
-    def off_march(ts):
-        """The snapshot at ts, inside the coming step: one short step of
-        ts - t from the current state, as the last step of a solve to
-        t_end = ts takes it, so the march itself never changes."""
-        vals = np.empty((n + 1, s))
-        heun(ts - t, vals[:n].reshape(-1))
-        vals[:n, 0] = trace_lo
-        vals[:n, -1] = trace_hi
-        vals[n] = vals[0]
-        if not np.all(np.isfinite(vals)):
-            raise SolverBlowUp(f"solver blow-up at t = {ts:.6g}")
-        return Field2D(grid, vals, ts)
+        rhs_u = rhs_passes(u, 1, r1, f1)
+        rhs_v = rhs_passes(v, GHOST, r2, f1[s:-s])
+        v_wide, u_wide, mag_wide, u_own, mag_own = v[wide], u[wide], mag[wide], u[own], mag[own]
+        r1_own = r1[s:-s]
+        v_rows = (V[1:-1, 0], slab_lo[1:-1]), (V[1:-1, -1], slab_hi[1:-1])
+        own_lo, own_hi = slab_lo[GHOST:-GHOST], slab_hi[GHOST:-GHOST]
+        u_rows = (U[GHOST:-GHOST, 0], own_lo), (U[GHOST:-GHOST, -1], own_hi)
 
+        def heun(dt, out):
+            """u + (dt/2) (r(u) + r(u*)) on the owned columns into out, the
+            operations and their order those of a march step; r1 = r(u)
+            must be current.  Uses V and r2 as scratch."""
+            np.multiply(r1, dt, out=v_wide)
+            np.add(v_wide, u_wide, out=v_wide)
+            for row, trace in v_rows:
+                np.copyto(row, trace)
+            np.abs(v_wide, out=mag_wide)
+            rhs_v()
+            np.add(r2, r1_own, out=r2)
+            np.multiply(r2, 0.5 * dt, out=r2)
+            np.add(u_own, r2, out=out)
+
+        # per step parity: (post, its source) and (ghost, its source) pairs,
+        # and the posted max|u| of every block
+        posts = [((mailbox[p, b, :edge], u[edge:2 * edge]),
+                  (mailbox[p, b, edge:-1], u[-2 * edge:-edge])) for p in (0, 1)]
+        ghosts = [((u[:edge], left[p, edge:-1]), (u[-edge:], right[p, :edge])) for p in (0, 1)]
+        ghost_mag = (u[:edge], mag[:edge]), (u[-edge:], mag[-edge:])
+        maxes = mailbox[:, :, -1]
+
+        def exchange(parity):
+            """Post the edge columns and max|u|, meet the other blocks, copy
+            the ghost columns and their |u|; returns the global max|u|."""
+            np.abs(u_own, out=mag_own)
+            # nan and inf reach the max through abs and max
+            maxes[parity, b] = mag_own.max()
+            for dst, src in posts[parity]:
+                np.copyto(dst, src)
+            wait()
+            for dst, src in ghosts[parity]:
+                np.copyto(dst, src)
+            for src, dst in ghost_mag:
+                np.abs(src, out=dst)
+            return float(maxes[parity].max())
+
+        U[GHOST:-GHOST] = u_init.values[c0:c1]
+        U[:, 0] = slab_lo
+        U[:, -1] = slab_hi
+        pending = list(enumerate(times))
+        taken, dts = [], []
+        t = 0.0
+        umax = exchange(0)
+        if pending and pending[0][1] <= 1e-14:
+            snap_vals[pending.pop(0)[0], c0:c1] = U[GHOST:-GHOST]
+            taken.append(0.0)
+        while t < cfg.t_end - 1e-13:
+            dt = cfg.cfl * diff_bound
+            if umax > 0.0:
+                dt = min(dt, cfg.cfl * d1 / (spec.k * umax), cfg.cfl * d2 / umax)
+            dt = min(dt, cfg.t_end - t)
+            if dt < 1e-14:
+                raise SolverBlowUp(f"time step underflow at t = {t:.6g}")
+            rhs_u()
+            off = []
+            while pending and pending[0][1] - t < dt:
+                # a snapshot inside this step: one short step of ts - t
+                # from the current state, as the last step of a solve to
+                # t_end = ts takes it, so the march itself never changes
+                i, ts = pending.pop(0)
+                vals = snap_vals[i, c0:c1]
+                heun(ts - t, vals.reshape(-1))
+                vals[:, 0] = own_lo
+                vals[:, -1] = own_hi
+                off.append((i, ts))
+                taken.append(ts)
+            heun(dt, u_own)
+            for row, trace in u_rows:
+                np.copyto(row, trace)
+            t += dt
+            dts.append(dt)
+            umax = exchange(len(dts) % 2)
+            for i, ts in off if b == 0 else ():
+                if not np.all(np.isfinite(snap_vals[i, :n])):
+                    raise SolverBlowUp(f"solver blow-up at t = {ts:.6g}")
+            if not math.isfinite(umax):
+                raise SolverBlowUp(f"solver blow-up at t = {t:.6g}")
+            while pending and abs(t - pending[0][1]) <= 1e-12:
+                i, ts = pending.pop(0)
+                snap_vals[i, c0:c1] = U[GHOST:-GHOST]
+                taken.append(ts)
+        return dts, taken
+
+    if blocks == 1:
+        dts, taken = march(0, lambda: None)
+    else:
+        team = _Team(blocks)
+        mask = os.sched_getaffinity(0)
+        cpus = sorted(mask)
+        try:
+            for p in range(1, blocks):
+                team.start(p, march, cpus[p % len(cpus)])
+            os.sched_setaffinity(0, {cpus[0]})
+            dts, taken = march(0, team.main_wait)
+            for p in range(1, blocks):
+                team.reap(p)
+        finally:
+            team.close()
+            os.sched_setaffinity(0, mask)
     snapshots = []
-    pending = list(cfg.snapshot_times)
-    dt_history = []
-    t = 0.0
-    fill(U)
-    umax = float(mag.max())
-    if pending and pending[0] <= 1e-14:
-        snapshots.append(close(0.0))
-        pending.pop(0)
-    u, v = U.ravel()[core], V.ravel()[core]
-    while t < cfg.t_end - 1e-13:
-        dt = cfg.cfl * diff_bound
-        if umax > 0.0:
-            dt = min(dt, cfg.cfl * d1 / (spec.k * umax), cfg.cfl * d2 / umax)
-        dt = min(dt, cfg.t_end - t)
-        if dt < 1e-14:
-            raise SolverBlowUp(f"time step underflow at t = {t:.6g}")
-        rhs(U, r1)
-        while pending and pending[0] - t < dt:
-            snapshots.append(off_march(pending.pop(0)))
-        heun(dt, u)
-        U[1:n + 1, 0] = trace_lo
-        U[1:n + 1, -1] = trace_hi
-        t += dt
-        if record_dt:
-            dt_history.append(dt)
-        fill(U)
-        # max|u| sets the next dt; nan and inf reach it through abs and max
-        umax = float(mag.max())
-        if not np.isfinite(umax):
-            raise SolverBlowUp(f"solver blow-up at t = {t:.6g}")
-        while pending and abs(t - pending[0]) <= 1e-12:
-            snapshots.append(close(pending[0]))
-            pending.pop(0)
+    for vals, t in zip(snap_vals, taken):
+        vals[n] = vals[0]
+        snapshots.append(Field2D(grid, vals.copy(), t))
     if record_dt:
-        return snapshots, dt_history
+        return snapshots, dts
     return snapshots

@@ -29,7 +29,7 @@ from . import grid as gridmod
 from .asymptotics import (FrontCurve, ProblemSpec, assemble_u0, outer_branches, solve_front,
                           transition_width)
 from .errors import AerError, DiscrepancyUnreachable, LayerTooWide, ZeroNormError
-from .forward import SolverConfig, forward_solve
+from .forward import SolverConfig, column_blocks, forward_solve
 from .grid import Field2D, Grid2D, RegionMask, rel_l2_error
 
 EPS_FLOOR = 1e-12          # regularization floor for noise-free data
@@ -432,7 +432,8 @@ class Prepared:
     smoothing region's penalty factors (smoothing_factors of the grid and
     mask).  The factors depend on the grid and mask alone, so they are
     computed here once and every trial weight of every recovery in the
-    group reuses them."""
+    group reuses them.  forward_blocks is the number of column blocks the
+    forward march ran in."""
 
     spec: ProblemSpec
     snapshot: Field2D
@@ -440,6 +441,7 @@ class Prepared:
     u0_rel_error: float
     mask: RegionMask
     factors: dict
+    forward_blocks: int
 
 
 def prepare(spec: ProblemSpec, forward_grid: Grid2D, cfl: float,
@@ -453,9 +455,9 @@ def prepare(spec: ProblemSpec, forward_grid: Grid2D, cfl: float,
     region's mode blocks, see _penalty_factors), None for a region too
     narrow to smooth, whose error smooth_region reports.  u0 and the band
     read the front at its nodes and at t0."""
-    # the front goes first: freeing the forward solve's one large work block
-    # raises glibc's mmap and trim thresholds, so the smaller phi tables
-    # built after it would stay resident and raise the peak RSS
+    # the front goes first: freeing the forward solve's source and grid
+    # arrays raises glibc's mmap and trim thresholds, so the smaller phi
+    # tables built after them would stay resident and raise the peak RSS
     front = _stage("front", solve_front, spec, obs_grid, spec.t0)
     snapshot = _stage("forward", forward_solve, spec,
                       SolverConfig(forward_grid, spec.t0, cfl, [spec.t0]))[0]
@@ -465,7 +467,7 @@ def prepare(spec: ProblemSpec, forward_grid: Grid2D, cfl: float,
         spec, front, obs_grid, outer_branches(spec, obs_grid)))
     mask = _stage("observation", layer_band, front, spec, obs_grid)
     return Prepared(spec, snapshot, front, rel_l2_error(u0, snapshot), mask,
-                    smoothing_factors(obs_grid, mask))
+                    smoothing_factors(obs_grid, mask), column_blocks(forward_grid))
 
 
 @dataclass
@@ -516,6 +518,7 @@ def run_aer_pipeline(prep: Prepared, delta: float, seed: int, noise_kind: str = 
         "m_minus": obs.mask.j_lo,
         "m_plus": obs.mask.j_hi,
         "rel_err_u0": prep.u0_rel_error,
+        "forward_blocks": prep.forward_blocks,
         "rel_err_f": rel_err_f,
         "eps_f": recon.eps,
         "eps_minus": smoothing[0].eps if smoothing else None,

@@ -16,7 +16,7 @@ from aer import (
     smoothing_factors,
     solve_front,
 )
-from aer.forward import SolverConfig, forward_solve
+from aer.forward import SolverConfig, column_blocks, forward_solve
 
 
 @pytest.fixture(scope="session")
@@ -96,7 +96,7 @@ def _prepared(spec, snapshot_fine, front):
     u0 = assemble_u0(spec, front, grid, outer_branches(spec, grid))
     mask = layer_band(front, spec, grid)
     return Prepared(spec, snapshot, front, rel_l2_error(u0, snapshot), mask,
-                    smoothing_factors(grid, mask))
+                    smoothing_factors(grid, mask), column_blocks(snapshot_fine.grid))
 
 
 @pytest.fixture(scope="session")

@@ -371,6 +371,22 @@ def test_cmd_study_sweep_and_fit(tmp_path, monkeypatch):
     assert len(summary["fits"]["delta"]["values"]) == 2
 
 
+def test_summaries_record_forward_blocks(tmp_path, monkeypatch):
+    # forward_summary.json, metrics.json and study_summary.json (one entry
+    # per (mu, n) group) record the column blocks of the forward march; the
+    # count is forced to 2 here, so the tiny grids' marches are split
+    for module in (aer.forward, aer.inverse, cli):
+        monkeypatch.setattr(module, "column_blocks", lambda grid: 2)
+    path = tmp_path / "blocks.ini"
+    path.write_text(TINY + "\n[study]\ndeltas = 0.01\nseeds = 1\ngrids = 12 24\n")
+    for command, name, want in (("forward", "forward_summary.json", 2),
+                                ("invert", "metrics.json", 2),
+                                ("study", "study_summary.json", [2, 2])):
+        out = str(tmp_path / command)
+        assert main([command, "--config", str(path), "--out", out]) == 0
+        assert json.load(open(os.path.join(out, name)))["forward_blocks"] == want
+
+
 def test_cmd_study_zero_source(tmp_path):
     # an identically zero source has no relative recovery error: the study
     # leaves the cell empty, fits no axis on it, and succeeds as invert does

@@ -1,11 +1,14 @@
+import os
 import re
 
 import numpy as np
 import pytest
 
+import aer.forward
 from aer import Field2D, ProblemSpec, initial_condition, parse, rel_l2_error
-from aer.errors import AssumptionViolation, SolverBlowUp
-from aer.forward import SolverConfig, forward_solve
+from aer.cli import main
+from aer.errors import AssumptionViolation, NumericalError, SolverBlowUp
+from aer.forward import SolverConfig, column_blocks, forward_solve
 
 
 def _const_spec(c=1.0):
@@ -150,6 +153,114 @@ def test_matches_textbook_form_bit_for_bit(case, ex1, ex2):
     assert [f.time for f in snaps] == cfg.snapshot_times
     for f, ref in zip(snaps, ref_snaps, strict=True):
         assert np.array_equal(f.values, ref)
+
+
+def _force_blocks(monkeypatch, blocks):
+    monkeypatch.setattr(aer.forward, "column_blocks", lambda grid: blocks)
+
+
+@pytest.mark.parametrize("case", ROLL_CASES)
+@pytest.mark.parametrize("blocks", [2, 3])
+def test_split_march_is_bit_identical_to_one_block(blocks, case, ex1, ex2, monkeypatch):
+    """Column blocks change where a node is computed, not how: with 2 or 3
+    blocks every snapshot and every dt equal one block's, and the textbook
+    form's.  The cases cover an n that both counts divide (24), odd n not
+    divided by either (25) and odd n divided by 3 (15), a caller's u_init,
+    and snapshots inside a step (0.013, 0.03), taken off the march."""
+    spec, cfg, u_init, start = _roll_case(case, ex1, ex2)
+    _force_blocks(monkeypatch, 1)
+    one, one_dts = forward_solve(spec, cfg, u_init=u_init, record_dt=True)
+    _force_blocks(monkeypatch, blocks)
+    split, dts = forward_solve(spec, cfg, u_init=u_init, record_dt=True)
+    ref_snaps, ref_dts = _roll_solve(spec, cfg, start, "faces")
+    assert dts == one_dts == ref_dts
+    assert [f.time for f in split] == [f.time for f in one] == cfg.snapshot_times
+    for f, g, ref in zip(split, one, ref_snaps, strict=True):
+        assert f.values.tobytes() == g.values.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
+def test_split_march_takes_every_snapshot(blocks, ex2, monkeypatch):
+    # a snapshot at t = 0, two inside one step and one at t_end
+    g = ex2.grid(21, 16)
+    cfg = SolverConfig(g, 0.02, 0.4, [0.0, 0.0101, 0.0102, 0.02])
+    _force_blocks(monkeypatch, 1)
+    one, one_dts = forward_solve(ex2, cfg, record_dt=True)
+    _force_blocks(monkeypatch, blocks)
+    split, dts = forward_solve(ex2, cfg, record_dt=True)
+    assert dts == one_dts
+    assert [f.time for f in split] == [f.time for f in one] == cfg.snapshot_times
+    for f, h in zip(split, one, strict=True):
+        assert f.values.tobytes() == h.values.tobytes()
+
+
+def test_column_blocks_rule():
+    cpus = len(os.sched_getaffinity(0))
+    spec = _const_spec()
+    assert column_blocks(spec.grid(100, 100)) == 1          # 10201 nodes stay serial
+    assert column_blocks(spec.grid(200, 200)) == min(cpus, 4)
+    assert column_blocks(spec.grid(4, 20_000)) <= 2          # GHOST columns per block
+
+
+# the CPU mask the test process started with, before any split march
+START_MASK = os.sched_getaffinity(0)
+
+
+def _fail_on_call(wait, calls, exc):
+    """wait, raising exc in place of its calls-th call in each process."""
+    count = [0]
+
+    def failing(*args):
+        count[0] += 1
+        if count[0] == calls:
+            raise exc
+        return wait(*args)
+    return failing
+
+
+@pytest.mark.parametrize("ending", ["normal", "blow-up", "worker-raises", "interrupt"])
+def test_split_march_leaves_no_process(ending, ex1, monkeypatch):
+    """Whatever ends the march, every worker is reaped and the caller's CPU
+    mask is back: after a normal return, a blow-up from a nan start, a
+    worker that raises mid-march (a NumericalError, not a hang) and an
+    interrupt in the calling process."""
+    team = aer.forward._Team
+    _force_blocks(monkeypatch, 3)
+    g = ex1.grid(24, 24)
+    cfg = SolverConfig(g, 0.05, 0.4, [0.05])
+    start = initial_condition(ex1, g)
+    if ending == "normal":
+        assert len(forward_solve(ex1, cfg, u_init=start)) == 1
+    elif ending == "blow-up":
+        start.values[5, 7] = np.nan
+        with pytest.raises(SolverBlowUp):
+            forward_solve(ex1, cfg, u_init=start)
+    elif ending == "worker-raises":
+        monkeypatch.setattr(team, "worker_wait", staticmethod(
+            _fail_on_call(team.worker_wait, 5, RuntimeError("worker fault"))))
+        with pytest.raises(NumericalError, match="ended early"):
+            forward_solve(ex1, cfg, u_init=start)
+    else:
+        monkeypatch.setattr(team, "main_wait", _fail_on_call(team.main_wait, 5, KeyboardInterrupt))
+        with pytest.raises(KeyboardInterrupt):
+            forward_solve(ex1, cfg, u_init=start)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.sched_getaffinity(0) == START_MASK
+
+
+def test_dead_worker_exits_3(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "small.ini"
+    path.write_text("[forward]\nn = 12\nm = 12\nrefine = 1\n")
+    team = aer.forward._Team
+    _force_blocks(monkeypatch, 2)
+    monkeypatch.setattr(team, "worker_wait", staticmethod(
+        _fail_on_call(team.worker_wait, 3, RuntimeError("worker fault"))))
+    assert main(["forward", "--preset", "example1", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("case", ROLL_CASES)
