@@ -74,6 +74,9 @@ class ProblemSpec:
     t0: float
 
     def __post_init__(self):
+        for name in ("mu", "k", "x0", "x1", "a", "T", "h0_star", "t0"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)} is not finite")
         if not self.mu > 0:
             raise ValueError("mu must be positive")
         if self.mu > 0.5:
@@ -385,21 +388,14 @@ def _table_rows(spec: ProblemSpec, nx: int):
     return p, dy, max(4, int(np.ceil(2.0 * spec.a / dy * (1.0 - 1e-12))))
 
 
-def front_table_nodes(spec: ProblemSpec, n: int) -> int:
-    """Nodes of each first phi table of a front on an n-cell grid:
-    FRONT_REFINE n columns by ny + 1 rows.  A table and its cubics take
-    about 150 bytes per node at their peak."""
-    nx = FRONT_REFINE * n
-    return nx * (_table_rows(spec, nx)[2] + 1)
-
-
-def front_table_columns(spec: ProblemSpec, n: int) -> float:
-    """Columns the row recursion of each first phi table of a front on an
-    n-cell grid works on: FRONT_REFINE n plus p ny extension columns, a
-    float, since p grows with k beyond any int."""
-    nx = FRONT_REFINE * n
+def table_size(spec: ProblemSpec, nx: int) -> tuple:
+    """Nodes of a table whose row recursion runs on nx columns (nx by
+    ny + 1 rows; a table and its cubics take about 150 bytes per node at
+    their peak), and the columns that recursion works on: nx plus p ny
+    extension columns, a float, since p grows with k beyond any int.  The
+    first tables of a front on an n-cell grid have nx = FRONT_REFINE n."""
     p, _, ny = _table_rows(spec, nx)
-    return nx + p * ny
+    return nx * (ny + 1), nx + p * ny
 
 
 class PhiTable:
@@ -450,7 +446,9 @@ def phi_table(spec: ProblemSpec, side: str, nx: int) -> PhiTable:
     call builds its table anew.
 
     The check is at two probe heights per column.  Only if it fails is the
-    recursion refined, by the O(dy^4) error rule and at least twofold.
+    recursion refined, by the O(dy^4) error rule and at least twofold; a
+    refinement whose recursion would hold, or work on, more than
+    TABLE_NODE_BUDGET nodes or columns raises NumericalError instead.
     """
     # the probes: two y per column from the R2 low-discrepancy sequence
     # (Roberts 2018), whose irrational strides 1/g and 1/g^2 (g the plastic
@@ -461,12 +459,20 @@ def phi_table(spec: ProblemSpec, side: str, nx: int) -> PhiTable:
     exact = eval_phi(spec, side, np.broadcast_to(px, py.shape), py)
     refine = 1
     while True:
-        table = PhiTable(spec, side, nx, refine)
+        nodes, columns = table_size(spec, nx * refine)
+        if max(nodes, columns) > TABLE_NODE_BUDGET:
+            raise NumericalError(
+                f"could not reach table interpolation tolerance: the {side} table refined "
+                f"{refine}-fold would hold {nodes} nodes on {columns:.6g} recursion columns, "
+                f"over the budget of {TABLE_NODE_BUDGET}")
+        try:
+            table = PhiTable(spec, side, nx, refine)
+        except OverflowError as exc:    # rows so far apart (k tiny) that dy^2 overflows
+            raise NumericalError(f"the rows of the {side} table are too far apart for its "
+                                 f"cubics at k = {spec.k:g}: {exc}") from exc
         err = float(np.max(np.abs(table(py) - exact)))
         if err < TABLE_INTERP_TOL:
             return table
-        if table.ny > 8192:
-            raise NumericalError("could not reach table interpolation tolerance")
         refine *= max(2, int(np.ceil((err / (0.5 * TABLE_INTERP_TOL)) ** 0.25)))
 
 
@@ -603,8 +609,10 @@ def transition_width(spec: ProblemSpec, x, h0, h0x):
 
     Closed-form inversion of the logistic profile; the stretched exits are
     xi = -/+ log(2 p / mu^2 - 1) * sqrt(1 + h0x^2) / (p (1 - k h0x)) and the
-    width in y is their gap scaled back by mu * cos(alpha).  A width that
-    is not finite (mu^2 under- or overflows) raises NumericalError.
+    width in y is their gap scaled back by mu * cos(alpha).  A jump
+    p <= mu^2, whose width would not be positive, raises
+    AssumptionViolation; a width that is not finite (mu^2 under- or
+    overflows) raises NumericalError.
     """
     p = np.asarray(_layer_jump(spec, x, h0))
     c = 1.0 - spec.k * np.asarray(h0x)
@@ -612,7 +620,7 @@ def transition_width(spec: ProblemSpec, x, h0, h0x):
         raise AssumptionViolation("slope bound fails where the width is requested")
     with np.errstate(divide="ignore", over="ignore"):     # checked below
         arg = 2.0 * p / spec.mu ** 2 - 1.0
-    if np.any(arg <= 0.0):
+    if np.any(arg <= 1.0):      # p <= mu^2: the corrector never exceeds mu^2
         raise AssumptionViolation("layer jump below threshold: no mu^2 crossing exists")
     out = 2.0 * spec.mu * np.log(arg) / (p * c)
     if not np.all(np.isfinite(out)):

@@ -8,10 +8,14 @@ Subcommands
 
 Configs are INI files with [problem], [forward], [inverse], [study]
 sections; `--preset example1|example2` loads a built-in configuration that
-a config file (when also given) can override key by key.  A section or key
-outside DEFAULTS is refused.  Every JSON summary embeds the fully resolved
-configuration (defaults, then preset, then file) and seed, and CSV numbers
-carry 17 significant digits so files round-trip bit-exactly.
+a config file (when also given) can override key by key.  DEFAULTS
+declares every key once, with its default text and its parser, which
+converts and range-checks the text; load_config parses every key of every
+section, [study] included, so each subcommand refuses a section, key or
+value that is unknown or malformed before any work.  Every JSON summary
+embeds the fully resolved configuration text (defaults, then preset, then
+file; not --seed) and the seed run, and CSV numbers carry 17 significant
+digits so files round-trip bit-exactly.
 
 Exit status: 0 success, 2 assumption violation, 3 numerical failure,
 4 configuration error.
@@ -35,17 +39,63 @@ from .expr import parse as parse_expr
 from .forward import SolverConfig, column_blocks, forward_solve
 from .grid import Field2D, Grid2D
 
-# every section and key a config may hold, with its default; None marks a
-# key without one: [problem] comes from a preset or the file, and a [study]
-# axis is swept only when given
+
+def _bool(text: str) -> bool:
+    word = text.strip().lower()
+    if word not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError("expected one of 1/true/yes/on or 0/false/no/off")
+    return configparser.ConfigParser.BOOLEAN_STATES[word]
+
+
+def _one_of(*words):
+    def parse(text: str) -> str:
+        if text not in words:
+            raise ValueError(f"have {list(words)}")
+        return text
+    return parse
+
+
+def _list(conv):
+    """Parser of a list of conv values separated by blanks or commas."""
+    return lambda text: [conv(tok) for tok in text.replace(",", " ").split()]
+
+
+def _delta(text: str) -> float:
+    delta = float(text)
+    # the relative level of the noise factor 1 + delta (2 rand - 1)
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta {delta} must lie in [0, 1]")
+    return delta
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    # the Philox key of the noise holds 128 bits
+    if not 0 <= seed < 2 ** 128:
+        raise ValueError(f"seed {seed} must lie in [0, 2^128)")
+    return seed
+
+
+# every section and key a config may hold, as (default text, parser); the
+# parser converts the text and checks its range, raising ValueError.  A
+# None default marks a key without one: [problem] comes from a preset or
+# the file, and a [study] axis is swept only when given
 DEFAULTS = {
-    "problem": dict.fromkeys(("mu", "k", "x0", "x1", "a", "T", "u_minus_a", "u_plus_a",
-                              "f", "h0_star", "t0")),
-    "forward": {"n": "50", "m": "50", "cfl": "0.4", "refine": "4", "snapshots": ""},
-    "inverse": {"delta": "0.01", "seed": "1", "noise": "uniform",
-                "gradient_measured": "false", "discrepancy": "calibrated"},
-    "study": dict.fromkeys(("deltas", "mus", "grids", "seeds")),
+    "problem": {"mu": (None, float), "k": (None, float), "x0": (None, float),
+                "x1": (None, float), "a": (None, float), "T": (None, float),
+                "u_minus_a": (None, parse_expr), "u_plus_a": (None, parse_expr),
+                "f": (None, parse_expr), "h0_star": (None, float), "t0": (None, float)},
+    "forward": {"n": ("50", int), "m": ("50", int), "cfl": ("0.4", float),
+                "refine": ("4", int), "snapshots": ("", _list(float))},
+    "inverse": {"delta": ("0.01", _delta), "seed": ("1", _seed),
+                "noise": ("uniform", _one_of("uniform", "gaussian")),
+                "gradient_measured": ("false", _bool),
+                "discrepancy": ("calibrated", _one_of("calibrated", "delta4"))},
+    "study": {"deltas": (None, _list(_delta)), "mus": (None, _list(float)),
+              "grids": (None, _list(int)), "seeds": (None, _list(_seed))},
 }
+# the run setting, a study.csv column, that each [study] key sweeps
+STUDY_AXES = {"deltas": "delta", "mus": "mu", "grids": "n", "seeds": "seed"}
 PRESETS = {
     "example1": {
         "problem": {
@@ -64,8 +114,6 @@ PRESETS = {
         "forward": {"snapshots": "0.2"},
     },
 }
-NOISE_KINDS = ("uniform", "gaussian")
-DISCREPANCY_MODES = ("calibrated", "delta4")
 
 
 @dataclass
@@ -101,7 +149,7 @@ def _merge(preset: str | None, path: str | None) -> dict:
         raise ConfigError("no preset and no config file given")
     if preset and preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
-    merged = {section: {key: value for key, value in keys.items() if value is not None}
+    merged = {section: {key: default for key, (default, _) in keys.items() if default is not None}
               for section, keys in DEFAULTS.items()}
     for section, values in PRESETS.get(preset, {}).items():
         merged[section].update(values)
@@ -129,50 +177,21 @@ def _merge(preset: str | None, path: str | None) -> dict:
     return merged
 
 
-def _get(section: dict, key: str, conv):
-    if key not in section:
-        raise ConfigError(f"missing config key {key!r}")
+def _parse(section: str, key: str, text: str):
     try:
-        return conv(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {section[key]!r} ({exc})") from exc
-
-
-def _bool(text: str) -> bool:
-    word = text.strip().lower()
-    if word not in configparser.ConfigParser.BOOLEAN_STATES:
-        raise ValueError("expected one of 1/true/yes/on or 0/false/no/off")
-    return configparser.ConfigParser.BOOLEAN_STATES[word]
-
-
-def _floats(text: str) -> list:
-    return [float(tok) for tok in text.replace(",", " ").split()]
-
-
-def _ints(text: str) -> list:
-    return [int(tok) for tok in text.replace(",", " ").split()]
-
-
-def _check_noise(section: str, deltas: list, seeds: list):
-    for delta in deltas:
-        # the relative level of the noise factor 1 + delta (2 rand - 1)
-        if not 0.0 <= delta <= 1.0:
-            raise ConfigError(f"[{section}] delta = {delta}: must lie in [0, 1]")
-    for seed in seeds:
-        # the Philox key of the noise holds 128 bits
-        if not 0 <= seed < 2 ** 128:
-            raise ConfigError(f"[{section}] seed = {seed}: must lie in [0, 2^128)")
+        return DEFAULTS[section][key][1](text)
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"[{section}] {key} = {text!r}: {exc}") from exc
 
 
 def _check_table_size(section: str, spec: asymptotics.ProblemSpec, n: int):
     """A front whose phi tables would hold, or whose row recursion would
     work on, more than the node budget is refused before any work."""
     budget = asymptotics.TABLE_NODE_BUDGET
-    nodes = asymptotics.front_table_nodes(spec, n)
+    nodes, columns = asymptotics.table_size(spec, asymptotics.FRONT_REFINE * n)
     if nodes > budget:
         raise ConfigError(f"[{section}] n = {n}: each phi table of the front would hold "
                           f"{nodes} nodes, over the budget of {budget}")
-    columns = asymptotics.front_table_columns(spec, n)
     if columns > budget:
         raise ConfigError(f"[{section}] n = {n}, k = {spec.k:g}: the row recursion of each "
                           f"phi table of the front would work on {columns:.6g} columns, "
@@ -181,50 +200,22 @@ def _check_table_size(section: str, spec: asymptotics.ProblemSpec, n: int):
 
 def load_config(preset: str | None, path: str | None, seed_override: int | None = None) -> RunConfig:
     raw = _merge(preset, path)
-    prob = raw["problem"]
-    fwd = raw["forward"]
-    inv = raw["inverse"]
-    fields = dict(
-        mu=_get(prob, "mu", float),
-        k=_get(prob, "k", float),
-        x0=_get(prob, "x0", float),
-        x1=_get(prob, "x1", float),
-        a=_get(prob, "a", float),
-        T=_get(prob, "T", float),
-        u_minus_a=parse_expr(_get(prob, "u_minus_a", str)),
-        u_plus_a=parse_expr(_get(prob, "u_plus_a", str)),
-        f=parse_expr(_get(prob, "f", str)),
-        h0_star=_get(prob, "h0_star", float),
-        t0=_get(prob, "t0", float),
-    )
+    texts = raw
+    if seed_override is not None:     # raw, the record of the config, keeps the file's seed
+        texts = dict(raw, inverse=dict(raw["inverse"], seed=str(seed_override)))
+    values = {section: {key: _parse(section, key, text) for key, text in keys.items()}
+              for section, keys in texts.items()}
+    missing = [key for key in DEFAULTS["problem"] if key not in values["problem"]]
+    if missing:
+        raise ConfigError(f"missing config keys {missing} in [problem]")
     try:
-        spec = asymptotics.ProblemSpec(**fields)
+        spec = asymptotics.ProblemSpec(**values["problem"])
     except ValueError as exc:     # a range or periodicity error in [problem]
         raise ConfigError(f"[problem] {exc}") from exc
-    seed = seed_override if seed_override is not None else _get(inv, "seed", int)
-    run = RunConfig(
-        spec=spec,
-        n=_get(fwd, "n", int),
-        m=_get(fwd, "m", int),
-        cfl=_get(fwd, "cfl", float),
-        refine=_get(fwd, "refine", int),
-        snapshots=_get(fwd, "snapshots", _floats),
-        delta=_get(inv, "delta", float),
-        seed=seed,
-        noise=_get(inv, "noise", str),
-        gradient_measured=_get(inv, "gradient_measured", _bool),
-        discrepancy=_get(inv, "discrepancy", str),
-        study=raw["study"],
-        raw=raw,
-    )
-    # out-of-range [inverse] and [forward] values exit 4 here, before any
-    # work, instead of ending in a traceback
-    _check_noise("inverse", [run.delta], [run.seed])
-    if run.noise not in NOISE_KINDS:
-        raise ConfigError(f"[inverse] noise = {run.noise!r}; have {list(NOISE_KINDS)}")
-    if run.discrepancy not in DISCREPANCY_MODES:
-        raise ConfigError(f"[inverse] discrepancy = {run.discrepancy!r}; "
-                          f"have {list(DISCREPANCY_MODES)}")
+    axes = {STUDY_AXES[key]: vals for key, vals in values["study"].items() if vals}
+    run = RunConfig(spec, **values["forward"], **values["inverse"], study=axes, raw=raw)
+    # the [forward] values together: grids and snapshot times the solver
+    # would refuse exit 4 here, before any work, not in a traceback
     try:
         for grid in (run.obs_grid, run.forward_grid):
             SolverConfig(grid, spec.T, run.cfl, run.snapshots)
@@ -404,23 +395,9 @@ def _cell(v) -> str:
     return _fmt(v) if isinstance(v, float) else str(v)
 
 
-def _study_axes(cfg: RunConfig) -> dict:
-    study = cfg.study
-    axes = {}
-    if study.get("deltas"):
-        axes["delta"] = _floats(study["deltas"])
-    if study.get("mus"):
-        axes["mu"] = _floats(study["mus"])
-    if study.get("grids"):
-        axes["n"] = _ints(study["grids"])
-    if study.get("seeds"):
-        axes["seed"] = _ints(study["seeds"])
-    return axes
-
-
-def _study_runs(cfg: RunConfig, axes: dict) -> list:
+def _study_runs(cfg: RunConfig) -> list:
     runs = [{"mu": cfg.spec.mu, "delta": cfg.delta, "n": cfg.n, "seed": cfg.seed}]
-    for name, values in axes.items():
+    for name, values in cfg.study.items():
         runs = [dict(r, **{name: v}) for r in runs for v in values]
     return runs
 
@@ -436,12 +413,10 @@ def _mid_width(prep: inverse.Prepared) -> float:
 
 def cmd_study(cfg: RunConfig, out: str) -> int:
     t_start = time.perf_counter()
-    try:
-        axes = _study_axes(cfg)
-    except ValueError as exc:     # a token that is not a number
-        raise ConfigError(f"[study] {exc}") from exc
-    _check_noise("study", axes.get("delta", []), axes.get("seed", []))
-    runs = _study_runs(cfg, axes)
+    if cfg.m != cfg.n:
+        raise ConfigError(f"[forward] m = {cfg.m} differs from n = {cfg.n}: "
+                          "aer study runs on square n x n grids")
+    runs = _study_runs(cfg)
     base_spec = cfg.spec
 
     # the forward snapshot, front and u0 depend only on (mu, n): prepare each
@@ -486,8 +461,8 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
     fits = {}
     # a zero source leaves rel_err_f undefined, and with it every median
     defined = all(row["rel_err_f"] is not None for row in rows)
-    for axis in axes:
-        if axis == "seed" or len(axes[axis]) < 2 or not defined:
+    for axis, values in cfg.study.items():
+        if axis == "seed" or len(values) < 2 or not defined:
             continue
         med = {}
         for row in rows:

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as gridmod
-from .asymptotics import (FrontCurve, ProblemSpec, assemble_u0, outer_branches, solve_front,
-                          transition_width)
-from .errors import AerError, DiscrepancyUnreachable, LayerTooWide, ZeroNormError
+from .asymptotics import (FrontCurve, ProblemSpec, assemble_u0, check_assumption1,
+                          outer_branches, solve_front, transition_width)
+from .errors import (AerError, AssumptionViolation, DiscrepancyUnreachable, LayerTooWide,
+                     ZeroNormError)
 from .forward import SolverConfig, column_blocks, forward_solve
 from .grid import Field2D, Grid2D, RegionMask, rel_l2_error
 
@@ -446,7 +447,8 @@ class Prepared:
 
 def prepare(spec: ProblemSpec, forward_grid: Grid2D, cfl: float,
             obs_grid: Grid2D) -> Prepared:
-    """Run the shared stages, each under its stage label: the front on
+    """Check Assumption 1 (the boundary traces), as aer asymptote does, and
+    run the shared stages, each under its stage label: the front on
     obs_grid up to t0 (stored at FRONT_OUTPUTS + 1 times, t0 the last); the
     forward solve to t0 on forward_grid at CFL number cfl, restricted to
     obs_grid; u0 on obs_grid, whose only use is its error against the
@@ -455,6 +457,9 @@ def prepare(spec: ProblemSpec, forward_grid: Grid2D, cfl: float,
     region's mode blocks, see _penalty_factors), None for a region too
     narrow to smooth, whose error smooth_region reports.  u0 and the band
     read the front at its nodes and at t0."""
+    rep = check_assumption1(spec)
+    if not rep.ok:
+        raise AssumptionViolation("Assumption 1 violated: " + "; ".join(rep.messages))
     # the front goes first: freeing the forward solve's source and grid
     # arrays raises glibc's mmap and trim thresholds, so the smaller phi
     # tables built after them would stay resident and raise the peak RSS

@@ -228,8 +228,8 @@ def test_table_size_of_an_overflowing_stride(ex1):
     # 2 a k / L overflows to inf: the row count still comes out (the spans
     # of the characteristics, not the table size, make such a problem fail)
     spec = dataclasses.replace(ex1, k=1e308)
-    assert asymptotics.front_table_nodes(spec, 50) == 200 * 5
-    assert asymptotics.front_table_nodes(ex1, 50) == 200 * 201
+    assert asymptotics.table_size(spec, 200)[0] == 200 * 5
+    assert asymptotics.table_size(ex1, 200)[0] == 200 * 201
 
 
 def test_table_build_calls_f_once_per_block(ex2):
@@ -525,11 +525,14 @@ def test_transition_width_mu_scaling():
 
 
 def test_transition_width_threshold_error():
-    s = ProblemSpec(mu=0.4, k=1.0, x0=-1.0, x1=1.0, a=1.0, T=1.0,
-                    u_minus_a=parse("-0.05"), u_plus_a=parse("0.05"),
-                    f=parse("0"), h0_star=0.0, t0=0.5)
-    with pytest.raises(AssumptionViolation, match="layer jump below threshold"):
-        transition_width(s, 0.0, 0.0, 0.0)
+    # the jump p = 0.05 is below mu^2 / 2 at mu = 0.4, and in (mu^2 / 2, mu^2]
+    # at mu = 0.3, where log(2 p / mu^2 - 1) would give a negative width
+    for mu in (0.4, 0.3):
+        s = ProblemSpec(mu=mu, k=1.0, x0=-1.0, x1=1.0, a=1.0, T=1.0,
+                        u_minus_a=parse("-0.05"), u_plus_a=parse("0.05"),
+                        f=parse("0"), h0_star=0.0, t0=0.5)
+        with pytest.raises(AssumptionViolation, match="layer jump below threshold"):
+            transition_width(s, 0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

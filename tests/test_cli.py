@@ -79,8 +79,15 @@ def test_config_overrides_preset(tmp_path):
 
 
 def test_seed_override():
+    # --seed goes through the seed's parser, and the config on record
+    # keeps the preset's (or the file's) seed
     cfg = load_config("example1", None, seed_override=77)
     assert cfg.seed == 77
+    assert cfg.raw == load_config("example1", None).raw
+    assert cfg.raw["inverse"]["seed"] == "1"
+    for seed in (-1, 2 ** 128):
+        with pytest.raises(ConfigError, match="must lie in"):
+            load_config("example1", None, seed_override=seed)
 
 
 def test_field_csv_round_trip(tmp_path):
@@ -251,6 +258,13 @@ def test_invalid_problem_data_exit_codes(tmp_path, command, old, new, code):
                  id="study-seed-2^128"),
     pytest.param("invert", "seed = 1", "seed = 1\ngradient_measured = maybe",
                  id="gradient-measured"),
+    # every subcommand parses [study], so a malformed value stops them all
+    pytest.param("forward", "[inverse]", "[study]\nseeds = 1 x\n\n[inverse]",
+                 id="forward-study-seed-token"),
+    pytest.param("asymptote", "[inverse]", "[study]\ndeltas = 0.01 1.5\n\n[inverse]",
+                 id="asymptote-study-deltas"),
+    pytest.param("invert", "[inverse]", "[study]\ngrids = 24 2.5\n\n[inverse]",
+                 id="invert-study-grid-token"),
 ])
 def test_out_of_range_run_settings_exit_code(tmp_path, command, old, new):
     path = tmp_path / "range.ini"
@@ -533,6 +547,90 @@ def test_table_columns_exit_code(tmp_path, capsys, command, k):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["asymptote", "invert"])
+@pytest.mark.parametrize("k", ["1e-8", "1e-300"])
+def test_table_refinement_budget_exit_code(tmp_path, capsys, command, k):
+    # at a tiny k the table rows stay 4, so its refinement would grow the
+    # recursion's columns without end; each refinement is held to the
+    # node budget, and at 1e-300 dy^2 overflows on the first table
+    path = tmp_path / "k.ini"
+    path.write_text(f"[problem]\nk = {k}\n")
+    start = time.perf_counter()
+    code = main([command, "--preset", "example2", "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - start < 5.0
+    assert code in (3, 4)
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["invert", "study"])
+@pytest.mark.parametrize("text, message", [
+    pytest.param("u_minus_a = 1\nf = 0", "u^{-a} not negative", id="positive-trace"),
+    # a jump p = 0.05 <= mu^2 = 0.09, so the layer width would be negative
+    pytest.param("mu = 0.3\nu_minus_a = -0.05\nu_plus_a = 0.05\nf = 0",
+                 "trace gap does not exceed 2*mu^2", id="small-jump"),
+])
+def test_assumption1_exit_code(tmp_path, capsys, command, text, message):
+    # invert and study check the traces as asymptote does, before any work
+    path = tmp_path / "a1.ini"
+    path.write_text(f"[problem]\n{text}\n")
+    code = main([command, "--preset", "example2", "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"Assumption 1 violated: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+@pytest.mark.parametrize("name", ["mu", "k", "x0", "x1", "a", "T", "h0_star", "t0"])
+def test_nonfinite_problem_number_exit_code(tmp_path, capsys, name, value):
+    path = tmp_path / "inf.ini"
+    path.write_text(f"[problem]\n{name} = {value}\n")
+    code = main(["invert", "--preset", "example2", "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert code == 4
+    assert f"{name} = {float(value)} is not finite" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_study_refuses_rectangular_grid(tmp_path, capsys):
+    # study builds n x n grids; an m that differs is refused, not ignored
+    path = tmp_path / "rect.ini"
+    path.write_text(TINY.replace("m = 24", "m = 20"))
+    assert main(["study", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+    assert "m = 20 differs from n = 24" in capsys.readouterr().err
+
+
+# a non-default text for every [forward], [inverse] and [study] key, and the
+# value the run must carry for it
+NON_DEFAULT = {
+    "forward": {"n": ("40", 40), "m": ("30", 30), "cfl": ("0.3", 0.3), "refine": ("3", 3),
+                "snapshots": ("0.1, 0.25", [0.1, 0.25])},
+    "inverse": {"delta": ("0.02", 0.02), "seed": ("9", 9), "noise": ("gaussian", "gaussian"),
+                "gradient_measured": ("yes", True), "discrepancy": ("delta4", "delta4")},
+    "study": {"deltas": ("0.04 0.02", [0.04, 0.02]), "mus": ("0.06,0.05", [0.06, 0.05]),
+              "grids": ("20 30", [20, 30]), "seeds": ("3 4", [3, 4])},
+}
+
+
+def test_config_table_and_run_in_step(tmp_path):
+    # every key of the table reaches the run with its own value
+    text = "".join(f"[{section}]\n" + "".join(f"{key} = {t}\n" for key, (t, _) in keys.items())
+                   for section, keys in NON_DEFAULT.items())
+    path = tmp_path / "all.ini"
+    path.write_text(text)
+    cfg = load_config("example1", str(path))
+    for section, keys in NON_DEFAULT.items():
+        assert list(keys) == list(cli.DEFAULTS[section])
+        for key, (text, value) in keys.items():
+            assert text != cli.DEFAULTS[section][key][0]
+            assert cfg.raw[section][key] == text
+            if section != "study":
+                assert getattr(cfg, key) == value, key
+    study = {key: value for key, (_, value) in NON_DEFAULT["study"].items()}
+    assert cfg.study == {"delta": study["deltas"], "mu": study["mus"],
+                         "n": study["grids"], "seed": study["seeds"]}
+
+
 @pytest.mark.parametrize("preset", ["example1", "example2"])
 def test_table_budget_admits_the_presets(tmp_path, preset):
     # n = 255 is the largest grid of either preset within the budget
@@ -568,15 +666,16 @@ def test_cmd_study_single_point(tmp_path):
         assert int(row[key]) == metrics[key], key
 
 
-@pytest.mark.parametrize("command, text", [
-    pytest.param("asymptote", "", id="asymptote"),
-    pytest.param("invert", "", id="invert"),
-    pytest.param("study", "\n[study]\ngrids = 23\n", id="study")])
-def test_odd_grid(tmp_path, command, text):
+@pytest.mark.parametrize("command, m, text", [
+    pytest.param("asymptote", 24, "", id="asymptote"),
+    pytest.param("invert", 24, "", id="invert"),
+    # aer study runs on n x n grids and refuses m != n
+    pytest.param("study", 23, "\n[study]\ngrids = 23\n", id="study")])
+def test_odd_grid(tmp_path, command, m, text):
     # with n odd the middle of the period (study's width_x0) is a front node
     # (the front has 4 n) but not a grid node; the front is read at its nodes
     path = tmp_path / "odd.ini"
-    path.write_text(TINY.replace("n = 24", "n = 23") + text)
+    path.write_text(TINY.replace("n = 24", "n = 23").replace("m = 24", f"m = {m}") + text)
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
