@@ -419,7 +419,12 @@ class PhiTable:
         self._sign = 1.0 if side == "plus" else -1.0
         ys = self._sign * (spec.a - self.dy * np.arange(self.ny + 1))
         _, trace = _boundary_foot(spec, side, xs[:, None], ys)
-        rad = np.asarray(trace) ** 2 - (2.0 / spec.k) * integral
+        # a radicand that overflows (k tiny) is a numerical failure, not one
+        # that passes rad > 0 as +inf; a nan radicand still fails Assumption 2
+        with np.errstate(over="ignore"):
+            rad = np.asarray(trace) ** 2 - (2.0 / spec.k) * integral
+        if np.isinf(rad).any():
+            raise NumericalError(f"the {side} table's radicand overflows at k = {spec.k:g}")
         if not np.all(rad > 0.0):
             raise AssumptionViolation(
                 f"Assumption 2 violated on the table grid: min radicand {rad.min():.6g}")

@@ -420,8 +420,8 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
     base_spec = cfg.spec
 
     # the forward snapshot, front and u0 depend only on (mu, n): prepare each
-    # group once, after every group has been checked, instead of per
-    # (delta, seed) combination
+    # group once, after every group has been checked (its grid, table size
+    # and traces), instead of per (delta, seed) combination
     groups = {}
     for run in runs:
         key = (run["mu"], run["n"])
@@ -435,6 +435,7 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
         except ValueError as exc:     # a mus or grids value out of range
             raise ConfigError(f"[study] mu = {mu}, n = {n}: {exc}") from exc
         _check_table_size("study", spec, n)
+        inverse.require_assumption1(spec)
     prepared = {key: inverse.prepare(*group) for key, group in groups.items()}
     widths = {key: _mid_width(prep) for key, prep in prepared.items()}
 

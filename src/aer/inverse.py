@@ -11,12 +11,17 @@ The end-to-end chain has two parts.  prepare runs the stages that every
 front, u0 error, layer band) and returns them as a frozen Prepared.
 run_aer_pipeline runs one recovery from it: it noises the snapshot,
 smooths each region outside the band (or takes the measured gradients),
-forms the data product u (k u_x + u_y) on the retained rows, and has
+forms the data product u (k u_x + u_y) on the retained rows, taking the
+differences of the smoothed values there with the grid's stencils, and has
 reconstruct_source fit the source to that product.  Prepared also carries
 each smoothing region's penalty factors, so the bisection's trial weights
 cost a diagonal scaling each.  No state outlives a call (Prepared is the
 caller's, and is only read), so a result depends on its inputs alone,
 whatever ran before it.
+
+Both fits (smoothing and reconstruction) build their penalty's Fourier mode
+blocks with _mode_blocks, invert them their own way, and solve exactly with
+the one _folded_periodic_solve.
 """
 
 from __future__ import annotations
@@ -111,7 +116,7 @@ def layer_band(front: FrontCurve, spec: ProblemSpec, grid: Grid2D) -> RegionMask
 
 
 # ---------------------------------------------------------------------------
-# y stencils and the folded periodic solver
+# y stencils, mode blocks and the folded periodic solve
 
 def _rows_second_diff(r, d):
     """r x r matrix of grid.diff2_y_values on r rows of spacing d."""
@@ -123,41 +128,38 @@ def _rows_first_diff(r, d):
     return gridmod.diff_y_values(np.eye(r), d).T
 
 
-def _folded_periodic_solver(n: int, weight: np.ndarray, inverse_blocks):
-    """Exact solver of (diag(2, 1, ..., 1) (x) diag(weight) + eps K) v = b.
+def _mode_blocks(c: np.ndarray, t_w: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """c_k diag(t_w) + D^T diag(t_w) D for each mode weight c_k: the x
+    penalty's share of Fourier mode k plus the y penalty of the rows'
+    difference matrix D, both with the trapezoid weights t_w in y."""
+    return c[:, None, None] * np.diag(t_w) + diff.T @ (t_w[:, None] * diff)
+
+
+def _folded_periodic_solve(weight: np.ndarray, b_inv: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """v solving (diag(2, 1, ..., 1) (x) diag(weight) + eps K) v = b exactly.
 
     Unknowns are v[i, j], i < n the periodic x columns (column n folded onto
-    column 0, hence its doubled data weight), j < r the rows.  K is block
-    circulant in x with a real symmetric r x r block for each Fourier mode
-    k = 0..n/2.  An rfft along x turns the uniform part into the blocks
-    B_k = diag(weight) + eps K_k; inverse_blocks(eps) returns the stack of
-    their inverses, shape (n/2 + 1, r, r), so the caller chooses how they are
-    formed (a batched inverse, or a diagonal scaling of factors computed
-    once).  The extra weight of column 0 is the update U diag(w_s) U^T,
-    U = e_0 (x) (the rows s with nonzero weight), removed exactly by the
-    Woodbury identity with capacitance diag(1/w_s) + G[s, s], where
-    G = (1/n) sum_k mult_k B_k^-1 is the (0, 0) block of B^-1 (modes 0 and
-    n/2 count once, the others twice).
-
-    Returns solve(eps, b) for b of shape (n, r).
+    column 0, hence its doubled data weight), j < r the rows; b has shape
+    (n, r).  K is block circulant in x with a real symmetric r x r block for
+    each Fourier mode k = 0..n/2.  An rfft along x turns the uniform part
+    into the blocks B_k = diag(weight) + eps K_k, and b_inv is the stack of
+    their inverses, shape (n/2 + 1, r, r).  The extra weight of column 0 is
+    the update U diag(w_s) U^T, U = e_0 (x) (the rows s with nonzero
+    weight), removed exactly by the Woodbury identity with capacitance
+    diag(1/w_s) + G[s, s], where G = (1/n) sum_k mult_k B_k^-1 is the (0, 0)
+    block of B^-1 (modes 0 and n/2 count once, the others twice).
     """
-    k = np.arange(n // 2 + 1)
-    mult = np.full(k.size, 2.0)
+    n = b.shape[0]
+    mult = np.full(b_inv.shape[0], 2.0)
     mult[0] = 1.0
     if n % 2 == 0:
         mult[-1] = 1.0
     seam = np.flatnonzero(weight)
-    inv_weight = np.diag(1.0 / weight[seam])
-
-    def solve(eps, b):
-        b_inv = inverse_blocks(eps)
-        y = np.fft.irfft((b_inv @ np.fft.rfft(b, axis=0)[..., None])[..., 0], n, axis=0)
-        g = np.tensordot(mult, b_inv, axes=1) / n
-        z = np.zeros(weight.size)
-        z[seam] = np.linalg.solve(inv_weight + g[np.ix_(seam, seam)], y[0, seam])
-        return y - np.fft.irfft(b_inv @ z, n, axis=0)
-
-    return solve
+    y = np.fft.irfft((b_inv @ np.fft.rfft(b, axis=0)[..., None])[..., 0], n, axis=0)
+    g = np.tensordot(mult, b_inv, axes=1) / n
+    z = np.zeros(weight.size)
+    z[seam] = np.linalg.solve(np.diag(1.0 / weight[seam]) + g[np.ix_(seam, seam)], y[0, seam])
+    return y - np.fft.irfft(b_inv @ z, n, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +167,10 @@ def _folded_periodic_solver(n: int, weight: np.ndarray, inverse_blocks):
 
 @dataclass
 class RegionSmoothing:
+    """One region's fitted values; run_aer_pipeline differences them."""
+
     rows: np.ndarray            # grid row indices of this region
     u_eps: np.ndarray           # (n+1, R) smoothed values
-    ux: np.ndarray              # (n+1, R) d/dx of the smoothed values
-    uy: np.ndarray              # (n+1, R) d/dy
     eps: float
     misfit: float               # achieved mean-square data misfit
     target: float
@@ -215,12 +217,9 @@ def _penalty_factors(n: int, r: int, d1: float, d2: float):
     trap = np.full(r, 1.0)
     trap[0] = trap[-1] = 0.5
     t_w = d1 * d2 * trap
-    r_yy = _rows_second_diff(r, d2)
-    q_w = r_yy.T @ (t_w[:, None] * r_yy)
     k = np.arange(n // 2 + 1)
     p = ((2.0 * np.cos(2.0 * np.pi * k / n) - 2.0) / d1 ** 2) ** 2
-    penalty = p[:, None, None] * np.diag(t_w) + q_w          # p_k T + Q per mode
-    vecs, vals, _ = np.linalg.svd(penalty)
+    vecs, vals, _ = np.linalg.svd(_mode_blocks(p, t_w, _rows_second_diff(r, d2)))
     return vecs, vals
 
 
@@ -237,28 +236,17 @@ def smoothing_factors(grid: Grid2D, mask: RegionMask) -> dict:
     return factors
 
 
-def _smoothing_solver(n: int, factors: tuple):
-    """Exact solver of the normal equations (C + eps K) v = b of smooth_region.
+def _smoothing_inverses(factors: tuple, w: float, eps: float) -> np.ndarray:
+    """Inverses of the smoothing's mode blocks B_k = w I + eps P_k.
 
-    Unknowns are v[i, j], i < n the periodic x columns, j < r the region rows,
-    and factors = (vecs, vals) of K's mode blocks (_penalty_factors).
-    C = (diag(2, 1, ..., 1) (x) I_r) / N, N = (n + 1) r, because column n
-    folds onto column 0.  The data weight w = 1/N is uniform, so
-    B_k^-1 = (w + eps P_k)^-1 = vecs[k] diag(1 / (w + eps vals[k])) vecs[k]^T:
-    every trial weight costs a diagonal scaling and one batched product, not
-    a factorisation.  See _folded_periodic_solver.
-
-    Returns solve(eps, b) for b of shape (n, r).
+    factors = (vecs, vals) of the penalty blocks P_k (_penalty_factors) and
+    w the uniform data weight, so
+    B_k^-1 = vecs[k] diag(1 / (w + eps vals[k])) vecs[k]^T: every trial
+    weight costs a diagonal scaling and one batched product, not a
+    factorisation.
     """
     vecs, vals = factors
-    r = vals.shape[-1]
-    w = 1.0 / ((n + 1) * r)
-    vecs_t = vecs.transpose(0, 2, 1)
-
-    def inverse_blocks(eps):
-        return (vecs / (w + eps * vals)[:, None, :]) @ vecs_t
-
-    return _folded_periodic_solver(n, np.full(r, w), inverse_blocks)
+    return (vecs / (w + eps * vals)[:, None, :]) @ vecs.transpose(0, 2, 1)
 
 
 def smooth_region(obs: Observation, region: str, factors: tuple,
@@ -278,8 +266,9 @@ def smooth_region(obs: Observation, region: str, factors: tuple,
     smoothing_factors(grid, mask)[region]; prepare builds them once per
     group, so every trial weight of every recovery is a diagonal scaling of
     them.  Each trial solves the SPD normal equations directly and exactly
-    (Fourier in x, Woodbury for the folded seam column; see
-    _smoothing_solver), so cg_iterations is 0.
+    with _folded_periodic_solve, whose block inverses _smoothing_inverses
+    scales from the factors, so cg_iterations is 0.  Only the fitted values
+    are returned; run_aer_pipeline takes their differences.
     """
     g = obs.u_delta.grid
     rows = _region_rows(obs.mask, g.m, region)
@@ -299,18 +288,15 @@ def smooth_region(obs: Observation, region: str, factors: tuple,
     rhs = data[:n, :].copy()
     rhs[0, :] += data[n, :]                     # column n duplicates column 0
     rhs /= N
-    solve = _smoothing_solver(n, factors)
+    weight = np.full(r, 1.0 / N)
 
     def solve_at(eps):
-        vm = solve(eps, rhs)
+        vm = _folded_periodic_solve(weight, _smoothing_inverses(factors, 1.0 / N, eps), rhs)
         misfit = (np.sum((vm - data[:n, :]) ** 2) + np.sum((vm[0] - data[n]) ** 2)) / N
         return vm, float(misfit)
 
     eps, vm, misfit, misfit_top = _discrepancy_bisect(solve_at, target)
-    v_full = np.vstack([vm, vm[:1, :]])
-    ux = gridmod.diff_x_values(v_full, g.d1)
-    uy = (_rows_first_diff(r, g.d2) @ v_full.T).T
-    return RegionSmoothing(rows, v_full, ux, uy, eps, misfit, target, misfit_top)
+    return RegionSmoothing(rows, np.vstack([vm, vm[:1, :]]), eps, misfit, target, misfit_top)
 
 
 def _discrepancy_bisect(solve_at, target):
@@ -378,8 +364,9 @@ def reconstruct_source(obs: Observation, product: np.ndarray) -> ReconstructionR
     eps = delta^2 with a small floor, so the excluded band is filled in
     smoothly by the H1 coupling.  After the seam fold the normal equations
     are uniform in x apart from the doubled data count of column 0, so they
-    are solved exactly by _folded_periodic_solver (Fourier in x, Woodbury
-    for the retained rows of the seam column); cg_iterations is 0.
+    are solved exactly by _folded_periodic_solve (Fourier in x, Woodbury
+    for the retained rows of the seam column) from a batched inverse of
+    diag(counts) + eps times the penalty's _mode_blocks; cg_iterations is 0.
     """
     g = obs.u_delta.grid
     n, m = g.n, g.m
@@ -395,14 +382,10 @@ def reconstruct_source(obs: Observation, product: np.ndarray) -> ReconstructionR
     # penalty eps (||f||^2 + ||f_x||^2 + ||f_y||^2) with the y trapezoid
     # weights (uniform in x after the fold); mode k of the circulant central
     # difference in x has squared modulus sin^2(2 pi k / n) / d1^2
-    t_w = g.trapezoid_weights[1, :]
-    r_y = _rows_first_diff(m + 1, g.d2)
     k = np.arange(n // 2 + 1)
     sx2 = np.sin(2.0 * np.pi * k / n) ** 2 / g.d1 ** 2
-    penalty = ((1.0 + sx2)[:, None, None] * np.diag(t_w)
-               + r_y.T @ (t_w[:, None] * r_y))
-    fm = _folded_periodic_solver(
-        n, counts, lambda e: np.linalg.inv(np.diag(counts) + e * penalty))(eps, bmat)
+    penalty = _mode_blocks(1.0 + sx2, g.trapezoid_weights[1, :], _rows_first_diff(m + 1, g.d2))
+    fm = _folded_periodic_solve(counts, np.linalg.inv(np.diag(counts) + eps * penalty), bmat)
     f_full = np.vstack([fm, fm[:1, :]])
     f_field = Field2D(g, f_full, obs.u_delta.time)
 
@@ -445,9 +428,17 @@ class Prepared:
     forward_blocks: int
 
 
+def require_assumption1(spec: ProblemSpec) -> None:
+    """Raise AssumptionViolation, naming the failed conditions, unless the
+    boundary traces satisfy Assumption 1 (check_assumption1)."""
+    rep = check_assumption1(spec)
+    if not rep.ok:
+        raise AssumptionViolation("Assumption 1 violated: " + "; ".join(rep.messages))
+
+
 def prepare(spec: ProblemSpec, forward_grid: Grid2D, cfl: float,
             obs_grid: Grid2D) -> Prepared:
-    """Check Assumption 1 (the boundary traces), as aer asymptote does, and
+    """Check Assumption 1 (require_assumption1), as aer asymptote does, and
     run the shared stages, each under its stage label: the front on
     obs_grid up to t0 (stored at FRONT_OUTPUTS + 1 times, t0 the last); the
     forward solve to t0 on forward_grid at CFL number cfl, restricted to
@@ -457,9 +448,7 @@ def prepare(spec: ProblemSpec, forward_grid: Grid2D, cfl: float,
     region's mode blocks, see _penalty_factors), None for a region too
     narrow to smooth, whose error smooth_region reports.  u0 and the band
     read the front at its nodes and at t0."""
-    rep = check_assumption1(spec)
-    if not rep.ok:
-        raise AssumptionViolation("Assumption 1 violated: " + "; ".join(rep.messages))
+    require_assumption1(spec)
     # the front goes first: freeing the forward solve's source and grid
     # arrays raises glibc's mmap and trim thresholds, so the smaller phi
     # tables built after them would stay resident and raise the peak RSS
@@ -490,7 +479,8 @@ def run_aer_pipeline(prep: Prepared, delta: float, seed: int, noise_kind: str = 
 
     Noises the snapshot (and its gradients, when they are measured), forms
     the data product u (k u_x + u_y) on the rows the band mask retains,
-    from the smoothed fit of each region or from the measured gradients,
+    from the smoothed fit of each region (differenced here with
+    grid.diff_x_values and grid.diff_y_values) or from the measured gradients,
     fits the source to it, and records the errors against the exact source
     (rel_err_f is None when that source is identically zero).
     """
@@ -509,7 +499,9 @@ def run_aer_pipeline(prep: Prepared, delta: float, seed: int, noise_kind: str = 
                                  prep.factors[region], discrepancy)
                           for region in ("lower", "upper"))
         for reg in smoothing:
-            product[:, reg.rows] = _data_product(reg.u_eps, reg.ux, reg.uy, spec.k)
+            product[:, reg.rows] = _data_product(
+                reg.u_eps, gridmod.diff_x_values(reg.u_eps, g.d1),
+                gridmod.diff_y_values(reg.u_eps, g.d2), spec.k)
     recon = _stage("reconstruction", reconstruct_source, obs, product)
     try:
         rel_err_f = rel_l2_error(recon.f_delta, Field2D.from_function(g, spec.f))

@@ -6,6 +6,7 @@ import sys
 import textwrap
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -552,15 +553,19 @@ def test_table_columns_exit_code(tmp_path, capsys, command, k):
 def test_table_refinement_budget_exit_code(tmp_path, capsys, command, k):
     # at a tiny k the table rows stay 4, so its refinement would grow the
     # recursion's columns without end; each refinement is held to the
-    # node budget, and at 1e-300 dy^2 overflows on the first table
+    # node budget, and at 1e-300 the first table's radicand overflows,
+    # which is reported without a numpy warning on the way
     path = tmp_path / "k.ini"
     path.write_text(f"[problem]\nk = {k}\n")
     start = time.perf_counter()
-    code = main([command, "--preset", "example2", "--config", str(path),
-                 "--out", str(tmp_path / "o")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--preset", "example2", "--config", str(path),
+                     "--out", str(tmp_path / "o")])
     assert time.perf_counter() - start < 5.0
     assert code in (3, 4)
     assert "numerical failure" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("command", ["invert", "study"])
@@ -578,6 +583,21 @@ def test_assumption1_exit_code(tmp_path, capsys, command, text, message):
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert f"Assumption 1 violated: {message}" in capsys.readouterr().err
+
+
+def test_study_checks_every_group_before_any_work(tmp_path, capsys, monkeypatch):
+    # the example2 traces -8 and 4 leave a gap of 12, so mu = 0.08 passes
+    # Assumption 1 and mu = 3 (2 mu^2 = 18) fails it; the sweep is refused
+    # before the first group is prepared
+    calls = []
+    monkeypatch.setattr(aer.inverse, "prepare", lambda *args: calls.append(args))
+    path = tmp_path / "mus.ini"
+    path.write_text("[study]\nmus = 0.08 3\n")
+    code = main(["study", "--preset", "example2", "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "Assumption 1 violated: trace gap does not exceed 2*mu^2" in capsys.readouterr().err
+    assert calls == []
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf"])
