@@ -53,7 +53,8 @@ FRONT_REFINE = 4         # front nodes per observation-grid cell in x
 FRONT_CFL = 0.4          # CFL number of the front solver
 FRONT_OUTPUTS = 200      # uniform output intervals of the front solver
 U1_TOL = 1e-8            # first-order correction quadrature tolerance
-TABLE_NODE_BUDGET = 1 << 20  # most nodes of one first phi table a run may ask for
+TABLE_NODE_BUDGET = 1 << 20  # most nodes of one kept phi table a run may ask for
+TABLE_NODE_BYTES = 150       # peak bytes per node of a kept table and its cubics
 _EXP_CLIP = 700.0
 
 
@@ -331,7 +332,9 @@ def _aligned_branch_integral(spec: ProblemSpec, side: str, nx: int, ny: int, p: 
         for j, r in enumerate(rows):
             row[dst] = row[src] + seg[j, dst]
             out[:, r] = row[lo:lo + nx]
-    return step * out    # the minus integral runs from x down to the boundary
+    if step < 0:      # the minus integral runs from x down to the boundary
+        np.negative(out, out=out)
+    return out
 
 
 def _not_a_knot_curvature(y: np.ndarray, h: float) -> np.ndarray:
@@ -390,12 +393,33 @@ def _table_rows(spec: ProblemSpec, nx: int):
 
 def table_size(spec: ProblemSpec, nx: int) -> tuple:
     """Nodes of a table whose row recursion runs on nx columns (nx by
-    ny + 1 rows; a table and its cubics take about 150 bytes per node at
-    their peak), and the columns that recursion works on: nx plus p ny
-    extension columns, a float, since p grows with k beyond any int.  The
-    first tables of a front on an n-cell grid have nx = FRONT_REFINE n."""
+    ny + 1 rows, one double each), and the columns that recursion works
+    on: nx plus p ny extension columns, a float, since p grows with k
+    beyond any int.  The first tables of a front on an n-cell grid have
+    nx = FRONT_REFINE n."""
     p, _, ny = _table_rows(spec, nx)
     return nx * (ny + 1), nx + p * ny
+
+
+def table_budget_excess(spec: ProblemSpec, nx: int, refine: int = 1):
+    """Why a table kept on nx columns, from a row recursion refined
+    refine-fold, is over budget, or None if it is not.  The kept table (nx
+    by ny + 1 nodes, ny that of the recursion) may hold TABLE_NODE_BUDGET
+    nodes, at about TABLE_NODE_BYTES each with its cubics at their peak;
+    the recursion, 8 bytes a node, may take as many bytes as that, and
+    work on TABLE_NODE_BUDGET columns.  With refine = 1 the recursion is
+    the kept table, so the node count of the table binds."""
+    nodes, columns = table_size(spec, nx * refine)
+    kept = nodes // refine
+    if kept > TABLE_NODE_BUDGET:
+        return f"would hold {kept} nodes, over the budget of {TABLE_NODE_BUDGET}"
+    if 8 * nodes > TABLE_NODE_BYTES * TABLE_NODE_BUDGET:
+        return (f"would run its recursion on {nodes} nodes ({8 * nodes} bytes), over the "
+                f"budget of {TABLE_NODE_BYTES * TABLE_NODE_BUDGET} bytes")
+    if columns > TABLE_NODE_BUDGET:
+        return (f"would run its recursion on {columns:.6g} columns, over the budget "
+                f"of {TABLE_NODE_BUDGET}")
+    return None
 
 
 class PhiTable:
@@ -452,8 +476,8 @@ def phi_table(spec: ProblemSpec, side: str, nx: int) -> PhiTable:
 
     The check is at two probe heights per column.  Only if it fails is the
     recursion refined, by the O(dy^4) error rule and at least twofold; a
-    refinement whose recursion would hold, or work on, more than
-    TABLE_NODE_BUDGET nodes or columns raises NumericalError instead.
+    refinement over the budget of table_budget_excess raises NumericalError
+    instead, before it is built.
     """
     # the probes: two y per column from the R2 low-discrepancy sequence
     # (Roberts 2018), whose irrational strides 1/g and 1/g^2 (g the plastic
@@ -464,12 +488,10 @@ def phi_table(spec: ProblemSpec, side: str, nx: int) -> PhiTable:
     exact = eval_phi(spec, side, np.broadcast_to(px, py.shape), py)
     refine = 1
     while True:
-        nodes, columns = table_size(spec, nx * refine)
-        if max(nodes, columns) > TABLE_NODE_BUDGET:
-            raise NumericalError(
-                f"could not reach table interpolation tolerance: the {side} table refined "
-                f"{refine}-fold would hold {nodes} nodes on {columns:.6g} recursion columns, "
-                f"over the budget of {TABLE_NODE_BUDGET}")
+        excess = table_budget_excess(spec, nx, refine)
+        if excess:
+            raise NumericalError(f"could not reach table interpolation tolerance: the {side} "
+                                 f"table refined {refine}-fold {excess}")
         try:
             table = PhiTable(spec, side, nx, refine)
         except OverflowError as exc:    # rows so far apart (k tiny) that dy^2 overflows

@@ -185,17 +185,12 @@ def _parse(section: str, key: str, text: str):
 
 
 def _check_table_size(section: str, spec: asymptotics.ProblemSpec, n: int):
-    """A front whose phi tables would hold, or whose row recursion would
-    work on, more than the node budget is refused before any work."""
-    budget = asymptotics.TABLE_NODE_BUDGET
-    nodes, columns = asymptotics.table_size(spec, asymptotics.FRONT_REFINE * n)
-    if nodes > budget:
-        raise ConfigError(f"[{section}] n = {n}: each phi table of the front would hold "
-                          f"{nodes} nodes, over the budget of {budget}")
-    if columns > budget:
-        raise ConfigError(f"[{section}] n = {n}, k = {spec.k:g}: the row recursion of each "
-                          f"phi table of the front would work on {columns:.6g} columns, "
-                          f"over the budget of {budget}")
+    """A front whose first phi tables are over the budget of
+    asymptotics.table_budget_excess is refused before any work."""
+    excess = asymptotics.table_budget_excess(spec, asymptotics.FRONT_REFINE * n)
+    if excess:
+        raise ConfigError(f"[{section}] n = {n}, k = {spec.k:g}: each phi table of the "
+                          f"front {excess}")
 
 
 def load_config(preset: str | None, path: str | None, seed_override: int | None = None) -> RunConfig:

@@ -36,25 +36,47 @@ Column blocks.  The n grid columns are split into column_blocks(grid)
 blocks of nearly equal width, and each block marches in its own process:
 block 0 in the calling process, the others in os.fork()ed workers that do
 only ufunc passes and pipe I/O and end with os._exit.  Block b is a slab
-of (nb + 4) x (m+1) nodes, axis 0 along x: its nb grid columns and
-GHOST = 2 ghost columns on each side.  On the slab's flat view a y
-neighbour is at offset +-1 and an x neighbour at offset +-(m+1), so every
-stencil term is one contiguous slice.  A step forms r(u) on the owned
-columns and one ghost column per side, so the first stage u* is known
-there too and r(u*) on the owned columns needs nothing from another
-process; the stencil is evaluated over whole flat spans and the Dirichlet
-rows of the result are zeroed afterwards.  After the step each block posts
-its two first and two last owned columns and its max|u| to a mailbox,
-meets the others at a barrier, and copies its ghost columns from its
-neighbours' posts; every process then takes the same dt, from the same
-global max|u|.  The mailbox has one half per step parity, so a process
-that runs a step ahead never overwrites a post another still reads.  With
-one block the block is its own neighbour and the exchange is the periodic
-ghost copy, with no process started: there is one march, not two.  All
-slabs, the mailbox and the snapshot buffers are views of one anonymous
-shared mmap, allocated once per solve and returned to the system as a
-whole; a right-hand side takes 21 passes over a slab and a step about 50,
-all into that memory.
+of (nb + 4) x s nodes, axis 0 along x: its nb grid columns and GHOST = 2
+ghost columns on each side, each column s doubles (the stride rule
+below).  On the slab's flat view a y neighbour is at offset +-1 and an x
+neighbour at offset +-s, so every stencil term is one contiguous slice.
+A step forms r(u) on the owned columns and one ghost column per side, so
+the first stage u* is known there too and r(u*) on the owned columns
+needs nothing from another process; the stencil is evaluated over whole
+flat spans and the Dirichlet and pad rows of the result are zeroed
+afterwards.  After the step each block posts its two first and two last
+owned columns and its max|u| to a mailbox, meets the others at a barrier,
+and copies its ghost columns from its neighbours' posts; every process
+then takes the same dt, from the same global max|u|.  The mailbox has one
+half per step parity, so a process that runs a step ahead never
+overwrites a post another still reads.  With one block the block is its
+own neighbour and the exchange is the periodic ghost copy, with no
+process started: there is one march, not two.  All slabs, the mailbox and
+the snapshot buffers are views of one anonymous shared mmap, allocated
+once per solve and returned to the system as a whole; a right-hand side
+takes 21 passes over a slab and a step about 50, all into that memory.
+
+Stride rule.  A column is s = m + 1 doubles rounded up to a multiple of
+LINE = 8, one 64-byte cache line, and every part of the mmap (each post
+of the mailbox, the snapshot buffer, the 9 buffers of each slab) is a
+whole number of lines long.  The mmap starts on a page, and every
+out-of-place pass writes from a whole number of columns into its buffer,
+so each one starts its output on a 64-byte boundary: the faces, r(u),
+r(u*), u*, |u|, u^2 and the Heun update.  Rows 0..m are the grid; the pad
+rows m + 1..s - 1 hold f = 0 and are zeroed in r with the Dirichlet row m,
+so the pad nodes of u and u* stay exactly 0.  They never raise max|u| or
+move dt, a y face that touches one feeds only zeroed rows of r, and no
+snapshot or finiteness check reads them.  The stride is for the stores:
+on the 2-core Xeon (KVM) host, numpy 2.4.6, np.add(a, b, out=o) on 20,000
+doubles took 8.0 us with o on a 64-byte boundary and 18.3-18.7 us with it
+8 or 56 bytes off, np.subtract 6.2-8.0 against 11.9-12.6 us, and np.abs
+and np.square 5.0-5.2 against 6.6-7.0 us, with the inputs off a line in
+both; split-line stores are a known penalty of Intel cores (Intel 64 and
+IA-32 Architectures Optimization Reference Manual).  Unpadded, a column
+of the presets' 200 x 200 grids is 201 doubles, 1608 bytes, 8 past a
+line, so most outputs started off a line; padded to 208 (3.5% more slab
+memory), a serial step of the Example 1 march fell from 1.07-1.23 to
+0.83-0.96 ms and a 2-block one from 0.60-0.78 to 0.39-0.48 ms.
 
 The barrier is blocking: a worker writes one byte up its pipe to the
 calling process and reads one back; the calling process reads a byte from
@@ -90,6 +112,7 @@ from .errors import AssumptionViolation, NumericalError, SolverBlowUp
 from .grid import Field2D, Grid2D
 
 GHOST = 2                  # ghost columns per side of a block
+LINE = 8                   # doubles per 64-byte cache line
 # the fewest grid nodes per block: a split pays only where a block's share
 # of a step outweighs the barrier and the fork (measurements in
 # column_blocks)
@@ -117,14 +140,17 @@ def column_blocks(grid: Grid2D) -> int:
     each, and 1 where os.fork or os.sched_setaffinity is missing.
 
     Measured on a 2-core Xeon (KVM), Example 1 to t0 on n x n grids, wall
-    time of one solve in fresh processes, serial -> 2 blocks (CPU time):
-    50: 17-27 -> 21-32 ms; 70: 40-59 -> 29-37 ms; 85: 49-64 -> 47-67 ms;
-    100: 72-107 -> 71-77 ms (CPU 72-107 -> 127-140 ms); 150: 0.32-0.34 ->
-    0.26-0.30 s (CPU 0.32-0.33 -> 0.43-0.47 s); 200: 1.19-1.54 -> 0.64-0.93
-    s (CPU unchanged, 1.2-1.5 s); 400: 26.6 -> 13.5 s.  Starting and
-    reaping a worker costs about 3-4 ms, and each process pays the ~47 us
-    of call overhead of a step, so 100 x 100 (10201 nodes) stays serial
-    and the split starts at 2 MIN_BLOCK_NODES nodes, about 141 x 141.
+    time of one solve in fresh processes (5 each, 1 at 400), serial -> 2
+    blocks (CPU time), on the cache-line stride of the module docstring:
+    50: 20-22 -> 29-34 ms; 70: 34-51 -> 37-47 ms; 85: 39-55 -> 42-55 ms;
+    100: 72-89 -> 69-73 ms (CPU 70-90 -> 100-130 ms); 150: 0.31-0.35 ->
+    0.20-0.23 s (CPU 0.30-0.34 -> 0.37-0.40 s); 200: 1.16-1.28 -> 0.55-0.63
+    s (CPU 1.14-1.25 -> 1.00-1.14 s); 400: 27.9 -> 12.2 s (CPU 27.5 ->
+    22.9 s).  Starting and reaping a worker costs about 3-4 ms, and each
+    process pays the ~47 us of call overhead of a step; the crossover is
+    where it was on the unpadded stride (100: 72-107 -> 71-77 ms, CPU
+    127-140 ms), so 100 x 100 (10201 nodes) stays serial and the split
+    starts at 2 MIN_BLOCK_NODES nodes, about 141 x 141.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
         return 1
@@ -253,16 +279,20 @@ def forward_solve(spec: ProblemSpec, cfg: SolverConfig, u_init: Field2D | None =
     trace_lo = np.atleast_1d(spec.u_minus_a(xs, 0.0 * xs)) + np.zeros(n)
     trace_hi = np.atleast_1d(spec.u_plus_a(xs, 0.0 * xs)) + np.zeros(n)
     X, Y = np.meshgrid(xs, grid.ys, indexing="ij")
-    f_vals = spec.f(X, Y) + np.zeros((n, m + 1))
+    # a column is s >= m + 1 doubles, a whole number of cache lines; the
+    # pad rows m + 1 .. s - 1 hold f = 0 and stay 0 (stride rule, module
+    # docstring)
+    s = -(-(m + 1) // LINE) * LINE
+    f_vals = np.zeros((n, s))
+    f_vals[:, :m + 1] = spec.f(X, Y)
     for name, vals in (("source f", f_vals), ("u_minus_a", trace_lo), ("u_plus_a", trace_hi)):
         if not np.all(np.isfinite(vals)):
             raise AssumptionViolation(f"{name} is not finite on the solver grid")
 
-    s = m + 1
     blocks = column_blocks(grid)
     cuts = [n * b // blocks for b in range(blocks + 1)]
     times = cfg.snapshot_times
-    post = 2 * GHOST * s + 1               # a block's post: edge columns, max|u|
+    post = 2 * GHOST * s + LINE            # a block's post: edge columns, a line for max|u|
     # per block: the state U, the first-stage state V, the square and
     # magnitude of the state (width s each), three face buffers, r(u) on
     # width - 2 columns and r(u*) on the owned ones
@@ -319,8 +349,9 @@ def forward_solve(spec: ProblemSpec, cfg: SolverConfig, u_init: Field2D | None =
 
         def rhs_passes(w, first, out, f):
             """The semi-discrete right-hand side on the slab columns from
-            first on, as many as out holds, into out; the Dirichlet rows of
-            out are zero.  mag must hold |w| one column further each side."""
+            first on, as many as out holds, into out; the Dirichlet and pad
+            rows of out are zero.  mag must hold |w| one column further each
+            side."""
             N, base = out.size, first * s
             span = slice(base - s, base + N + s)
             w_span, sq_span = w[span], sq[span]
@@ -330,13 +361,13 @@ def forward_solve(spec: ProblemSpec, cfg: SolverConfig, u_init: Field2D | None =
                                  cx, ax, mx, fa[:N + s])
             fx_w, fx_e = fa[:N], fa[s:N + s]
             # y faces between flat nodes p and p+1 for p in [base-1, base+N);
-            # a face that wraps from one column to the next only reaches
-            # the Dirichlet rows
+            # a face that wraps from one column to the next, or touches a
+            # pad row, only reaches the zeroed Dirichlet and pad rows
             y_flux = flux_passes(w, slice(base - 1, base + N), slice(base, base + N + 1),
                                  cy, ay, my, fa[:N + 1])
             fy_s, fy_n, gy = fa[:N], fa[1:N + 1], fb[:N]
             o = out.reshape(-1, s)
-            rows = o[:, 0], o[:, -1]
+            rows = o[:, 0], o[:, m:]
 
             def rhs():
                 np.square(w_span, out=sq_span)
@@ -354,9 +385,9 @@ def forward_solve(spec: ProblemSpec, cfg: SolverConfig, u_init: Field2D | None =
         rhs_v = rhs_passes(v, GHOST, r2, f1[s:-s])
         v_wide, u_wide, mag_wide, u_own, mag_own = v[wide], u[wide], mag[wide], u[own], mag[own]
         r1_own = r1[s:-s]
-        v_rows = (V[1:-1, 0], slab_lo[1:-1]), (V[1:-1, -1], slab_hi[1:-1])
+        v_rows = (V[1:-1, 0], slab_lo[1:-1]), (V[1:-1, m], slab_hi[1:-1])
         own_lo, own_hi = slab_lo[GHOST:-GHOST], slab_hi[GHOST:-GHOST]
-        u_rows = (U[GHOST:-GHOST, 0], own_lo), (U[GHOST:-GHOST, -1], own_hi)
+        u_rows = (U[GHOST:-GHOST, 0], own_lo), (U[GHOST:-GHOST, m], own_hi)
 
         def heun(dt, out):
             """u + (dt/2) (r(u) + r(u*)) on the owned columns into out, the
@@ -375,10 +406,11 @@ def forward_solve(spec: ProblemSpec, cfg: SolverConfig, u_init: Field2D | None =
         # per step parity: (post, its source) and (ghost, its source) pairs,
         # and the posted max|u| of every block
         posts = [((mailbox[p, b, :edge], u[edge:2 * edge]),
-                  (mailbox[p, b, edge:-1], u[-2 * edge:-edge])) for p in (0, 1)]
-        ghosts = [((u[:edge], left[p, edge:-1]), (u[-edge:], right[p, :edge])) for p in (0, 1)]
+                  (mailbox[p, b, edge:2 * edge], u[-2 * edge:-edge])) for p in (0, 1)]
+        ghosts = [((u[:edge], left[p, edge:2 * edge]), (u[-edge:], right[p, :edge]))
+                  for p in (0, 1)]
         ghost_mag = (u[:edge], mag[:edge]), (u[-edge:], mag[-edge:])
-        maxes = mailbox[:, :, -1]
+        maxes = mailbox[:, :, 2 * edge]
 
         def exchange(parity):
             """Post the edge columns and max|u|, meet the other blocks, copy
@@ -395,9 +427,9 @@ def forward_solve(spec: ProblemSpec, cfg: SolverConfig, u_init: Field2D | None =
                 np.abs(src, out=dst)
             return float(maxes[parity].max())
 
-        U[GHOST:-GHOST] = u_init.values[c0:c1]
+        U[GHOST:-GHOST, :m + 1] = u_init.values[c0:c1]
         U[:, 0] = slab_lo
-        U[:, -1] = slab_hi
+        U[:, m] = slab_hi
         pending = list(enumerate(times))
         taken, dts = [], []
         t = 0.0
@@ -422,7 +454,7 @@ def forward_solve(spec: ProblemSpec, cfg: SolverConfig, u_init: Field2D | None =
                 vals = snap_vals[i, c0:c1]
                 heun(ts - t, vals.reshape(-1))
                 vals[:, 0] = own_lo
-                vals[:, -1] = own_hi
+                vals[:, m] = own_hi
                 off.append((i, ts))
                 taken.append(ts)
             heun(dt, u_own)
@@ -432,7 +464,7 @@ def forward_solve(spec: ProblemSpec, cfg: SolverConfig, u_init: Field2D | None =
             dts.append(dt)
             umax = exchange(len(dts) % 2)
             for i, ts in off if b == 0 else ():
-                if not np.all(np.isfinite(snap_vals[i, :n])):
+                if not np.all(np.isfinite(snap_vals[i, :n, :m + 1])):
                     raise SolverBlowUp(f"solver blow-up at t = {ts:.6g}")
             if not math.isfinite(umax):
                 raise SolverBlowUp(f"solver blow-up at t = {t:.6g}")
@@ -461,7 +493,7 @@ def forward_solve(spec: ProblemSpec, cfg: SolverConfig, u_init: Field2D | None =
     snapshots = []
     for vals, t in zip(snap_vals, taken):
         vals[n] = vals[0]
-        snapshots.append(Field2D(grid, vals.copy(), t))
+        snapshots.append(Field2D(grid, vals[:, :m + 1].copy(), t))
     if record_dt:
         return snapshots, dts
     return snapshots

@@ -61,6 +61,21 @@ def phi2_plus(x, y):
                    + np.pi * y ** 2 + 15 * np.pi) / np.sqrt(np.pi)
 
 
+def phi2_at_k(k):
+    """Example 2's branches at any k > 0.  phi^2 is the squared trace plus
+    (minus) or minus (plus) twice the integral of f = y - 2 cos(4 pi x) along
+    the characteristic x - k y = const from the boundary, whose cosine part
+    is a difference of sines over 4 pi k; phi2_minus and phi2_plus at k = 1."""
+    def minus(x, y):
+        return -np.sqrt(63 + y ** 2 - (np.sin(4 * np.pi * x)
+                                       - np.sin(4 * np.pi * (x - k * (y + 1)))) / (np.pi * k))
+
+    def plus(x, y):
+        return np.sqrt(15 + y ** 2 + (np.sin(4 * np.pi * (x + k * (1 - y)))
+                                      - np.sin(4 * np.pi * x)) / (np.pi * k))
+    return minus, plus
+
+
 CLOSED_FORMS = {"ex1": (phi1_minus, phi1_plus), "ex2": (phi2_minus, phi2_plus)}
 
 

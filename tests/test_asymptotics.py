@@ -25,7 +25,7 @@ from aer.asymptotics import (
     phi_table,
 )
 from aer.errors import AssumptionViolation
-from conftest import CLOSED_FORMS
+from conftest import CLOSED_FORMS, phi2_at_k
 
 
 def _symmetric_spec(c=3.0, mu=0.08, a=1.0, T=1.0, t0=0.5, k=1.0):
@@ -230,6 +230,32 @@ def test_table_size_of_an_overflowing_stride(ex1):
     spec = dataclasses.replace(ex1, k=1e308)
     assert asymptotics.table_size(spec, 200)[0] == 200 * 5
     assert asymptotics.table_size(ex1, 200)[0] == 200 * 201
+
+
+def test_table_budget_holds_kept_nodes_and_recursion_bytes(ex2):
+    # example 2 has ny = nx rows at k = 1: 1023 x 1024 kept nodes are within
+    # the budget, 1024 x 1025 are not, and a refinement keeps the rows of
+    # its recursion
+    assert asymptotics.table_budget_excess(ex2, 1023) is None
+    assert "would hold 1049600 nodes" in asymptotics.table_budget_excess(ex2, 1024)
+    assert asymptotics.table_budget_excess(ex2, 512, 2) is None        # 512 x 1025 kept
+    assert "would hold 2098176 nodes" in asymptotics.table_budget_excess(ex2, 1024, 2)
+    # at k = 1e-4 a table on 200 columns has ceil(refine / 50) rows: an
+    # 882-fold recursion keeps 200 x 19 nodes and takes 3.35M nodes
+    # (27 MB); a 2400-fold one keeps 200 x 49 but passes the byte budget,
+    # TABLE_NODE_BYTES per node of the node budget
+    spec = dataclasses.replace(ex2, k=1e-4)
+    assert asymptotics.table_size(spec, 200 * 882)[0] == 882 * 3800
+    assert asymptotics.table_budget_excess(spec, 200, 882) is None
+    assert "on 23520000 nodes (188160000 bytes), over the budget of 157286400 bytes" \
+        in asymptotics.table_budget_excess(spec, 200, 2400)
+
+
+def test_closed_forms_of_example2_at_any_k(ex2):
+    # the k-general closed forms reduce to the k = 1 ones
+    x, y = np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 7))
+    for general, closed in zip(phi2_at_k(1.0), CLOSED_FORMS["ex2"]):
+        np.testing.assert_allclose(general(x, y), closed(x, y), rtol=1e-14, atol=0)
 
 
 def test_table_build_calls_f_once_per_block(ex2):

@@ -24,6 +24,7 @@ from aer.cli import (
 )
 from aer.errors import ConfigError
 from aer.grid import Field2D, Grid2D
+from conftest import phi2_at_k
 
 TINY = """
 [problem]
@@ -527,7 +528,7 @@ def test_table_size_exit_code(tmp_path, capsys, command, text):
     assert time.perf_counter() - start < 1.0
     assert code == 4
     budget = aer.asymptotics.TABLE_NODE_BUDGET
-    assert f"n = 2000: each phi table of the front would hold {8000 * 8001} nodes, " \
+    assert f"n = 2000, k = 2: each phi table of the front would hold {8000 * 8001} nodes, " \
            f"over the budget of {budget}" in capsys.readouterr().err
 
 
@@ -544,16 +545,18 @@ def test_table_columns_exit_code(tmp_path, capsys, command, k):
                  "--out", str(tmp_path / "o")])
     assert time.perf_counter() - start < 1.0
     assert code == 4
-    assert f"n = 50, k = {float(k):g}: the row recursion of each phi table" \
-        in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"n = 50, k = {float(k):g}: each phi table of the front would run its " \
+           f"recursion on " in err
+    assert f"columns, over the budget of {aer.asymptotics.TABLE_NODE_BUDGET}" in err
 
 
 @pytest.mark.parametrize("command", ["asymptote", "invert"])
-@pytest.mark.parametrize("k", ["1e-8", "1e-300"])
+@pytest.mark.parametrize("k", ["1e-6", "1e-8", "1e-300"])
 def test_table_refinement_budget_exit_code(tmp_path, capsys, command, k):
     # at a tiny k the table rows stay 4, so its refinement would grow the
-    # recursion's columns without end; each refinement is held to the
-    # node budget, and at 1e-300 the first table's radicand overflows,
+    # recursion without end; each refinement is held to the budget before
+    # it is built, and at 1e-300 the first table's radicand overflows,
     # which is reported without a numpy warning on the way
     path = tmp_path / "k.ini"
     path.write_text(f"[problem]\nk = {k}\n")
@@ -566,6 +569,24 @@ def test_table_refinement_budget_exit_code(tmp_path, capsys, command, k):
     assert code in (3, 4)
     assert "numerical failure" in capsys.readouterr().err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_small_k_refines_within_the_byte_budget(tmp_path):
+    # example 2 at k = 1e-4: the plus table refines 882-fold, to a 3.35M-node
+    # recursion (27 MB) that keeps 3800 nodes, inside the budget, and both
+    # branches match their closed forms
+    path = tmp_path / "k.ini"
+    path.write_text("[problem]\nk = 1e-4\n")
+    out = tmp_path / "o"
+    assert main(["asymptote", "--preset", "example2", "--config", str(path),
+                 "--out", str(out)]) == 0
+    for side, closed in zip(("minus", "plus"), phi2_at_k(1e-4)):
+        csv = out / f"phi_{side}.csv"
+        with open(csv) as fh:
+            xs = np.array([float(v) for v in fh.readline().strip().split(",")[1:]])
+        body = np.loadtxt(csv, delimiter=",", skiprows=1)
+        err_phi = np.max(np.abs(body[:, 1:] - closed(xs[None, :], body[:, :1])))
+        assert err_phi <= 1e-7
 
 
 @pytest.mark.parametrize("command", ["invert", "study"])

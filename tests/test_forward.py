@@ -118,7 +118,9 @@ def _roll_solve(spec, cfg, u_init, form):
     return snaps, dts
 
 
-ROLL_CASES = ["ex1-even-n-ne-m", "ex2-odd-n", "k1.5-u_init"]
+# the solver pads a column of m + 1 nodes to a multiple of 8 (module
+# docstring): these grids have 6, 1, 2, 0 and 7 pad rows
+ROLL_CASES = ["ex1-even-n-ne-m", "ex2-odd-n", "k1.5-u_init", "ex2-no-pad", "ex1-pad-7"]
 
 
 def _roll_case(case, ex1, ex2):
@@ -130,6 +132,10 @@ def _roll_case(case, ex1, ex2):
         spec, grid = ex1, ex1.grid(24, 17)
     elif case == "ex2-odd-n":
         spec, grid = ex2, ex2.grid(25, 30)
+    elif case == "ex2-no-pad":
+        spec, grid = ex2, ex2.grid(20, 15)
+    elif case == "ex1-pad-7":
+        spec, grid = ex1, ex1.grid(21, 16)
     else:
         spec = ProblemSpec(mu=0.05, k=1.5, x0=0.0, x1=2.0, a=1.0, T=1.0,
                            u_minus_a=parse("-3 + 0.5*sin(pi*x)"), u_plus_a=parse("2"),
@@ -142,10 +148,12 @@ def _roll_case(case, ex1, ex2):
 
 
 @pytest.mark.parametrize("case", ROLL_CASES)
-def test_matches_textbook_form_bit_for_bit(case, ex1, ex2):
+def test_matches_textbook_form_bit_for_bit(case, ex1, ex2, monkeypatch):
     """forward_solve reorganises memory, not arithmetic: every snapshot and
-    every dt equals the np.roll form of the viscous face flux exactly."""
+    every dt equals the np.roll form of the viscous face flux exactly, on
+    one block whatever the grid's size."""
     spec, cfg, u_init, start = _roll_case(case, ex1, ex2)
+    _force_blocks(monkeypatch, 1)
     snaps, dts = forward_solve(spec, cfg, u_init=u_init, record_dt=True)
     ref_snaps, ref_dts = _roll_solve(spec, cfg, start, "faces")
     assert dts == ref_dts
@@ -165,8 +173,9 @@ def test_split_march_is_bit_identical_to_one_block(blocks, case, ex1, ex2, monke
     """Column blocks change where a node is computed, not how: with 2 or 3
     blocks every snapshot and every dt equal one block's, and the textbook
     form's.  The cases cover an n that both counts divide (24), odd n not
-    divided by either (25) and odd n divided by 3 (15), a caller's u_init,
-    and snapshots inside a step (0.013, 0.03), taken off the march."""
+    divided by either (25) and odd n divided by 3 (15, 21), columns with
+    no pad row (m = 15) and with 7 (m = 16), a caller's u_init, and
+    snapshots inside a step (0.013, 0.03), taken off the march."""
     spec, cfg, u_init, start = _roll_case(case, ex1, ex2)
     _force_blocks(monkeypatch, 1)
     one, one_dts = forward_solve(spec, cfg, u_init=u_init, record_dt=True)
@@ -181,17 +190,20 @@ def test_split_march_is_bit_identical_to_one_block(blocks, case, ex1, ex2, monke
 
 @pytest.mark.parametrize("blocks", [2, 3])
 def test_split_march_takes_every_snapshot(blocks, ex2, monkeypatch):
-    # a snapshot at t = 0, two inside one step and one at t_end
-    g = ex2.grid(21, 16)
-    cfg = SolverConfig(g, 0.02, 0.4, [0.0, 0.0101, 0.0102, 0.02])
-    _force_blocks(monkeypatch, 1)
-    one, one_dts = forward_solve(ex2, cfg, record_dt=True)
-    _force_blocks(monkeypatch, blocks)
-    split, dts = forward_solve(ex2, cfg, record_dt=True)
-    assert dts == one_dts
-    assert [f.time for f in split] == [f.time for f in one] == cfg.snapshot_times
-    for f, h in zip(split, one, strict=True):
-        assert f.values.tobytes() == h.values.tobytes()
+    # a snapshot at t = 0, two inside one step and one at t_end, on columns
+    # with no pad row (m = 15) and with 7 (m = 16)
+    for m in (15, 16):
+        g = ex2.grid(21, m)
+        cfg = SolverConfig(g, 0.02, 0.4, [0.0, 0.0101, 0.0102, 0.02])
+        _force_blocks(monkeypatch, 1)
+        one, one_dts = forward_solve(ex2, cfg, record_dt=True)
+        _force_blocks(monkeypatch, blocks)
+        split, dts = forward_solve(ex2, cfg, record_dt=True)
+        ref_snaps, ref_dts = _roll_solve(ex2, cfg, initial_condition(ex2, g), "faces")
+        assert dts == one_dts == ref_dts
+        assert [f.time for f in split] == [f.time for f in one] == cfg.snapshot_times
+        for f, h, ref in zip(split, one, ref_snaps, strict=True):
+            assert f.values.tobytes() == h.values.tobytes() == ref.tobytes()
 
 
 def test_column_blocks_rule():
@@ -279,15 +291,21 @@ def test_matches_five_point_form_to_round_off(case, ex1, ex2):
         assert np.max(np.abs(f.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_nan_in_start_raises_blow_up_after_first_step(ex1):
-    g = ex1.grid(16, 16)
-    start = initial_condition(ex1, g)
-    start.values[5, 7] = np.nan         # Field2D checks finiteness only at construction
-    # the first step has nan max|u|, so it takes the diffusion cap; the
-    # check after it must stop the march
-    dt = 0.4 / (2.0 * ex1.mu * (1.0 / g.d1 ** 2 + 1.0 / g.d2 ** 2))
-    with pytest.raises(SolverBlowUp, match=re.escape(f"solver blow-up at t = {dt:.6g}") + "$"):
-        forward_solve(ex1, SolverConfig(g, 0.1, 0.4, [0.1]), u_init=start)
+def test_nan_in_start_raises_blow_up_after_first_step(ex1, monkeypatch):
+    # on columns with no pad row (m = 15) and with 7 (m = 16), whose zeros
+    # must not hide the nan from max|u|, in one block and in two
+    for m in (15, 16):
+        g = ex1.grid(16, m)
+        start = initial_condition(ex1, g)
+        start.values[5, 7] = np.nan         # Field2D checks finiteness only at construction
+        # the first step has nan max|u|, so it takes the diffusion cap; the
+        # check after it must stop the march
+        dt = 0.4 / (2.0 * ex1.mu * (1.0 / g.d1 ** 2 + 1.0 / g.d2 ** 2))
+        for blocks in (1, 2):
+            _force_blocks(monkeypatch, blocks)
+            with pytest.raises(SolverBlowUp,
+                               match=re.escape(f"solver blow-up at t = {dt:.6g}") + "$"):
+                forward_solve(ex1, SolverConfig(g, 0.1, 0.4, [0.1]), u_init=start)
 
 
 def test_discrete_maximum_principle_without_source():
