@@ -16,7 +16,6 @@ from .asymptotics import (
     outer_branches,
     solve_front,
     transition_width,
-    transport_coefficients,
 )
 from .errors import (
     AerError,
@@ -35,8 +34,6 @@ from .grid import (
     Field2D,
     Grid2D,
     RegionMask,
-    diff_x,
-    diff_y,
     l2_norm,
     rel_l2_error,
 )

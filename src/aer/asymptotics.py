@@ -718,14 +718,6 @@ def _phi_derivatives(spec: ProblemSpec, side: str, x, y):
     return [v.reshape(x.shape) for v in (phi0, dphi_x, dphi_y, d2phi_x + d2phi_y)]
 
 
-def transport_coefficients(spec: ProblemSpec, side: str, x, y):
-    """Reaction coefficient P and forcing W of the first-order outer
-    equation du1/ds = (W - P u1)/k along a characteristic: ratios of the
-    outer branch's finite-difference derivatives."""
-    phi0, dphi_x, dphi_y, lap = _phi_derivatives(spec, side, x, y)
-    return (spec.k * dphi_x + dphi_y) / phi0, -lap / phi0
-
-
 def eval_u1(spec: ProblemSpec, side: str, x, y):
     """First-order outer correction by transport along the characteristic.
 

@@ -6,10 +6,11 @@ Integrates
 
 in conservative form on a uniform node grid: local Lax-Friedrichs (Rusanov)
 fluxes for the quadratic terms with local wave speeds k|u| and |u|, a
-standard five-point Laplacian, periodic wrap in x, Dirichlet rows pinned to
-the boundary traces after every stage, and explicit two-stage Runge-Kutta
-with a CFL-limited step.  The scheme is deterministic: identical inputs
-give bit-identical snapshots, whatever the number of column blocks.
+standard five-point Laplacian, periodic wrap in x, Dirichlet rows written
+once with the boundary traces (r is zero on them, so every stage keeps
+them), and explicit two-stage Runge-Kutta with a CFL-limited step.  The
+scheme is deterministic: identical inputs give bit-identical snapshots,
+whatever the number of column blocks.
 
 Viscous face flux.  The five-point Laplacian is a difference of face
 differences, u_E - 2u + u_W = (u_E - u) - (u - u_W), so the diffusion is
@@ -117,6 +118,8 @@ LINE = 8                   # doubles per 64-byte cache line
 # of a step outweighs the barrier and the fork (measurements in
 # column_blocks)
 MIN_BLOCK_NODES = 10_000
+# the march, and the step that takes a snapshot, end at most TIME_TOL short of their time
+TIME_TOL = 1e-13
 
 
 @dataclass
@@ -253,20 +256,22 @@ def _shared_zeros(size):
 
 def forward_solve(spec: ProblemSpec, cfg: SolverConfig, u_init: Field2D | None = None,
                   record_dt: bool = False):
-    """March to t_end, returning Field2D snapshots at the requested times.
+    """March to t_end, returning a Field2D snapshot at each of
+    cfg.snapshot_times, stamped with that time.
 
     Steps are limited by the CFL bounds and t_end only, so a snapshot time
-    never changes the march.  A snapshot that a step would pass is taken by
-    one short step to its time from the state before that step, into
-    scratch buffers, with the operations of a march step in their order: it
-    is bit-identical to the last snapshot of a solve with t_end at its
-    time, whatever other snapshots are asked for.  Values are never
-    interpolated between steps.  A trailing snapshot at t_end is not
-    implied: only cfg.snapshot_times are returned.  A source or boundary
-    trace that is not finite on the grid raises AssumptionViolation before
-    the first step.  The march runs in column_blocks(cfg.grid) column
-    blocks (module docstring); the snapshots and dt list do not depend on
-    their number.
+    never changes the march.  A snapshot ts within TIME_TOL of 0 is the
+    start state.  Any other is taken by the step from t that ends at most
+    TIME_TOL short of ts: one Heun step of min(ts - t, dt) from the state at
+    t into scratch buffers, with the operations of a march step in their
+    order.  So it is bit-identical to the last snapshot of a solve with
+    t_end = ts, whatever other snapshots are asked for.  Values are never
+    interpolated between steps, and a trailing snapshot at t_end is not
+    implied.  Rows 0 and m are written with the traces once, before the
+    first step.  A source or boundary trace that is not finite on the grid
+    raises AssumptionViolation before the first step.  The march runs in
+    column_blocks(cfg.grid) column blocks (module docstring); the snapshots
+    and dt list do not depend on their number.
     """
     grid = cfg.grid
     if cfg.t_end > spec.T:
@@ -314,13 +319,13 @@ def forward_solve(spec: ProblemSpec, cfg: SolverConfig, u_init: Field2D | None =
 
     def march(b, wait):
         """Block b's march to t_end, meeting the other blocks at wait();
-        returns the dt list and the time of each snapshot taken, in order.
-        Every block takes the same steps and snapshots; block 0 also
-        checks the off-march snapshots, which need every block's part."""
+        returns the dt list.  Every block takes the same steps and
+        snapshots; block 0 also checks the snapshots, which need every
+        block's part."""
         c0, c1 = cuts[b], cuts[b + 1]
         width = c1 - c0 + 2 * GHOST
         u, v, sq, mag, fa, fb, fc, r1, r2 = slabs[b]
-        U, V = u.reshape(width, s), v.reshape(width, s)
+        U = u.reshape(width, s)
         cols = np.arange(c0 - GHOST, c1 + GHOST) % n
         slab_lo, slab_hi = trace_lo[cols], trace_hi[cols]
         f1 = f_vals[cols[1:-1]].ravel()        # f where r(u) is formed
@@ -385,18 +390,13 @@ def forward_solve(spec: ProblemSpec, cfg: SolverConfig, u_init: Field2D | None =
         rhs_v = rhs_passes(v, GHOST, r2, f1[s:-s])
         v_wide, u_wide, mag_wide, u_own, mag_own = v[wide], u[wide], mag[wide], u[own], mag[own]
         r1_own = r1[s:-s]
-        v_rows = (V[1:-1, 0], slab_lo[1:-1]), (V[1:-1, m], slab_hi[1:-1])
-        own_lo, own_hi = slab_lo[GHOST:-GHOST], slab_hi[GHOST:-GHOST]
-        u_rows = (U[GHOST:-GHOST, 0], own_lo), (U[GHOST:-GHOST, m], own_hi)
 
         def heun(dt, out):
             """u + (dt/2) (r(u) + r(u*)) on the owned columns into out, the
             operations and their order those of a march step; r1 = r(u)
-            must be current.  Uses V and r2 as scratch."""
+            must be current.  Uses v and r2 as scratch."""
             np.multiply(r1, dt, out=v_wide)
             np.add(v_wide, u_wide, out=v_wide)
-            for row, trace in v_rows:
-                np.copyto(row, trace)
             np.abs(v_wide, out=mag_wide)
             rhs_v()
             np.add(r2, r1_own, out=r2)
@@ -431,13 +431,12 @@ def forward_solve(spec: ProblemSpec, cfg: SolverConfig, u_init: Field2D | None =
         U[:, 0] = slab_lo
         U[:, m] = slab_hi
         pending = list(enumerate(times))
-        taken, dts = [], []
+        dts = []
         t = 0.0
         umax = exchange(0)
-        if pending and pending[0][1] <= 1e-14:
+        while pending and pending[0][1] <= TIME_TOL:
             snap_vals[pending.pop(0)[0], c0:c1] = U[GHOST:-GHOST]
-            taken.append(0.0)
-        while t < cfg.t_end - 1e-13:
+        while t < cfg.t_end - TIME_TOL:
             dt = cfg.cfl * diff_bound
             if umax > 0.0:
                 dt = min(dt, cfg.cfl * d1 / (spec.k * umax), cfg.cfl * d2 / umax)
@@ -445,37 +444,26 @@ def forward_solve(spec: ProblemSpec, cfg: SolverConfig, u_init: Field2D | None =
             if dt < 1e-14:
                 raise SolverBlowUp(f"time step underflow at t = {t:.6g}")
             rhs_u()
-            off = []
-            while pending and pending[0][1] - t < dt:
-                # a snapshot inside this step: one short step of ts - t
-                # from the current state, as the last step of a solve to
-                # t_end = ts takes it, so the march itself never changes
+            due = []
+            # the loop's own end test for t_end = ts: the step that ends a
+            # solve to ts takes it, and the last step takes all that are left
+            while pending and pending[0][1] - TIME_TOL <= t + dt:
                 i, ts = pending.pop(0)
-                vals = snap_vals[i, c0:c1]
-                heun(ts - t, vals.reshape(-1))
-                vals[:, 0] = own_lo
-                vals[:, m] = own_hi
-                off.append((i, ts))
-                taken.append(ts)
+                heun(min(ts - t, dt), snap_vals[i, c0:c1].reshape(-1))
+                due.append((i, ts))
             heun(dt, u_own)
-            for row, trace in u_rows:
-                np.copyto(row, trace)
             t += dt
             dts.append(dt)
             umax = exchange(len(dts) % 2)
-            for i, ts in off if b == 0 else ():
+            for i, ts in due if b == 0 else ():
                 if not np.all(np.isfinite(snap_vals[i, :n, :m + 1])):
                     raise SolverBlowUp(f"solver blow-up at t = {ts:.6g}")
             if not math.isfinite(umax):
                 raise SolverBlowUp(f"solver blow-up at t = {t:.6g}")
-            while pending and abs(t - pending[0][1]) <= 1e-12:
-                i, ts = pending.pop(0)
-                snap_vals[i, c0:c1] = U[GHOST:-GHOST]
-                taken.append(ts)
-        return dts, taken
+        return dts
 
     if blocks == 1:
-        dts, taken = march(0, lambda: None)
+        dts = march(0, lambda: None)
     else:
         team = _Team(blocks)
         mask = os.sched_getaffinity(0)
@@ -484,14 +472,14 @@ def forward_solve(spec: ProblemSpec, cfg: SolverConfig, u_init: Field2D | None =
             for p in range(1, blocks):
                 team.start(p, march, cpus[p % len(cpus)])
             os.sched_setaffinity(0, {cpus[0]})
-            dts, taken = march(0, team.main_wait)
+            dts = march(0, team.main_wait)
             for p in range(1, blocks):
                 team.reap(p)
         finally:
             team.close()
             os.sched_setaffinity(0, mask)
     snapshots = []
-    for vals, t in zip(snap_vals, taken):
+    for vals, t in zip(snap_vals, times):
         vals[n] = vals[0]
         snapshots.append(Field2D(grid, vals[:, :m + 1].copy(), t))
     if record_dt:

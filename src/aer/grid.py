@@ -139,10 +139,6 @@ def diff_x_values(v: np.ndarray, d1: float) -> np.ndarray:
     return np.vstack([out, out[:1]])
 
 
-def diff_x(f: Field2D) -> Field2D:
-    return Field2D(f.grid, diff_x_values(f.values, f.grid.d1), f.time)
-
-
 def diff_y_values(v: np.ndarray, d2: float) -> np.ndarray:
     out = np.empty_like(v)
     out[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * d2)
@@ -162,10 +158,6 @@ def diff2_y_values(v: np.ndarray, d2: float) -> np.ndarray:
         out[:, 0] = out[:, 1]
         out[:, -1] = out[:, 1]
     return out
-
-
-def diff_y(f: Field2D) -> Field2D:
-    return Field2D(f.grid, diff_y_values(f.values, f.grid.d2), f.time)
 
 
 def l2_norm(f: Field2D) -> float:

@@ -90,8 +90,8 @@ def make_observation(snapshot: Field2D, mask: RegionMask, delta: float, seed: in
                       * snapshot.values, snapshot.time)
     ux = uy = None
     if with_gradients:
-        gx = gridmod.diff_x(snapshot).values
-        gy = gridmod.diff_y(snapshot).values
+        gx = gridmod.diff_x_values(snapshot.values, grid.d1)
+        gy = gridmod.diff_y_values(snapshot.values, grid.d2)
         ux = Field2D(grid, _noise_factors(gx.shape, delta, gen, noise_kind) * gx, snapshot.time)
         uy = Field2D(grid, _noise_factors(gy.shape, delta, gen, noise_kind) * gy, snapshot.time)
     return Observation(u_noisy, delta, mask, noise_kind, ux, uy)

@@ -16,6 +16,7 @@ from aer import (
     smoothing_factors,
     solve_front,
 )
+from aer.asymptotics import _phi_derivatives
 from aer.forward import SolverConfig, column_blocks, forward_solve
 
 
@@ -77,6 +78,15 @@ def phi2_at_k(k):
 
 
 CLOSED_FORMS = {"ex1": (phi1_minus, phi1_plus), "ex2": (phi2_minus, phi2_plus)}
+
+
+def transport_coefficients(spec, side, x, y):
+    """Reaction coefficient P and forcing W of the first-order outer
+    equation du1/ds = (W - P u1)/k along a characteristic: ratios of the
+    outer branch's finite-difference derivatives.  The u1 oracles integrate
+    this equation directly; eval_u1 integrates its closed form."""
+    phi0, dphi_x, dphi_y, lap = _phi_derivatives(spec, side, x, y)
+    return (spec.k * dphi_x + dphi_y) / phi0, -lap / phi0
 
 
 @pytest.fixture(scope="session")

@@ -51,13 +51,12 @@ from aer import (
     smoothing_factors,
     solve_front,
     transition_width,
-    transport_coefficients,
 )
 from aer.cli import read_field_csv, write_field_csv
 from aer.errors import DiscrepancyUnreachable
 from aer.forward import SolverConfig, forward_solve
 from aer.inverse import Observation
-from conftest import CLOSED_FORMS
+from conftest import CLOSED_FORMS, transport_coefficients
 
 SEEDS = (1, 2, 3, 4, 5)
 

@@ -17,7 +17,6 @@ from aer import (
     parse,
     solve_front,
     transition_width,
-    transport_coefficients,
 )
 import aer.asymptotics as asymptotics
 from aer.asymptotics import (
@@ -25,7 +24,7 @@ from aer.asymptotics import (
     phi_table,
 )
 from aer.errors import AssumptionViolation
-from conftest import CLOSED_FORMS, phi2_at_k
+from conftest import CLOSED_FORMS, phi2_at_k, transport_coefficients
 
 
 def _symmetric_spec(c=3.0, mu=0.08, a=1.0, T=1.0, t0=0.5, k=1.0):

@@ -175,6 +175,18 @@ def test_cmd_forward_empty_snapshot_list(tmp_path, tiny_config):
     assert os.path.exists(os.path.join(out, "forward_summary.json"))
 
 
+def test_cmd_forward_snapshot_within_time_tol_of_zero(tmp_path):
+    # a snapshot that no step reaches is the start state, written and recorded
+    path = tmp_path / "early.ini"
+    path.write_text("[forward]\nn = 8\nm = 8\nrefine = 1\nsnapshots = 5e-14\n")
+    out = tmp_path / "fw"
+    assert main(["forward", "--preset", "example1", "--config", str(path),
+                 "--out", str(out)]) == 0
+    assert (out / "u_t5e-14.csv").exists()
+    summary = json.load(open(out / "forward_summary.json"))
+    assert summary["snapshots_written"] == [5e-14]
+
+
 def test_cmd_asymptote_outputs(tiny_config, tmp_path):
     out = str(tmp_path / "asy")
     assert main(["asymptote", "--config", tiny_config, "--out", out]) == 0

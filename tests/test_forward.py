@@ -1,3 +1,4 @@
+import itertools
 import os
 import re
 
@@ -8,7 +9,7 @@ import aer.forward
 from aer import Field2D, ProblemSpec, initial_condition, parse, rel_l2_error
 from aer.cli import main
 from aer.errors import AssumptionViolation, NumericalError, SolverBlowUp
-from aer.forward import SolverConfig, column_blocks, forward_solve
+from aer.forward import TIME_TOL, SolverConfig, column_blocks, forward_solve
 
 
 def _const_spec(c=1.0):
@@ -119,16 +120,22 @@ def _roll_solve(spec, cfg, u_init, form):
 
 
 # the solver pads a column of m + 1 nodes to a multiple of 8 (module
-# docstring): these grids have 6, 1, 2, 0 and 7 pad rows
-ROLL_CASES = ["ex1-even-n-ne-m", "ex2-odd-n", "k1.5-u_init", "ex2-no-pad", "ex1-pad-7"]
+# docstring): these grids have 6, 1, 2, 0, 7 and 6 pad rows
+ROLL_CASES = ["ex1-even-n-ne-m", "ex2-odd-n", "k1.5-u_init", "ex2-no-pad", "ex1-pad-7",
+              "ex1-ends-short"]
 
 
 def _roll_case(case, ex1, ex2):
     """(spec, cfg, u_init or None, the start u_init stands for) of one
     oracle case; 0.013 and 0.03 fall inside CFL steps, so they are reached
-    by short steps off the march."""
-    u_init = None
-    if case == "ex1-even-n-ne-m":
+    by short steps off the march.  In "ex1-ends-short" the last CFL step is
+    not cut by t_end and ends 6e-14 short of it, as the last step of the
+    example1 preset's march ends 2.16e-14 short of t0, so the t_end
+    snapshot is the march's end-of-step state."""
+    u_init, t_end = None, 0.06
+    if case == "ex1-ends-short":
+        spec, grid, t_end = ex1, ex1.grid(24, 17), 0.05803219589669956
+    elif case == "ex1-even-n-ne-m":
         spec, grid = ex1, ex1.grid(24, 17)
     elif case == "ex2-odd-n":
         spec, grid = ex2, ex2.grid(25, 30)
@@ -144,7 +151,7 @@ def _roll_case(case, ex1, ex2):
         X, Y = grid.meshgrid()
         u_init = Field2D(grid, 2.5 * np.tanh(4.0 * Y) - 0.5 + 0.3 * np.cos(np.pi * X))
     start = u_init if u_init is not None else initial_condition(spec, grid)
-    return spec, SolverConfig(grid, 0.06, 0.4, [0.013, 0.03, 0.06]), u_init, start
+    return spec, SolverConfig(grid, t_end, 0.4, [0.013, 0.03, t_end]), u_init, start
 
 
 @pytest.mark.parametrize("case", ROLL_CASES)
@@ -158,6 +165,10 @@ def test_matches_textbook_form_bit_for_bit(case, ex1, ex2, monkeypatch):
     ref_snaps, ref_dts = _roll_solve(spec, cfg, start, "faces")
     assert dts == ref_dts
     assert len(set(dts)) > 1            # max|u| moved the CFL step
+    if case == "ex1-ends-short":
+        # a whole CFL step that stops within TIME_TOL short of t_end
+        t_prev, t_last = list(itertools.accumulate(dts))[-2:]
+        assert dts[-1] < cfg.t_end - t_prev and 0.0 < cfg.t_end - t_last < TIME_TOL
     assert [f.time for f in snaps] == cfg.snapshot_times
     for f, ref in zip(snaps, ref_snaps, strict=True):
         assert np.array_equal(f.values, ref)
@@ -344,6 +355,19 @@ def test_snapshots_land_exactly(ex1):
     times = [0.013, 0.05, 0.0721]
     snaps = forward_solve(ex1, SolverConfig(g, 0.08, 0.4, times))
     assert [f.time for f in snaps] == times
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("ts", [5e-14, 1e-13])
+def test_snapshot_within_time_tol_of_zero_is_the_start(ts, blocks, ex1, monkeypatch):
+    # the march takes no step, and the one snapshot is the start state
+    g = ex1.grid(16, 16)
+    start = initial_condition(ex1, g)
+    _force_blocks(monkeypatch, blocks)
+    snaps, dts = forward_solve(ex1, SolverConfig(g, ts, 0.4, [ts]), u_init=start,
+                               record_dt=True)
+    assert dts == [] and [f.time for f in snaps] == [ts]
+    assert np.array_equal(snaps[0].values[:-1], start.values[:-1])
 
 
 def test_empty_snapshot_list(ex1):
