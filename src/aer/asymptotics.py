@@ -13,9 +13,9 @@ branches.  This module computes, to leading order:
     every point value (eval_phi, the assumption check, outer_branches on a
     grid, the layer jump, the transport coefficients) comes from one
     vectorised composite 16-point Gauss-Legendre engine, _char_integral;
-    the lookup tables that the front equation reads (one cubic spline in
-    y per front node) are built by an aligned row recursion and checked
-    against it,
+    the lookup tables that the front equation reads (one cubic Hermite
+    interpolant in y per front node, with five-point slopes) are built by
+    an aligned row recursion and checked against it,
   * the front motion h0(x, t) from a first order evolution equation, read
     where it was solved: at its nodes and stored times, not interpolated,
   * the logistic layer profile joining the branches across the front and
@@ -55,6 +55,7 @@ FRONT_OUTPUTS = 200      # uniform output intervals of the front solver
 U1_TOL = 1e-8            # first-order correction quadrature tolerance
 TABLE_NODE_BUDGET = 1 << 20  # most nodes of one kept phi table a run may ask for
 TABLE_NODE_BYTES = 150       # peak bytes per node of a kept table and its cubics
+TABLE_COLUMN_BYTES = 224     # bytes per recursion column besides its nodes' 8
 _EXP_CLIP = 700.0
 
 
@@ -116,7 +117,6 @@ class ProblemSpec:
 class AssumptionReport:
     """Outcome of a solvability check; violations are data, not exceptions."""
 
-    name: str
     ok: bool
     details: dict
     messages: list = field(default_factory=list)
@@ -242,7 +242,7 @@ def check_assumption1(spec: ProblemSpec) -> AssumptionReport:
         messages.append("u^{a} not positive")
     if not gap_margin > 0.0:
         messages.append("trace gap does not exceed 2*mu^2")
-    return AssumptionReport("assumption1", not messages, details, messages)
+    return AssumptionReport(not messages, details, messages)
 
 
 def check_assumption2(spec: ProblemSpec) -> AssumptionReport:
@@ -265,7 +265,7 @@ def check_assumption2(spec: ProblemSpec) -> AssumptionReport:
         messages.append("lower-branch radicand not positive")
     if not details["min_radicand_plus"] > 0.0:
         messages.append("upper-branch radicand not positive")
-    return AssumptionReport("assumption2", not messages, details, messages)
+    return AssumptionReport(not messages, details, messages)
 
 
 # ---------------------------------------------------------------------------
@@ -337,47 +337,29 @@ def _aligned_branch_integral(spec: ProblemSpec, side: str, nx: int, ny: int, p: 
     return out
 
 
-def _not_a_knot_curvature(y: np.ndarray, h: float) -> np.ndarray:
-    """Second derivatives M, along axis 0, of the not-a-knot cubic spline
-    through y on n + 1 uniform nodes of spacing h, n >= 4.
-
-    The inner rows are the C2 conditions M[i-1] + 4 M[i] + M[i+1] = r[i],
-    r = 6 (second difference of y) / h^2.  The not-a-knot end row
-    M[0] - 2 M[1] + M[2] = 0 (third derivative continuous at the second
-    node; de Boor, A Practical Guide to Splines, ch. IV) subtracted from the
-    first inner row gives M[1] = r[1] / 6, and likewise at the other end, so
-    what is left is a (1, 4, 1) tridiagonal system for M[2..n-2], solved by
-    elimination in a loop over rows (vectorised over the other axes).
-    """
-    n = y.shape[0] - 1
-    r = (y[:-2] - 2.0 * y[1:-1] + y[2:]) * (6.0 / h ** 2)     # rows 1..n-1
-    m = np.empty_like(y)
-    m[1] = r[0] / 6.0
-    m[n - 1] = r[-1] / 6.0
-    rhs = r[1:-1].copy()                                      # rows 2..n-2
-    rhs[0] -= m[1]
-    rhs[-1] -= m[n - 1]
-    diag = np.full(n - 3, 4.0)
-    for i in range(1, n - 3):
-        diag[i] -= 1.0 / diag[i - 1]
-        rhs[i] -= rhs[i - 1] / diag[i - 1]
-    m[n - 2] = rhs[-1] / diag[-1]
-    for i in range(n - 5, -1, -1):
-        m[i + 2] = (rhs[i] - m[i + 3]) / diag[i]
-    m[0] = 2.0 * m[1] - m[2]
-    m[n] = 2.0 * m[n - 1] - m[n - 2]
-    return m
+# slopes, in row units, of the quartic through the first five rows at rows 0
+# and 1: the one-sided five-point differences (Fornberg, Math. Comp. 51, 1988)
+_EDGE_SLOPES = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
+                         [-3.0, -10.0, 18.0, -6.0, 1.0]]) / 12.0
 
 
-def _cell_cubics(y, m, h):
-    """Power-basis coefficients (1, t, t^2, t^3) along axis 0 of the cubic on
-    each cell of width h, from the end values y and second derivatives m;
-    t is the offset in the cell over h."""
-    c = h ** 2 / 6.0
-    return [y[:-1],
-            y[1:] - y[:-1] - c * (2.0 * m[:-1] + m[1:]),
-            3.0 * c * m[:-1],
-            c * (m[1:] - m[:-1])]
+def _hermite_cells(y):
+    """Power-basis coefficients (1, t, t^2, t^3) of the cubic Hermite
+    interpolant on each cell between the rows of y (along axis 0, at least
+    5 rows), t the offset in the cell in row units.  Each row's slope is the
+    fourth-order five-point difference: central on rows 2 .. n-2, one-sided
+    on the first two rows and the last two; so a quartic's slopes, and a
+    cubic itself, are exact.  The coefficients are stacked on a last axis
+    of length 4, one cell per row but the last."""
+    d = np.empty_like(y)
+    d[2:-2] = (y[:-4] - y[4:] + 8.0 * (y[3:-1] - y[1:-3])) / 12.0
+    d[:2] = np.einsum("ij,j...->i...", _EDGE_SLOPES, y[:5])
+    # the last two rows, last first: the same forms on the rows reversed,
+    # whose slopes change sign
+    d[:-3:-1] = -np.einsum("ij,j...->i...", _EDGE_SLOPES, y[:-6:-1])
+    rise = y[1:] - y[:-1]
+    return np.stack([y[:-1], d[:-1], 3.0 * rise - 2.0 * d[:-1] - d[1:],
+                     d[:-1] + d[1:] - 2.0 * rise], axis=-1)
 
 
 def _table_rows(spec: ProblemSpec, nx: int):
@@ -386,9 +368,11 @@ def _table_rows(spec: ProblemSpec, nx: int):
     stride too large for an int still gives a row count."""
     p = max(1.0, float(np.round(2.0 * spec.a * spec.k / spec.length)))
     dy = p * (spec.length / nx) / spec.k     # as in the recursion
-    # a row count that is whole up to rounding is not rounded up; the
-    # not-a-knot spline needs at least 4 cells
-    return p, dy, max(4, int(np.ceil(2.0 * spec.a / dy * (1.0 - 1e-12))))
+    # a row count that is whole up to rounding is not rounded up, unless
+    # the last row would then stop short of the far boundary; the five-point
+    # slopes need at least 5 rows
+    ny = max(4, int(np.ceil(2.0 * spec.a / dy * (1.0 - 1e-12))))
+    return p, dy, ny + (ny * dy < 2.0 * spec.a)
 
 
 def table_size(spec: ProblemSpec, nx: int) -> tuple:
@@ -405,26 +389,33 @@ def table_budget_excess(spec: ProblemSpec, nx: int, refine: int = 1):
     """Why a table kept on nx columns, from a row recursion refined
     refine-fold, is over budget, or None if it is not.  The kept table (nx
     by ny + 1 nodes, ny that of the recursion) may hold TABLE_NODE_BUDGET
-    nodes, at about TABLE_NODE_BYTES each with its cubics at their peak;
-    the recursion, 8 bytes a node, may take as many bytes as that, and
-    work on TABLE_NODE_BUDGET columns.  With refine = 1 the recursion is
-    the kept table, so the node count of the table binds."""
+    nodes, at about TABLE_NODE_BYTES each with its cubics at their peak.
+    The recursion may work on TABLE_NODE_BUDGET columns and take as many
+    bytes as the kept table: 8 a node and TABLE_COLUMN_BYTES a column (the
+    extended abscissae, their Gauss points and offsets, the running row
+    and one row's evaluation of f, measured by tracemalloc on 40k to 400k
+    columns).  With refine = 1 the recursion is the kept table, so the
+    node count of the table binds."""
     nodes, columns = table_size(spec, nx * refine)
     kept = nodes // refine
     if kept > TABLE_NODE_BUDGET:
         return f"would hold {kept} nodes, over the budget of {TABLE_NODE_BUDGET}"
-    if 8 * nodes > TABLE_NODE_BYTES * TABLE_NODE_BUDGET:
-        return (f"would run its recursion on {nodes} nodes ({8 * nodes} bytes), over the "
-                f"budget of {TABLE_NODE_BYTES * TABLE_NODE_BUDGET} bytes")
     if columns > TABLE_NODE_BUDGET:
         return (f"would run its recursion on {columns:.6g} columns, over the budget "
                 f"of {TABLE_NODE_BUDGET}")
+    size = 8 * nodes + TABLE_COLUMN_BYTES * int(columns)
+    if size > TABLE_NODE_BYTES * TABLE_NODE_BUDGET:
+        return (f"would run its recursion on {nodes} nodes and {int(columns)} columns "
+                f"({size} bytes), over the budget of {TABLE_NODE_BYTES * TABLE_NODE_BUDGET} "
+                f"bytes")
     return None
 
 
 class PhiTable:
     """One outer branch at the front's columns x0 + i L / nx, i < nx, as
-    one not-a-knot cubic spline in y per column.
+    one cubic Hermite interpolant in y per column: a cubic on each cell
+    between two rows, from the rows' values and their five-point slopes
+    (_hermite_cells), so no system is solved.
 
     The rows are anchored at the branch's boundary (y = -a for 'minus',
     y = a for 'plus') with spacing dy = p dx / k, p = max(1, round(2 a k / L)),
@@ -454,9 +445,7 @@ class PhiTable:
                 f"Assumption 2 violated on the table grid: min radicand {rad.min():.6g}")
         self.values = self._sign * np.sqrt(rad)
         # cubics in the distance from the boundary, over dy
-        rows = self.values.T
-        self._coef = np.stack(
-            _cell_cubics(rows, _not_a_knot_curvature(rows, self.dy), self.dy), axis=-1)
+        self._coef = _hermite_cells(self.values.T)
         self._cols = np.arange(nx)
 
     def __call__(self, y):
@@ -492,11 +481,7 @@ def phi_table(spec: ProblemSpec, side: str, nx: int) -> PhiTable:
         if excess:
             raise NumericalError(f"could not reach table interpolation tolerance: the {side} "
                                  f"table refined {refine}-fold {excess}")
-        try:
-            table = PhiTable(spec, side, nx, refine)
-        except OverflowError as exc:    # rows so far apart (k tiny) that dy^2 overflows
-            raise NumericalError(f"the rows of the {side} table are too far apart for its "
-                                 f"cubics at k = {spec.k:g}: {exc}") from exc
+        table = PhiTable(spec, side, nx, refine)
         err = float(np.max(np.abs(table(py) - exact)))
         if err < TABLE_INTERP_TOL:
             return table

@@ -132,6 +132,14 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
+        d1, d2 = self.grid.d1, self.grid.d2
+        try:        # mu times the five-point diffusion bound on dt (forward_solve)
+            bound = 0.5 / (1.0 / d1 ** 2 + 1.0 / d2 ** 2)
+        except (OverflowError, ZeroDivisionError):     # a spacing squared over- or underflows
+            bound = 0.0
+        if not 0.0 < bound < math.inf:
+            raise ValueError(f"grid spacings {d1:g} and {d2:g} give no finite positive "
+                             "diffusion bound on the time step")
         self.snapshot_times = sorted(float(t) for t in self.snapshot_times)
         if not all(0.0 <= t <= self.t_end for t in self.snapshot_times):   # nan fails
             raise ValueError("snapshot times must lie in [0, t_end]")

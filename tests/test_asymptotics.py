@@ -149,29 +149,35 @@ def test_phi_table_fast_path_equals_generic(ex1):
 
 
 @pytest.mark.parametrize("nx", [8, 11])
-def test_column_spline_matches_scipy(ex2, nx):
-    # each column holds SciPy's not-a-knot cubic spline through its nodes;
-    # ny = nx here, so odd and even node counts, every edge cell and both
-    # ends of each column, on both branches (whose rows run opposite ways)
-    interpolate = pytest.importorskip("scipy.interpolate")
-    a = ex2.a
+def test_column_cells_are_hermite_cubics(ex2, nx):
+    # f = P P' with traces -P(-a) and P(a) makes the branches -P and P, a
+    # cubic in y on every column, which the cells, with five-point slopes
+    # exact for quartics, reproduce to round-off; ny = nx here, so odd and
+    # even node counts, every edge cell and both ends of each column, on
+    # both branches (whose rows run opposite ways)
+    def cubic(y):
+        return 2.0 + 0.3 * y - 0.2 * y ** 2 + 0.1 * y ** 3
+
+    spec = dataclasses.replace(
+        ex2, f=parse("(2 + 0.3*y - 0.2*y^2 + 0.1*y^3)*(0.3 - 0.4*y + 0.3*y^2)"),
+        u_minus_a=parse("-1.4"), u_plus_a=parse("2.2"))
+    a = spec.a
     rng = np.random.default_rng(nx)
-    for side in ("minus", "plus"):
-        table = PhiTable(ex2, side, nx)
+    for side, sign in (("minus", -1.0), ("plus", 1.0)):
+        table = PhiTable(spec, side, nx)
         assert table.ny == nx
         dy = table.dy
         edges = np.r_[-a, -a + 0.4 * dy, a - 0.4 * dy, a]
         y = np.vstack([-a + 2 * a * rng.random((200, nx)),
                        np.repeat(edges[:, None], nx, axis=1)])
-        ys = -a + dy * np.arange(nx + 1)              # increasing, as SciPy wants
-        got = table(y)
-        at_node = table(np.full(nx, ys[3]))
-        for i in range(nx):
-            column = table.values[i] if side == "minus" else table.values[i, ::-1]
-            want = interpolate.CubicSpline(ys, column, bc_type="not-a-knot")(y[:, i])
-            assert np.max(np.abs(got[:, i] - want)) <= 1e-12 * np.max(np.abs(want))
-            # and it interpolates
-            assert abs(at_node[i] - column[3]) <= 1e-12
+        assert np.max(np.abs(table(y) - sign * cubic(y))) <= 1e-14
+        # each node value is returned as it is
+        rows = sign * (a - dy * np.arange(nx + 1))
+        assert np.array_equal(table(np.repeat(rows[:, None], nx, axis=1)), table.values.T)
+        # C1: the slope at the top of a cell is the next cell's at its foot
+        c = table._coef
+        top = c[:-1, :, 1] + 2.0 * c[:-1, :, 2] + 3.0 * c[:-1, :, 3]
+        assert np.max(np.abs(top - c[1:, :, 1])) <= 1e-15
 
 
 def _per_row_branch_integral(spec, side, nx, ny, p):
@@ -240,14 +246,20 @@ def test_table_budget_holds_kept_nodes_and_recursion_bytes(ex2):
     assert asymptotics.table_budget_excess(ex2, 512, 2) is None        # 512 x 1025 kept
     assert "would hold 2098176 nodes" in asymptotics.table_budget_excess(ex2, 1024, 2)
     # at k = 1e-4 a table on 200 columns has ceil(refine / 50) rows: an
-    # 882-fold recursion keeps 200 x 19 nodes and takes 3.35M nodes
-    # (27 MB); a 2400-fold one keeps 200 x 49 but passes the byte budget,
-    # TABLE_NODE_BYTES per node of the node budget
+    # 882-fold recursion keeps 200 x 19 nodes and takes 3.35M nodes (27 MB)
+    # on 176k columns (40 MB); a 2400-fold one keeps 200 x 49 but passes the
+    # byte budget, TABLE_NODE_BYTES per node of the node budget
     spec = dataclasses.replace(ex2, k=1e-4)
     assert asymptotics.table_size(spec, 200 * 882)[0] == 882 * 3800
     assert asymptotics.table_budget_excess(spec, 200, 882) is None
-    assert "on 23520000 nodes (188160000 bytes), over the budget of 157286400 bytes" \
-        in asymptotics.table_budget_excess(spec, 200, 2400)
+    assert "on 23520000 nodes and 480048 columns (295690752 bytes), over the budget of " \
+           "157286400 bytes" in asymptotics.table_budget_excess(spec, 200, 2400)
+    # at k = 1e-6 the rows stay 4: a 4000-fold recursion takes 4M nodes
+    # (32 MB) on 800k columns (179 MB), over the byte budget by its columns
+    spec = dataclasses.replace(ex2, k=1e-6)
+    assert asymptotics.table_size(spec, 200 * 4000) == (4_000_000, 800_004)
+    assert "on 4000000 nodes and 800004 columns (211200896 bytes)" \
+        in asymptotics.table_budget_excess(spec, 200, 4000)
 
 
 def test_closed_forms_of_example2_at_any_k(ex2):

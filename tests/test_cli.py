@@ -584,9 +584,9 @@ def test_table_refinement_budget_exit_code(tmp_path, capsys, command, k):
 
 
 def test_small_k_refines_within_the_byte_budget(tmp_path):
-    # example 2 at k = 1e-4: the plus table refines 882-fold, to a 3.35M-node
-    # recursion (27 MB) that keeps 3800 nodes, inside the budget, and both
-    # branches match their closed forms
+    # example 2 at k = 1e-4: the plus table refines 784-fold, to a 2.67M-node
+    # recursion on 157k columns (56 MB) that keeps 3400 nodes, inside the
+    # budget, and both branches match their closed forms
     path = tmp_path / "k.ini"
     path.write_text("[problem]\nk = 1e-4\n")
     out = tmp_path / "o"
@@ -642,6 +642,27 @@ def test_nonfinite_problem_number_exit_code(tmp_path, capsys, name, value):
                  "--out", str(tmp_path / "o")])
     assert code == 4
     assert f"{name} = {float(value)} is not finite" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("text", [
+    # d2^2 underflows to 0
+    pytest.param("a = 1e-300", id="tiny-a"),
+    # d1^2 overflows
+    pytest.param("x0 = 1e300\nx1 = 1.0000000000000002e300", id="huge-x"),
+])
+def test_extreme_grid_spacing_exit_code(tmp_path, text):
+    # the five-point diffusion bound of such a grid is not a finite positive
+    # number: refused with the grids, before any work, not in a traceback
+    path = tmp_path / "d.ini"
+    path.write_text(f"[problem]\n{text}\n")
+    _, env = _src_env()
+    run = subprocess.run([sys.executable, "-m", "aer.cli", "forward", "--preset", "example1",
+                          "--config", str(path), "--out", str(tmp_path / "o")],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 4, run.stderr
+    assert "no finite positive diffusion bound" in run.stderr
+    assert "Traceback" not in run.stderr
     assert not os.path.exists(tmp_path / "o")
 
 
