@@ -229,7 +229,10 @@ def check_assumption1(spec: ProblemSpec) -> AssumptionReport:
     xs = spec.x0 + spec.length * np.arange(1024) / 1024
     um = np.atleast_1d(spec.u_minus_a(xs, 0.0 * xs))
     up = np.atleast_1d(spec.u_plus_a(xs, 0.0 * xs))
-    gap_margin = float(np.min(up - um) - 2.0 * spec.mu ** 2)
+    # mu^2 in numpy: a mu near 1e300 overflows it to inf (a failed check),
+    # where a Python float would raise OverflowError
+    with np.errstate(over="ignore"):
+        gap_margin = float(np.min(up - um) - 2.0 * np.square(spec.mu))
     details = {
         "max_u_minus": float(np.max(um)),
         "min_u_plus": float(np.min(up)),
@@ -463,10 +466,12 @@ def phi_table(spec: ProblemSpec, side: str, nx: int) -> PhiTable:
     its cubics in y are within TABLE_INTERP_TOL of direct quadrature; every
     call builds its table anew.
 
-    The check is at two probe heights per column.  Only if it fails is the
-    recursion refined, by the O(dy^4) error rule and at least twofold; a
-    refinement over the budget of table_budget_excess raises NumericalError
-    instead, before it is built.
+    The first table is refined until its rows are at most a quarter of the
+    strip 2a apart, since the O(dy^4) error rule needs rows across the strip
+    (at a tiny k one cell spans it).  The check is at two probe heights per
+    column.  Only if it fails is the recursion refined, by that rule and at
+    least twofold; a refinement over the budget of table_budget_excess
+    raises NumericalError instead, before it is built.
     """
     # the probes: two y per column from the R2 low-discrepancy sequence
     # (Roberts 2018), whose irrational strides 1/g and 1/g^2 (g the plastic
@@ -475,7 +480,11 @@ def phi_table(spec: ProblemSpec, side: str, nx: int) -> PhiTable:
     py = -spec.a + 2.0 * spec.a * np.mod(0.5 + np.stack([i / g, i / g ** 2]), 1.0)
     px = spec.x0 + spec.length / nx * np.arange(nx)
     exact = eval_phi(spec, side, np.broadcast_to(px, py.shape), py)
-    refine = 1
+    # rows at most a/2 apart; capped at TABLE_NODE_BUDGET-fold, whose
+    # columns alone are over the budget, so that an overflowing dy still
+    # gives an int
+    _, dy, _ = _table_rows(spec, nx)
+    refine = int(min(max(1.0, np.ceil(dy / (0.5 * spec.a))), TABLE_NODE_BUDGET))
     while True:
         excess = table_budget_excess(spec, nx, refine)
         if excess:

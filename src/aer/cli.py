@@ -407,6 +407,9 @@ def _mid_width(prep: inverse.Prepared) -> float:
 
 
 def cmd_study(cfg: RunConfig, out: str) -> int:
+    # imported here, so that the other commands do not load it (0.5 MB)
+    import statistics
+
     t_start = time.perf_counter()
     if cfg.m != cfg.n:
         raise ConfigError(f"[forward] m = {cfg.m} differs from n = {cfg.n}: "
@@ -464,7 +467,8 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
         for row in rows:
             med.setdefault(row[axis], []).append(row["rel_err_f"])
         xs = np.array(sorted(med))
-        ys = np.array([float(np.median(med[x])) for x in xs])
+        # the value of np.median, which would import numpy.ma (1.3 MB)
+        ys = np.array([statistics.median(med[x]) for x in xs])
         if np.all(xs > 0) and np.all(ys > 0):
             slope = float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
             fits[axis] = {"values": xs.tolist(), "median_rel_err_f": ys.tolist(),

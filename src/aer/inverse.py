@@ -46,11 +46,63 @@ LOG_EPS_BRACKET = (-14.0, 2.0)
 # ---------------------------------------------------------------------------
 # noise synthesis
 
-def _noise_factors(shape, delta, gen, kind):
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC'11), the stream of np.random.Philox(key=seed): each block of 4 words
+# is a closed-form function of the key and the block's counter
+_PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _mulhilo(a, b):
+    """High and low words of the 128-bit products a b of uint64 arrays,
+    from their 32-bit halves (the low word is the wrapping product)."""
+    a_lo, a_hi = a & _LOW32, a >> _SHIFT32
+    b_lo, b_hi = b & _LOW32, b >> _SHIFT32
+    lh, hl = a_lo * b_hi, a_hi * b_lo
+    mid = ((a_lo * b_lo) >> _SHIFT32) + (lh & _LOW32) + (hl & _LOW32)
+    hi = a_hi * b_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, a * b
+
+
+def _philox_random(seed, size: int) -> np.ndarray:
+    """The first size doubles of np.random.Generator(np.random.Philox(key=
+    seed)).random(), bit for bit, without importing numpy.random.
+
+    The key is (seed mod 2^64, seed >> 64); block b runs ten rounds on the
+    counter (b + 1, 0, 0, 0), bumping the key by the Weyl constants between
+    rounds, and gives words 4b..4b+3 in order; a double is (word >> 11)
+    2^-53.
+    """
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 128:
+        raise ValueError(f"seed {seed} must lie in [0, 2^128)")
+    blocks = -(-size // 4)
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros(blocks, dtype=np.uint64)
+    for r in range(_PHILOX_ROUNDS):
+        k0 = np.uint64((seed + r * _PHILOX_WEYL[0]) % 2 ** 64)
+        k1 = np.uint64(((seed >> 64) + r * _PHILOX_WEYL[1]) % 2 ** 64)
+        hi, lo = _mulhilo(_PHILOX_MUL, np.stack([c0, c2]))
+        c0, c1, c2, c3 = hi[1] ^ c1 ^ k0, lo[1], hi[0] ^ c3 ^ k1, lo[0]
+    words = np.stack([c0, c1, c2, c3], axis=1).ravel()[:size]
+    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+def _noise_factors(shapes, delta, seed, kind):
+    """One array of noise factors per shape, drawn in turn, each in C
+    order, from the Philox stream keyed by the seed."""
     if kind == "uniform":
-        return 1.0 + delta * (2.0 * gen.random(shape) - 1.0)
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        draws = np.split(_philox_random(seed, sum(sizes)), np.cumsum(sizes)[:-1])
+        return [1.0 + delta * (2.0 * u.reshape(shape) - 1.0) for u, shape in zip(draws, shapes)]
     if kind == "gaussian":
-        return 1.0 + delta * gen.standard_normal(shape)
+        # numpy's ziggurat is not reproduced here: only this kind imports
+        # numpy.random
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        return [1.0 + delta * gen.standard_normal(shape) for shape in shapes]
     raise ValueError(f"unknown noise kind {kind!r}")
 
 
@@ -78,23 +130,23 @@ def make_observation(snapshot: Field2D, mask: RegionMask, delta: float, seed: in
     exclusion band.
 
     Each value is multiplied by 1 + delta (2 rand - 1), rand ~ U[0, 1] (by
-    1 + delta N(0, 1) for the Gaussian kind).  Draws come from the
-    counter-based Philox generator keyed by the seed, consumed in C
+    1 + delta N(0, 1) for the Gaussian kind).  Draws come from numpy's
+    counter-based Philox4x64-10 stream keyed by the seed, consumed in C
     (row-major) order of the value array, whose leading axis is x; gradient
-    draws follow the u draws in the same stream.  Identical seeds give
+    draws (x, then y) follow the u draws in the same stream.  The uniform
+    stream is computed in the package (_philox_random); the Gaussian kind
+    imports numpy.random for its ziggurat.  Identical seeds give
     bit-identical observations.
     """
     grid = snapshot.grid
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    u_noisy = Field2D(grid, _noise_factors(snapshot.values.shape, delta, gen, noise_kind)
-                      * snapshot.values, snapshot.time)
-    ux = uy = None
+    fields = [snapshot.values]
     if with_gradients:
-        gx = gridmod.diff_x_values(snapshot.values, grid.d1)
-        gy = gridmod.diff_y_values(snapshot.values, grid.d2)
-        ux = Field2D(grid, _noise_factors(gx.shape, delta, gen, noise_kind) * gx, snapshot.time)
-        uy = Field2D(grid, _noise_factors(gy.shape, delta, gen, noise_kind) * gy, snapshot.time)
-    return Observation(u_noisy, delta, mask, noise_kind, ux, uy)
+        fields += [gridmod.diff_x_values(snapshot.values, grid.d1),
+                   gridmod.diff_y_values(snapshot.values, grid.d2)]
+    factors = _noise_factors([v.shape for v in fields], delta, seed, noise_kind)
+    noisy = [Field2D(grid, w * v, snapshot.time) for w, v in zip(factors, fields)]
+    ux, uy = noisy[1:] if with_gradients else (None, None)
+    return Observation(noisy[0], delta, mask, noise_kind, ux, uy)
 
 
 def layer_band(front: FrontCurve, spec: ProblemSpec, grid: Grid2D) -> RegionMask:

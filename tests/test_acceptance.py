@@ -187,6 +187,24 @@ def test_c07_delta_rate(ex1_delta_sweep):
     assert elapsed < 900.0
 
 
+def test_benchmark_references(ex1_prepared, ex1_delta_sweep):
+    """The seed-1 references that the benchmark's output checks hold
+    (bench/check.py) within their 1e-6: rel_err_f of `aer invert --preset
+    example1 --seed 1`, and the C4 median and C7 slope of its study sweep.
+    A change that moves these numbers re-records them here and in the
+    benchmark in the same change, listing old -> new (ROADMAP's rule for
+    items that move numbers)."""
+    med, _ = ex1_delta_sweep
+    deltas = np.array(sorted(med))
+    slope = float(np.polyfit(np.log(deltas), np.log([med[d] for d in deltas]), 1)[0])
+    measured = {"rel_err_f": run_aer_pipeline(ex1_prepared, 0.01, 1).metrics["rel_err_f"],
+                "c4_median": med[0.01], "c7_slope": slope}
+    references = {"rel_err_f": 0.14325674021644016, "c4_median": 0.1494611249391638,
+                  "c7_slope": 0.5313841051015891}
+    for name, value in references.items():
+        assert abs(measured[name] - value) <= 1e-6, (name, measured[name])
+
+
 def test_c08_width_scaling(ex1, ex1_front):
     h0, h0x = ex1_front.sample(ex1.t0, np.array([0.0]))
     ratios = []

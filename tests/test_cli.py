@@ -567,9 +567,9 @@ def test_table_columns_exit_code(tmp_path, capsys, command, k):
 @pytest.mark.parametrize("k", ["1e-6", "1e-8", "1e-300"])
 def test_table_refinement_budget_exit_code(tmp_path, capsys, command, k):
     # at a tiny k the table rows stay 4, so its refinement would grow the
-    # recursion without end; each refinement is held to the budget before
-    # it is built, and at 1e-300 the first table's radicand overflows,
-    # which is reported without a numpy warning on the way
+    # recursion without end; each refinement, the first one sized to put
+    # rows a quarter of the strip apart included, is held to the budget
+    # before it is built, and reported without a numpy warning on the way
     path = tmp_path / "k.ini"
     path.write_text(f"[problem]\nk = {k}\n")
     start = time.perf_counter()
@@ -583,9 +583,40 @@ def test_table_refinement_budget_exit_code(tmp_path, capsys, command, k):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_tiny_k_is_refused_before_a_table_is_built(tmp_path):
+    # example 2 at k = 1e-6: the first table's rows would be 1e4 apart
+    # against a strip 2a = 2 wide; the 20000-fold refinement that puts them
+    # a quarter of the strip apart runs on 4M columns, over the budget, so
+    # the run exits 3 near the import floor (the intermediate 48- and
+    # 2256-fold tables once took it to 155 MB)
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read the peak RSS from")
+    path = tmp_path / "k.ini"
+    path.write_text("[problem]\nk = 1e-6\n")
+    # the child's own peak (VmHWM): its ru_maxrss would start at this
+    # process's RSS, which Linux carries across exec
+    code = textwrap.dedent(f"""
+        from aer.cli import main
+        code = main(["asymptote", "--preset", "example2", "--config", {str(path)!r},
+                     "--out", {str(tmp_path / "o")!r}])
+        with open("/proc/self/status") as fh:
+            print(code, next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+    """)
+    _, env = _src_env()
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    exit_code, maxrss_kb = map(int, run.stdout.split())
+    assert exit_code == 3
+    assert "the minus table refined 20000-fold would run its recursion on 4e+06 columns" \
+        in run.stderr
+    assert maxrss_kb < 50 * 1024
+
+
 def test_small_k_refines_within_the_byte_budget(tmp_path):
-    # example 2 at k = 1e-4: the plus table refines 784-fold, to a 2.67M-node
-    # recursion on 157k columns (56 MB) that keeps 3400 nodes, inside the
+    # example 2 at k = 1e-4: the first tables are refined 200-fold, to rows
+    # 0.5 = a/2 apart; the plus table then refines to 800-fold, a 2.72M-node
+    # recursion on 160k columns (57.6 MB) that keeps 3400 nodes, inside the
     # budget, and both branches match their closed forms
     path = tmp_path / "k.ini"
     path.write_text("[problem]\nk = 1e-4\n")
@@ -599,6 +630,20 @@ def test_small_k_refines_within_the_byte_budget(tmp_path):
         body = np.loadtxt(csv, delimiter=",", skiprows=1)
         err_phi = np.max(np.abs(body[:, 1:] - closed(xs[None, :], body[:, :1])))
         assert err_phi <= 1e-7
+
+
+def test_huge_mu_fails_assumption1(tmp_path):
+    # 2 mu^2 overflows to inf: the trace gap check fails (exit 2), where a
+    # Python float square would end in an OverflowError traceback
+    path = tmp_path / "mu.ini"
+    path.write_text("[problem]\nmu = 1e300\n[forward]\nn = 8\nm = 8\nrefine = 1\n")
+    out = tmp_path / "o"
+    with pytest.warns(UserWarning, match="is not small"):
+        assert main(["asymptote", "--preset", "example1", "--config", str(path),
+                     "--out", str(out)]) == 2
+    report = json.loads((out / "assumptions.json").read_text())["assumption1"]
+    assert report["messages"] == ["trace gap does not exceed 2*mu^2"]
+    assert report["gap_margin"] == -math.inf
 
 
 @pytest.mark.parametrize("command", ["invert", "study"])
@@ -793,20 +838,25 @@ def test_benchmark_child_traces_the_cli(tiny_config, tmp_path, command):
 
 def test_runs_without_scipy(tiny_config, tmp_path):
     # a fresh interpreter, so no other test's import can hide one of aer's;
-    # aer asymptote also has no use for numpy's lazily imported numpy.ma and
-    # numpy.random (invert draws its noise from numpy.random)
+    # no command with uniform noise has a use for numpy's lazily imported
+    # numpy.ma and numpy.random: aer computes the uniform Philox stream
+    # itself, and study takes its medians with statistics
+    study = tmp_path / "study.ini"
+    study.write_text(TINY + "\n[study]\ndeltas = 0.02 0.01\nseeds = 1 2\n")
     code = textwrap.dedent(f"""
         import sys
         from aer.cli import main
-        for command in ("asymptote", "invert"):
+        for command, config in (("asymptote", {tiny_config!r}), ("invert", {tiny_config!r}),
+                                ("study", {str(study)!r})):
             out = {str(tmp_path)!r} + "/" + command
-            assert main([command, "--config", {tiny_config!r}, "--out", out]) == 0
-            if command == "asymptote":
-                print([name for name in ("numpy.ma", "numpy.random") if name in sys.modules])
+            assert main([command, "--config", config, "--out", out]) == 0
+            print(command, [name for name in ("numpy.ma", "numpy.random") if name in sys.modules])
         print(sorted(name for name in sys.modules if name.startswith("scipy")))
     """)
     _, env = _src_env()
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
+    assert run.stdout.strip().splitlines()[-4:] == ["asymptote []", "invert []", "study []", "[]"]
+    fits = json.loads((tmp_path / "study" / "study_summary.json").read_text())["fits"]
+    assert list(fits) == ["delta"]

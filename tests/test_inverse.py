@@ -24,6 +24,7 @@ from aer.inverse import (
     _data_product,
     _folded_periodic_solve,
     _penalty_factors,
+    _philox_random,
     _rows_first_diff,
     _rows_second_diff,
     _smoothing_inverses,
@@ -95,6 +96,55 @@ def test_make_observation_gaussian_kind():
     noisy = _noised(u, 0.01, 5, kind="gaussian")
     rel = noisy.values / u.values - 1.0
     assert rel.std() == pytest.approx(0.01, rel=0.05)
+
+
+def _numpy_philox(seed):
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1, 2 ** 64, 2 ** 128 - 1])
+@pytest.mark.parametrize("size", [1, 3, 4, 5, 2601, 7803])
+def test_philox_matches_numpy_bit_for_bit(seed, size):
+    # the key's high word, partial last blocks and the 51 x 51 (x 3) sizes
+    # of an observation (with gradients)
+    got = _philox_random(seed, size)
+    want = _numpy_philox(seed).random(size)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_philox_continues_the_stream():
+    # numpy keeps the rest of a block for the next call: two calls draw the
+    # words of one split draw
+    gen = _numpy_philox(11)
+    want = np.concatenate([gen.random(2601), gen.random(7)])
+    assert np.array_equal(_philox_random(11, 2608).view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 128])
+def test_philox_refuses_seeds_numpy_refuses(seed):
+    with pytest.raises(ValueError):
+        _numpy_philox(seed)
+    with pytest.raises(ValueError, match=r"must lie in \[0, 2\^128\)"):
+        _philox_random(seed, 4)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "gaussian"])
+def test_make_observation_draws_numpys_stream(kind):
+    # u, then its x and y gradients, from one Philox stream in C order; the
+    # uniform kind computes it in aer, the gaussian kind asks numpy
+    g = Grid2D(0.0, 2.0, 1.0, 12, 9)
+    u = Field2D.from_function(g, lambda x, y: 2.0 + np.sin(np.pi * x) + y ** 2)
+    delta, seed = 0.03, 2 ** 70 + 5
+    obs = make_observation(u, RegionMask(3, 6), delta, seed, kind, with_gradients=True)
+    gen = _numpy_philox(seed)
+    for noisy, clean in ((obs.u_delta, u.values), (obs.ux_delta, diff_x_values(u.values, g.d1)),
+                         (obs.uy_delta, diff_y_values(u.values, g.d2))):
+        if kind == "uniform":
+            factor = 1.0 + delta * (2.0 * gen.random(clean.shape) - 1.0)
+        else:
+            factor = 1.0 + delta * gen.standard_normal(clean.shape)
+        assert np.array_equal(noisy.values, factor * clean)
 
 
 # ---------------------------------------------------------------------------
