@@ -18,7 +18,8 @@ file; not --seed) and the seed run, and CSV numbers carry 17 significant
 digits so files round-trip bit-exactly.
 
 Exit status: 0 success, 2 assumption violation, 3 numerical failure,
-4 configuration error.
+4 configuration error (a command-line usage error or an unusable --out
+included).
 """
 
 from __future__ import annotations
@@ -217,6 +218,15 @@ def load_config(preset: str | None, path: str | None, seed_override: int | None 
     except ValueError as exc:     # n, m, refine, cfl or a snapshot time
         raise ConfigError(f"[forward] n = {run.n}, m = {run.m}, refine = {run.refine}, "
                           f"cfl = {run.cfl}: {exc}") from exc
+    # two times with one file name in aer forward's output would write one
+    # file, the later snapshot overwriting the earlier
+    written = {}
+    for t in run.snapshots:
+        name = snapshot_file(t)
+        if name in written:
+            raise ConfigError(f"[forward] snapshots {written[name]!r} and {t!r} both "
+                              f"write {name}")
+        written[name] = t
     _check_table_size("forward", spec, run.n)
     return run
 
@@ -313,6 +323,11 @@ def _summary(cfg: RunConfig, extra: dict) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def snapshot_file(t: float) -> str:
+    """The name of aer forward's snapshot file at time t."""
+    return f"u_t{t:g}.csv"
+
+
 def cmd_forward(cfg: RunConfig, out: str) -> int:
     """Solve on the forward grid, the data source of invert and study, and
     write each snapshot restricted to the observation grid."""
@@ -321,7 +336,7 @@ def cmd_forward(cfg: RunConfig, out: str) -> int:
                       cfg.cfl, cfg.snapshots)
     snaps, dts = forward_solve(cfg.spec, sc, record_dt=True)
     for f in snaps:
-        write_field_csv(os.path.join(out, f"u_t{f.time:g}.csv"), f.restrict(cfg.obs_grid))
+        write_field_csv(os.path.join(out, snapshot_file(f.time)), f.restrict(cfg.obs_grid))
     _write_json(os.path.join(out, "forward_summary.json"), _summary(cfg, {
         "snapshots_written": [f.time for f in snaps],
         "steps": len(dts),
@@ -480,9 +495,18 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which is aer's assumption-violation
+    code; a usage error is a configuration error, so this parser exits 4."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(4, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="aer", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _Parser(prog="aer", description=__doc__,
+                 formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("command", choices=["forward", "asymptote", "invert", "study"])
     ap.add_argument("--config", help="INI config file")
     ap.add_argument("--preset", help="built-in configuration: example1 or example2")
@@ -492,7 +516,10 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.preset, args.config, args.seed)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:     # --out names a file, or lies under one
+            raise ConfigError(f"cannot create output directory {args.out}: {exc}") from exc
         handler = {"forward": cmd_forward, "asymptote": cmd_asymptote,
                    "invert": cmd_invert, "study": cmd_study}[args.command]
         return handler(cfg, args.out)

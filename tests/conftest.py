@@ -80,13 +80,47 @@ def phi2_at_k(k):
 CLOSED_FORMS = {"ex1": (phi1_minus, phi1_plus), "ex2": (phi2_minus, phi2_plus)}
 
 
-def transport_coefficients(spec, side, x, y):
-    """Reaction coefficient P and forcing W of the first-order outer
-    equation du1/ds = (W - P u1)/k along a characteristic: ratios of the
-    outer branch's finite-difference derivatives.  The u1 oracles integrate
-    this equation directly; eval_u1 integrates its closed form."""
-    phi0, dphi_x, dphi_y, lap = _phi_derivatives(spec, side, x, y)
-    return (spec.k * dphi_x + dphi_y) / phi0, -lap / phi0
+def u1_rk4_oracle(spec, side, x, y, n):
+    """u1 at the points (x, y) by n RK4 steps, vectorised over the points,
+    on the first-order outer equation du1/ds = (W - P u1)/k along each
+    characteristic, from u1 = 0 at its boundary foot; eval_u1 integrates
+    the equation's closed form instead.  The reaction P = (k phi_x +
+    phi_y)/phi and forcing W = -lap(phi)/phi, ratios of the outer branch's
+    finite-difference derivatives, depend on the point only, so each point
+    is evaluated once: k2 and k3 share t + h/2, and k4's point is the next
+    step's k1 when t + h is the next grid time."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if side == "minus":
+        s_b = x - spec.k * (spec.a + y)
+    else:
+        s_b = x + spec.k * (spec.a - y)
+    span = x - s_b
+
+    def coefficients(t):
+        s = s_b + t * span
+        phi0, dphi_x, dphi_y, lap = _phi_derivatives(spec, side, s, y + (s - x) / spec.k)
+        return (spec.k * dphi_x + dphi_y) / phi0, -lap / phi0
+
+    def rhs(pw, v):
+        p, w = pw
+        return span * (w - p * v) / spec.k
+
+    v = np.zeros_like(x)
+    ts = np.linspace(0.0, 1.0, n + 1)
+    ht = 1.0 / n
+    start = coefficients(ts[0])
+    for i in range(n):
+        t = ts[i]
+        mid = coefficients(t + ht / 2)
+        end = coefficients(t + ht)
+        k1 = rhs(start, v)
+        k2 = rhs(mid, v + ht / 2 * k1)
+        k3 = rhs(mid, v + ht / 2 * k2)
+        k4 = rhs(end, v + ht * k3)
+        v = v + ht / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        start = end if t + ht == ts[i + 1] else coefficients(ts[i + 1])
+    return v
 
 
 @pytest.fixture(scope="session")

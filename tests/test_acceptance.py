@@ -56,7 +56,7 @@ from aer.cli import read_field_csv, write_field_csv
 from aer.errors import DiscrepancyUnreachable
 from aer.forward import SolverConfig, forward_solve
 from aer.inverse import Observation
-from conftest import CLOSED_FORMS, transport_coefficients
+from conftest import CLOSED_FORMS, u1_rk4_oracle
 
 SEEDS = (1, 2, 3, 4, 5)
 
@@ -302,35 +302,6 @@ def test_c09_property_suite(ex1, ex1_front):
     print("[C9] " + "; ".join(lines))
 
 
-def _u1_rk4_oracle_batch(spec, side, x, y, n=3000):
-    """RK4 on the transport equation, vectorized over query points."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if side == "minus":
-        s_b = x - spec.k * (spec.a + y)
-    else:
-        s_b = x + spec.k * (spec.a - y)
-    span = x - s_b
-    v = np.zeros_like(x)
-    ts = np.linspace(0.0, 1.0, n + 1)
-    ht = 1.0 / n
-
-    def rhs(t, vv):
-        s = s_b + t * span
-        sigma = y + (s - x) / spec.k
-        p, w = transport_coefficients(spec, side, s, sigma)
-        return span * (w - p * vv) / spec.k
-
-    for i in range(n):
-        t = ts[i]
-        k1 = rhs(t, v)
-        k2 = rhs(t + ht / 2, v + ht / 2 * k1)
-        k3 = rhs(t + ht / 2, v + ht / 2 * k2)
-        k4 = rhs(t + ht, v + ht * k3)
-        v = v + ht / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return v
-
-
 def test_c10_u1_oracle(ex1):
     rng = np.random.default_rng(31)
     x = -2.0 + 4.0 * rng.random(100)
@@ -338,7 +309,7 @@ def test_c10_u1_oracle(ex1):
     worst = 0.0
     for side in ("minus", "plus"):
         closed = np.asarray(eval_u1(ex1, side, x, y))
-        oracle = _u1_rk4_oracle_batch(ex1, side, x, y)
+        oracle = u1_rk4_oracle(ex1, side, x, y, n=3000)
         worst = max(worst, float(np.max(np.abs(closed - oracle))))
     drift = ProblemSpec(mu=0.08, k=2.0, x0=-2.0, x1=2.0, a=2.0, T=3.0,
                         u_minus_a=parse("-4"), u_plus_a=parse("2"),

@@ -251,6 +251,8 @@ def test_invalid_problem_data_exit_codes(tmp_path, command, old, new, code):
     pytest.param("forward", "snapshots = 0.15 0.3", "snapshots = 0.15 5", id="snapshot-past-T"),
     pytest.param("forward", "snapshots = 0.15 0.3", "snapshots = -0.1", id="negative-snapshot"),
     pytest.param("forward", "snapshots = 0.15 0.3", "snapshots = nan", id="snapshot-nan"),
+    pytest.param("forward", "snapshots = 0.15 0.3", "snapshots = 0.1234567 0.1234568",
+                 id="snapshots-one-file"),
     pytest.param("study", "[inverse]", "[study]\nmus = 0.05 -0.05\n\n[inverse]", id="study-mus"),
     pytest.param("study", "[inverse]", "[study]\ngrids = 24 1\n\n[inverse]", id="study-grids"),
     pytest.param("invert", "delta = 0.01", "delta = -0.01", id="delta"),
@@ -340,6 +342,39 @@ def test_missing_config_exit_code(tmp_path):
     assert main(["forward", "--out", str(tmp_path / "o")]) == 4
     assert main(["forward", "--config", str(tmp_path / "absent.ini"),
                  "--out", str(tmp_path / "o")]) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["forward", "--preset", "example1"], id="missing-out"),
+    pytest.param(["bogus", "--preset", "example1", "--out", "o"], id="unknown-command"),
+    pytest.param(["forward", "--preset", "example1", "--out", "o", "--seed", "abc"],
+                 id="seed-not-int"),
+])
+def test_usage_error_exit_code(tmp_path, capsys, monkeypatch, argv):
+    # argparse's own exit code 2 is aer's assumption violation
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 4
+    assert "usage: aer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "Exit status" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("out", [
+    pytest.param("file", id="names-a-file"),
+    pytest.param("file/sub", id="under-a-file"),
+])
+def test_unusable_out_exit_code(tiny_config, tmp_path, capsys, out):
+    (tmp_path / "file").write_text("")
+    assert main(["forward", "--config", tiny_config, "--out", str(tmp_path / out)]) == 4
+    assert "config error: cannot create output directory" in capsys.readouterr().err
 
 
 def test_cmd_invert_metrics(tiny_config, tmp_path):
