@@ -208,6 +208,12 @@ def load_config(preset: str | None, path: str | None, seed_override: int | None 
         spec = asymptotics.ProblemSpec(**values["problem"])
     except ValueError as exc:     # a range or periodicity error in [problem]
         raise ConfigError(f"[problem] {exc}") from exc
+    # a value given twice would run, and write, its rows twice, and a fit
+    # over one distinct value would be no fit
+    for key, vals in values["study"].items():
+        for i, v in enumerate(vals):
+            if v in vals[:i]:
+                raise ConfigError(f"[study] {key} lists {v!r} more than once")
     axes = {STUDY_AXES[key]: vals for key, vals in values["study"].items() if vals}
     run = RunConfig(spec, **values["forward"], **values["inverse"], study=axes, raw=raw)
     # the [forward] values together: grids and snapshot times the solver
@@ -456,6 +462,7 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
     for run in runs:
         key = (run["mu"], run["n"])
         prep, width0, mu = prepared[key], widths[key], run["mu"]
+        scale = mu * abs(np.log(mu))      # 0 at mu = 1: width_scaled is undefined
         res = inverse.run_aer_pipeline(prep, run["delta"], run["seed"], cfg.noise,
                                        cfg.gradient_measured, cfg.discrepancy)
         rows.append(dict(run, rel_err_f=res.metrics["rel_err_f"],
@@ -463,7 +470,7 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
                          m_minus=res.metrics["m_minus"],
                          m_plus=res.metrics["m_plus"],
                          width_x0=width0,
-                         width_scaled=width0 / (mu * abs(np.log(mu)))))
+                         width_scaled=width0 / scale if scale else None))
 
     cols = ["mu", "delta", "n", "seed", "rel_err_f", "rel_err_u0",
             "m_minus", "m_plus", "width_x0", "width_scaled"]

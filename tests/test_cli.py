@@ -92,16 +92,6 @@ def test_seed_override():
             load_config("example1", None, seed_override=seed)
 
 
-def test_field_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(12)
-    g = Grid2D(-1.0, 1.0, 0.5, 9, 7)
-    f = Field2D(g, rng.standard_normal((10, 8)) * np.pi)
-    path = str(tmp_path / "f.csv")
-    write_field_csv(path, f)
-    back = read_field_csv(path, g)
-    assert np.array_equal(back.values, f.values)
-
-
 def test_csv_blocks_match_per_value_format(tmp_path, monkeypatch):
     # one "%.17g" template per block of rows (per time in front.csv, whose
     # t and x are formatted once) writes what _fmt writes value by value,
@@ -269,6 +259,11 @@ def test_invalid_problem_data_exit_codes(tmp_path, command, old, new, code):
     pytest.param("study", "[inverse]", "[study]\ndeltas = 0.01 1e200\n\n[inverse]",
                  id="study-deltas-1e200"),
     pytest.param("study", "[inverse]", "[study]\nseeds = 1 -1\n\n[inverse]", id="study-seeds"),
+    # a value given twice would run its rows twice and fit one distinct value
+    pytest.param("study", "[inverse]", "[study]\ndeltas = 0.01 0.01\nseeds = 1\n\n[inverse]",
+                 id="study-deltas-repeat"),
+    pytest.param("study", "[inverse]", "[study]\nseeds = 1 1\n\n[inverse]",
+                 id="study-seeds-repeat"),
     pytest.param("study", "[inverse]", "[study]\nseeds = 1 x\n\n[inverse]", id="study-seed-token"),
     pytest.param("study", "[inverse]", f"[study]\nseeds = 1 {2 ** 128}\n\n[inverse]",
                  id="study-seed-2^128"),
@@ -469,6 +464,21 @@ def test_cmd_study_zero_source(tmp_path):
     assert summary["runs"] == 2
 
 
+def test_cmd_study_mu_one(tmp_path):
+    # mu |ln mu| is 0 at mu = 1: width_scaled is undefined, so its cell is
+    # left empty, without a division by zero, and width_x0 is still written
+    path = tmp_path / "mu1.ini"
+    path.write_text(TINY + "\n[study]\nmus = 1\nseeds = 1\n")
+    out = str(tmp_path / "mu1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["study", "--config", str(path), "--out", out]) == 0
+    lines = open(os.path.join(out, "study.csv")).read().splitlines()
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert row["width_scaled"] == ""
+    assert math.isfinite(float(row["width_x0"]))
+
+
 def test_cmd_study_rows_do_not_depend_on_grid_order(tmp_path):
     # each (mu, n) group is prepared from its own inputs only, so the row of
     # one grid is the same whichever grid the sweep visits first (the front
@@ -547,6 +557,18 @@ def test_nonfinite_width_exit_code(tmp_path, capsys, command):
     assert "transition width is not finite" in err
     if command != "asymptote":
         assert "[observation]" in err
+
+
+@pytest.mark.parametrize("command", ["forward", "invert"])
+def test_time_step_underflow_exit_code(tmp_path, capsys, command):
+    # a first step below the march's floor of 1e-14 is a numerical failure
+    # of the forward stage, not a march that never ends
+    path = tmp_path / "tiny-cfl.ini"
+    path.write_text(TINY.replace("cfl = 0.4", "cfl = 1e-300"))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    stage = "[forward] " if command == "invert" else ""
+    err = capsys.readouterr().err
+    assert f"numerical failure: {stage}time step underflow at t = 0\n" in err
 
 
 @pytest.mark.parametrize("command", ["asymptote", "invert", "study"])

@@ -154,13 +154,20 @@ def _roll_case(case, ex1, ex2):
     return spec, SolverConfig(grid, t_end, 0.4, [0.013, 0.03, t_end]), u_init, start
 
 
-@pytest.mark.parametrize("case", ROLL_CASES)
-def test_matches_textbook_form_bit_for_bit(case, ex1, ex2, monkeypatch):
-    """forward_solve reorganises memory, not arithmetic: every snapshot and
-    every dt equals the np.roll form of the viscous face flux exactly, on
-    one block whatever the grid's size."""
+# each case on 1, 2 and 3 column blocks; one block keeps the plain case id
+@pytest.mark.parametrize("blocks, case", [
+    pytest.param(blocks, case, id=case if blocks == 1 else f"{blocks}-{case}")
+    for blocks in (1, 2, 3) for case in ROLL_CASES])
+def test_matches_textbook_form_bit_for_bit(blocks, case, ex1, ex2, monkeypatch):
+    """forward_solve reorganises memory, not arithmetic: on 1, 2 or 3
+    column blocks every snapshot and every dt equals the np.roll form of
+    the viscous face flux exactly.  The cases cover an n that both split
+    counts divide (24), odd n divided by neither (25) and odd n divided by
+    3 (15, 21), columns with no pad row (m = 15) and with 7 (m = 16), a
+    caller's u_init, and snapshots inside a step (0.013, 0.03), taken off
+    the march."""
     spec, cfg, u_init, start = _roll_case(case, ex1, ex2)
-    _force_blocks(monkeypatch, 1)
+    _force_blocks(monkeypatch, blocks)
     snaps, dts = forward_solve(spec, cfg, u_init=u_init, record_dt=True)
     ref_snaps, ref_dts = _roll_solve(spec, cfg, start, "faces")
     assert dts == ref_dts
@@ -171,32 +178,11 @@ def test_matches_textbook_form_bit_for_bit(case, ex1, ex2, monkeypatch):
         assert dts[-1] < cfg.t_end - t_prev and 0.0 < cfg.t_end - t_last < TIME_TOL
     assert [f.time for f in snaps] == cfg.snapshot_times
     for f, ref in zip(snaps, ref_snaps, strict=True):
-        assert np.array_equal(f.values, ref)
+        assert f.values.shape == ref.shape and f.values.tobytes() == ref.tobytes()
 
 
 def _force_blocks(monkeypatch, blocks):
     monkeypatch.setattr(aer.forward, "column_blocks", lambda grid: blocks)
-
-
-@pytest.mark.parametrize("case", ROLL_CASES)
-@pytest.mark.parametrize("blocks", [2, 3])
-def test_split_march_is_bit_identical_to_one_block(blocks, case, ex1, ex2, monkeypatch):
-    """Column blocks change where a node is computed, not how: with 2 or 3
-    blocks every snapshot and every dt equal one block's, and the textbook
-    form's.  The cases cover an n that both counts divide (24), odd n not
-    divided by either (25) and odd n divided by 3 (15, 21), columns with
-    no pad row (m = 15) and with 7 (m = 16), a caller's u_init, and
-    snapshots inside a step (0.013, 0.03), taken off the march."""
-    spec, cfg, u_init, start = _roll_case(case, ex1, ex2)
-    _force_blocks(monkeypatch, 1)
-    one, one_dts = forward_solve(spec, cfg, u_init=u_init, record_dt=True)
-    _force_blocks(monkeypatch, blocks)
-    split, dts = forward_solve(spec, cfg, u_init=u_init, record_dt=True)
-    ref_snaps, ref_dts = _roll_solve(spec, cfg, start, "faces")
-    assert dts == one_dts == ref_dts
-    assert [f.time for f in split] == [f.time for f in one] == cfg.snapshot_times
-    for f, g, ref in zip(split, one, ref_snaps, strict=True):
-        assert f.values.tobytes() == g.values.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("blocks", [2, 3])

@@ -182,12 +182,6 @@ def test_prepare_labels_a_too_wide_band_as_observation():
         prepare(s, g, 0.4, g)
 
 
-def test_layer_band_example1(ex1, ex1_front):
-    mask = layer_band(ex1_front, ex1, ex1.grid(50, 50))
-    assert 29 <= mask.j_lo <= 33
-    assert 37 <= mask.j_hi <= 41
-
-
 # ---------------------------------------------------------------------------
 # smoothing
 
