@@ -53,9 +53,8 @@ FRONT_REFINE = 4         # front nodes per observation-grid cell in x
 FRONT_CFL = 0.4          # CFL number of the front solver
 FRONT_OUTPUTS = 200      # uniform output intervals of the front solver
 U1_TOL = 1e-8            # first-order correction quadrature tolerance
-TABLE_NODE_BUDGET = 1 << 20  # most nodes of one kept phi table a run may ask for
-TABLE_NODE_BYTES = 150       # peak bytes per node of a kept table and its cubics
-TABLE_COLUMN_BYTES = 224     # bytes per recursion column besides its nodes' 8
+TABLE_NODE_BUDGET = 1 << 20    # most nodes of one phi table a run may ask for
+TABLE_COLUMN_BUDGET = 1 << 19  # most columns of one table's row recursion
 _EXP_CLIP = 700.0
 
 
@@ -168,7 +167,8 @@ def _char_integral(fxy, X, Y, E, k, tol=QUAD_TOL):
             val[lo:lo + chunk] = np.einsum(
                 "ij,j->i", fxy(S, Y[idx, None] + (S - X[idx, None]) / k), w)
         done = ~np.isfinite(val)
-        with np.errstate(invalid="ignore"):     # inf - inf, inf * 0: nan, as meant
+        # inf - inf, inf * 0: nan, and a finite value times L: inf, as meant
+        with np.errstate(over="ignore", invalid="ignore"):
             if prev is not None:
                 done |= np.abs((val - prev) * L[active]) <= tol
             out[active[done]] = val[done] * L[active[done]]
@@ -200,7 +200,9 @@ def _radicand(spec: ProblemSpec, side: str, X, Y):
     X, Y = np.broadcast_arrays(X, Y)
     endpoint, trace = _boundary_foot(spec, side, X, Y)
     integral = _char_integral(spec.f, X, Y, endpoint, spec.k)
-    rad = np.asarray(trace, dtype=float).ravel() ** 2 - (2.0 / spec.k) * integral
+    # an overflow gives an inf or nan radicand, which its callers reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        rad = np.asarray(trace, dtype=float).ravel() ** 2 - (2.0 / spec.k) * integral
     return rad.reshape(X.shape), X, Y
 
 
@@ -283,17 +285,19 @@ _GAUSS4_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461,
 _TABLE_CALL_POINTS = 1 << 15    # about this many evaluation points per call of f
 
 
-def _aligned_branch_integral(spec: ProblemSpec, side: str, nx: int, ny: int, p: int):
+def _aligned_branch_integral(spec: ProblemSpec, side: str, nx: int, ny: int, p: int,
+                             refine: int = 1):
     """Characteristic integral of f at the table nodes by row recursion.
 
-    Node (i, r) is the column x0 + i dx (dx = L / nx, i < nx) at the row
-    r dy away from the branch's boundary (y = -a + r dy for 'minus',
-    a - r dy for 'plus'), with dy = p dx / k.  The characteristic through
-    node (i, r) then meets node (i -/+ p, r - 1), so the line integral to
-    the boundary accumulates one short Gauss segment per row, walking away
-    from the boundary row.  Columns are extended beyond the period, on the
-    side the characteristics come from, because f is evaluated at raw
-    (unwrapped) arguments.  Returns the (nx, ny + 1) node values.
+    Node (i, r) is the column x0 + i dx (dx = L / (nx refine), i < nx
+    refine) at the row r dy away from the branch's boundary (y = -a + r dy
+    for 'minus', a - r dy for 'plus'), with dy = p dx / k.  The
+    characteristic through node (i, r) then meets node (i -/+ p, r - 1), so
+    the line integral to the boundary accumulates one short Gauss segment
+    per row, walking away from the boundary row.  Columns are extended
+    beyond the period, on the side the characteristics come from, because f
+    is evaluated at raw (unwrapped) arguments.  Returns the (nx, ny + 1)
+    node values of every refine-th column, the only ones stored.
 
     The 4 Gauss abscissae of every column and their offsets along the
     characteristic are the same in every row, so they are formed once, and
@@ -302,13 +306,13 @@ def _aligned_branch_integral(spec: ProblemSpec, side: str, nx: int, ny: int, p: 
     block are then summed and accumulated one by one, in the order of a
     row-by-row evaluation.
     """
-    dx = spec.length / nx
+    dx = spec.length / (nx * refine)
     dy = p * dx / spec.k
     ext = p * ny
     half = 0.5 * spec.k * dy
     step = 1 if side == "plus" else -1
     lo = 0 if step > 0 else ext                  # column of x0
-    xs_ext = spec.x0 + dx * (np.arange(nx + ext) - lo)
+    xs_ext = spec.x0 + dx * (np.arange(nx * refine + ext) - lo)
     mid = xs_ext + step * half
     S = mid + half * _GAUSS4_NODES[:, None, None]        # (4, 1, columns)
     offset = (S - xs_ext) / spec.k
@@ -322,6 +326,7 @@ def _aligned_branch_integral(spec: ProblemSpec, side: str, nx: int, ny: int, p: 
         dst, src = slice(0, cols - p), slice(p, cols)
     else:
         dst, src = slice(p, cols), slice(0, cols - p)
+    kept = slice(lo, lo + nx * refine, refine)
     out = np.zeros((nx, ny + 1))
     row = np.zeros(cols)
     for r0 in range(1, ny + 1, block):
@@ -334,7 +339,7 @@ def _aligned_branch_integral(spec: ProblemSpec, side: str, nx: int, ny: int, p: 
         seg *= half
         for j, r in enumerate(rows):
             row[dst] = row[src] + seg[j, dst]
-            out[:, r] = row[lo:lo + nx]
+            out[:, r] = row[kept]
     if step < 0:      # the minus integral runs from x down to the boundary
         np.negative(out, out=out)
     return out
@@ -378,39 +383,25 @@ def _table_rows(spec: ProblemSpec, nx: int):
     return p, dy, ny + (ny * dy < 2.0 * spec.a)
 
 
-def table_size(spec: ProblemSpec, nx: int) -> tuple:
-    """Nodes of a table whose row recursion runs on nx columns (nx by
-    ny + 1 rows, one double each), and the columns that recursion works
-    on: nx plus p ny extension columns, a float, since p grows with k
-    beyond any int.  The first tables of a front on an n-cell grid have
-    nx = FRONT_REFINE n."""
-    p, _, ny = _table_rows(spec, nx)
-    return nx * (ny + 1), nx + p * ny
-
-
 def table_budget_excess(spec: ProblemSpec, nx: int, refine: int = 1):
     """Why a table kept on nx columns, from a row recursion refined
-    refine-fold, is over budget, or None if it is not.  The kept table (nx
-    by ny + 1 nodes, ny that of the recursion) may hold TABLE_NODE_BUDGET
-    nodes, at about TABLE_NODE_BYTES each with its cubics at their peak.
-    The recursion may work on TABLE_NODE_BUDGET columns and take as many
-    bytes as the kept table: 8 a node and TABLE_COLUMN_BYTES a column (the
-    extended abscissae, their Gauss points and offsets, the running row
-    and one row's evaluation of f, measured by tracemalloc on 40k to 400k
-    columns).  With refine = 1 the recursion is the kept table, so the
-    node count of the table binds."""
-    nodes, columns = table_size(spec, nx * refine)
-    kept = nodes // refine
-    if kept > TABLE_NODE_BUDGET:
-        return f"would hold {kept} nodes, over the budget of {TABLE_NODE_BUDGET}"
-    if columns > TABLE_NODE_BUDGET:
+    refine-fold, is over budget, or None if it is not.  A build stores only
+    the nodes it keeps, nx by ny + 1 (ny that of the recursion), at about
+    150 bytes each with their cubics at their peak; its row recursion
+    takes about 224 bytes a column (the extended abscissae, their Gauss
+    points and offsets, the running row and one row's evaluation of f; both
+    measured by tracemalloc, the columns on 160k to 520k).  So the kept
+    nodes may number TABLE_NODE_BUDGET (about 157 MB), and the recursion's
+    nx refine + p ny columns TABLE_COLUMN_BUDGET (about 117 MB); the
+    columns are a float, since p grows with k beyond any int."""
+    p, _, ny = _table_rows(spec, nx * refine)
+    nodes = nx * (ny + 1)
+    if nodes > TABLE_NODE_BUDGET:
+        return f"would hold {nodes} nodes, over the budget of {TABLE_NODE_BUDGET}"
+    columns = nx * refine + p * ny
+    if columns > TABLE_COLUMN_BUDGET:
         return (f"would run its recursion on {columns:.6g} columns, over the budget "
-                f"of {TABLE_NODE_BUDGET}")
-    size = 8 * nodes + TABLE_COLUMN_BYTES * int(columns)
-    if size > TABLE_NODE_BYTES * TABLE_NODE_BUDGET:
-        return (f"would run its recursion on {nodes} nodes and {int(columns)} columns "
-                f"({size} bytes), over the budget of {TABLE_NODE_BYTES * TABLE_NODE_BUDGET} "
-                f"bytes")
+                f"of {TABLE_COLUMN_BUDGET}")
     return None
 
 
@@ -424,22 +415,22 @@ class PhiTable:
     y = a for 'plus') with spacing dy = p dx / k, p = max(1, round(2 a k / L)),
     so the aligned row recursion applies for every k; the last row reaches
     or passes the far boundary.  refine > 1 runs the recursion on refine
-    times as many columns (and so as many rows) and keeps every refine-th
+    times as many columns (and so as many rows) and stores every refine-th
     column.  A query gives one y per column, clipped to [-a, a].
     """
 
     def __init__(self, spec: ProblemSpec, side: str, nx: int, refine: int = 1):
         self.spec = spec
-        self.side = side
         p, self.dy, self.ny = _table_rows(spec, nx * refine)
-        integral = _aligned_branch_integral(spec, side, nx * refine, self.ny, int(p))[::refine]
         xs = spec.x0 + spec.length / nx * np.arange(nx)
         self._sign = 1.0 if side == "plus" else -1.0
         ys = self._sign * (spec.a - self.dy * np.arange(self.ny + 1))
         _, trace = _boundary_foot(spec, side, xs[:, None], ys)
-        # a radicand that overflows (k tiny) is a numerical failure, not one
-        # that passes rad > 0 as +inf; a nan radicand still fails Assumption 2
-        with np.errstate(over="ignore"):
+        # a radicand that overflows (k tiny, or f huge) is a numerical
+        # failure, not one that passes rad > 0 as +inf; a nan radicand still
+        # fails Assumption 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            integral = _aligned_branch_integral(spec, side, nx, self.ny, int(p), refine)
             rad = np.asarray(trace) ** 2 - (2.0 / spec.k) * integral
         if np.isinf(rad).any():
             raise NumericalError(f"the {side} table's radicand overflows at k = {spec.k:g}")
@@ -480,11 +471,11 @@ def phi_table(spec: ProblemSpec, side: str, nx: int) -> PhiTable:
     py = -spec.a + 2.0 * spec.a * np.mod(0.5 + np.stack([i / g, i / g ** 2]), 1.0)
     px = spec.x0 + spec.length / nx * np.arange(nx)
     exact = eval_phi(spec, side, np.broadcast_to(px, py.shape), py)
-    # rows at most a/2 apart; capped at TABLE_NODE_BUDGET-fold, whose
+    # rows at most a/2 apart; capped at TABLE_COLUMN_BUDGET-fold, whose
     # columns alone are over the budget, so that an overflowing dy still
     # gives an int
     _, dy, _ = _table_rows(spec, nx)
-    refine = int(min(max(1.0, np.ceil(dy / (0.5 * spec.a))), TABLE_NODE_BUDGET))
+    refine = int(min(max(1.0, np.ceil(dy / (0.5 * spec.a))), TABLE_COLUMN_BUDGET))
     while True:
         excess = table_budget_excess(spec, nx, refine)
         if excess:

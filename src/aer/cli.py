@@ -187,7 +187,8 @@ def _parse(section: str, key: str, text: str):
 
 def _check_table_size(section: str, spec: asymptotics.ProblemSpec, n: int):
     """A front whose first phi tables are over the budget of
-    asymptotics.table_budget_excess is refused before any work."""
+    asymptotics.table_budget_excess is refused; the commands that build a
+    front call this before any work (aer forward builds none)."""
     excess = asymptotics.table_budget_excess(spec, asymptotics.FRONT_REFINE * n)
     if excess:
         raise ConfigError(f"[{section}] n = {n}, k = {spec.k:g}: each phi table of the "
@@ -233,7 +234,6 @@ def load_config(preset: str | None, path: str | None, seed_override: int | None 
             raise ConfigError(f"[forward] snapshots {written[name]!r} and {t!r} both "
                               f"write {name}")
         written[name] = t
-    _check_table_size("forward", spec, run.n)
     return run
 
 
@@ -356,6 +356,7 @@ def cmd_forward(cfg: RunConfig, out: str) -> int:
 def cmd_asymptote(cfg: RunConfig, out: str) -> int:
     t_start = time.perf_counter()
     spec = cfg.spec
+    _check_table_size("forward", spec, cfg.n)
     grid = cfg.obs_grid
     rep1 = asymptotics.check_assumption1(spec)
     rep2 = asymptotics.check_assumption2(spec)
@@ -387,6 +388,7 @@ def cmd_asymptote(cfg: RunConfig, out: str) -> int:
 
 def cmd_invert(cfg: RunConfig, out: str) -> int:
     t_start = time.perf_counter()
+    _check_table_size("forward", cfg.spec, cfg.n)
     prep = inverse.prepare(cfg.spec, cfg.forward_grid, cfg.cfl, cfg.obs_grid)
     res = inverse.run_aer_pipeline(prep, cfg.delta, cfg.seed, cfg.noise,
                                    cfg.gradient_measured, cfg.discrepancy)

@@ -444,30 +444,33 @@ def forward_solve(spec: ProblemSpec, cfg: SolverConfig, u_init: Field2D | None =
         umax = exchange(0)
         while pending and pending[0][1] <= TIME_TOL:
             snap_vals[pending.pop(0)[0], c0:c1] = U[GHOST:-GHOST]
-        while t < cfg.t_end - TIME_TOL:
-            dt = cfg.cfl * diff_bound
-            if umax > 0.0:
-                dt = min(dt, cfg.cfl * d1 / (spec.k * umax), cfg.cfl * d2 / umax)
-            dt = min(dt, cfg.t_end - t)
-            if dt < 1e-14:
-                raise SolverBlowUp(f"time step underflow at t = {t:.6g}")
-            rhs_u()
-            due = []
-            # the loop's own end test for t_end = ts: the step that ends a
-            # solve to ts takes it, and the last step takes all that are left
-            while pending and pending[0][1] - TIME_TOL <= t + dt:
-                i, ts = pending.pop(0)
-                heun(min(ts - t, dt), snap_vals[i, c0:c1].reshape(-1))
-                due.append((i, ts))
-            heun(dt, u_own)
-            t += dt
-            dts.append(dt)
-            umax = exchange(len(dts) % 2)
-            for i, ts in due if b == 0 else ():
-                if not np.all(np.isfinite(snap_vals[i, :n, :m + 1])):
-                    raise SolverBlowUp(f"solver blow-up at t = {ts:.6g}")
-            if not math.isfinite(umax):
-                raise SolverBlowUp(f"solver blow-up at t = {t:.6g}")
+        # a blow-up overflows to inf and nan on its way to the max|u| and
+        # snapshot checks, which report it; set here, in each block's thread
+        with np.errstate(over="ignore", invalid="ignore"):
+            while t < cfg.t_end - TIME_TOL:
+                dt = cfg.cfl * diff_bound
+                if umax > 0.0:
+                    dt = min(dt, cfg.cfl * d1 / (spec.k * umax), cfg.cfl * d2 / umax)
+                dt = min(dt, cfg.t_end - t)
+                if dt < 1e-14:
+                    raise SolverBlowUp(f"time step underflow at t = {t:.6g}")
+                rhs_u()
+                due = []
+                # the loop's own end test for t_end = ts: the step that ends a
+                # solve to ts takes it, and the last step takes all that are left
+                while pending and pending[0][1] - TIME_TOL <= t + dt:
+                    i, ts = pending.pop(0)
+                    heun(min(ts - t, dt), snap_vals[i, c0:c1].reshape(-1))
+                    due.append((i, ts))
+                heun(dt, u_own)
+                t += dt
+                dts.append(dt)
+                umax = exchange(len(dts) % 2)
+                for i, ts in due if b == 0 else ():
+                    if not np.all(np.isfinite(snap_vals[i, :n, :m + 1])):
+                        raise SolverBlowUp(f"solver blow-up at t = {ts:.6g}")
+                if not math.isfinite(umax):
+                    raise SolverBlowUp(f"solver blow-up at t = {t:.6g}")
         return dts
 
     if blocks == 1:

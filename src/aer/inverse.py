@@ -228,7 +228,7 @@ class RegionSmoothing:
     target: float
     misfit_top: float | None    # misfit at the bracket top eps = 1e2 / target;
                                 # None when the floor rule returns first
-    cg_iterations: int = 0      # the solves are direct; kept for run summaries
+    cg_iterations: int = 0      # the solves are direct; read by bench/child.py
 
 
 def _region_rows(mask: RegionMask, m: int, region: str) -> np.ndarray:
@@ -400,7 +400,7 @@ class ReconstructionResult:
     f_delta: Field2D
     eps: float
     residual: float
-    cg_iterations: int = 0      # the solve is direct; kept for run summaries
+    cg_iterations: int = 0      # the solve is direct; read by bench/child.py
 
 
 def _data_product(u, ux, uy, k):

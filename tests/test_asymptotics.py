@@ -195,40 +195,44 @@ def _per_row_branch_integral(spec, side, nx, ny, p):
     return step * out
 
 
-@pytest.mark.parametrize("name, source", [
-    pytest.param("ex1", None, id="ex1-p2"),
-    pytest.param("ex2", None, id="ex2-p1"),
-    pytest.param("ex1", "sin(3*x)*exp(y/4) + x*y", id="ex1-mixed-source"),
-    pytest.param("ex2", "cos(7*x)*(1 + y^2) - 0.5*x", id="ex2-mixed-source"),
+@pytest.mark.parametrize("name, source, refine", [
+    pytest.param("ex1", None, 1, id="ex1-p2"),
+    pytest.param("ex2", None, 1, id="ex2-p1"),
+    pytest.param("ex1", "sin(3*x)*exp(y/4) + x*y", 1, id="ex1-mixed-source"),
+    pytest.param("ex2", "cos(7*x)*(1 + y^2) - 0.5*x", 1, id="ex2-mixed-source"),
+    pytest.param("ex1", "sin(3*x)*exp(y/4) + x*y", 3, id="ex1-refined-3"),
 ])
 @pytest.mark.parametrize("rows_per_block", [None, 1, 7])
-def test_blocked_table_integral_equals_per_row_oracle(name, source, rows_per_block,
+def test_blocked_table_integral_equals_per_row_oracle(name, source, refine, rows_per_block,
                                                       request, monkeypatch):
     # evaluating f for blocks of rows sums the same terms in the same order
     # as the per-row loop, so every node value is bit-identical; 7 rows per
-    # block leave a short last block (200 rows)
+    # block leave a short last block (200 rows).  A refined recursion stores
+    # every refine-th of its columns, each as the full recursion has it
     spec = request.getfixturevalue(name)
     if source is not None:
         spec = dataclasses.replace(spec, f=parse(source))
-    p, _, ny = asymptotics._table_rows(spec, 200)
+    cols = 200 * refine
+    p, _, ny = asymptotics._table_rows(spec, cols)
     if rows_per_block is not None:
         monkeypatch.setattr(asymptotics, "_TABLE_CALL_POINTS",
-                            rows_per_block * 4 * (200 + int(p) * ny))
+                            rows_per_block * 4 * (cols + int(p) * ny))
     for side in ("minus", "plus"):
-        want = _per_row_branch_integral(spec, side, 200, ny, int(p))
-        got = asymptotics._aligned_branch_integral(spec, side, 200, ny, int(p))
+        want = _per_row_branch_integral(spec, side, cols, ny, int(p))[::refine]
+        got = asymptotics._aligned_branch_integral(spec, side, 200, ny, int(p), refine)
         assert got.tobytes() == want.tobytes()
 
 
 def test_table_size_of_an_overflowing_stride(ex1):
-    # 2 a k / L overflows to inf: the row count still comes out (the spans
-    # of the characteristics, not the table size, make such a problem fail)
+    # 2 a k / L overflows to inf: the row count still comes out, and the
+    # recursion's columns are refused by the budget
     spec = dataclasses.replace(ex1, k=1e308)
-    assert asymptotics.table_size(spec, 200)[0] == 200 * 5
-    assert asymptotics.table_size(ex1, 200)[0] == 200 * 201
+    assert asymptotics._table_rows(spec, 200)[2] == 4
+    assert asymptotics._table_rows(ex1, 200)[2] == 200
+    assert "would run its recursion on inf columns" in asymptotics.table_budget_excess(spec, 200)
 
 
-def test_table_budget_holds_kept_nodes_and_recursion_bytes(ex2):
+def test_table_budget_holds_kept_nodes_and_recursion_columns(ex2):
     # example 2 has ny = nx rows at k = 1: 1023 x 1024 kept nodes are within
     # the budget, 1024 x 1025 are not, and a refinement keeps the rows of
     # its recursion
@@ -236,21 +240,17 @@ def test_table_budget_holds_kept_nodes_and_recursion_bytes(ex2):
     assert "would hold 1049600 nodes" in asymptotics.table_budget_excess(ex2, 1024)
     assert asymptotics.table_budget_excess(ex2, 512, 2) is None        # 512 x 1025 kept
     assert "would hold 2098176 nodes" in asymptotics.table_budget_excess(ex2, 1024, 2)
-    # at k = 1e-4 a table on 200 columns has ceil(refine / 50) rows: an
-    # 882-fold recursion keeps 200 x 19 nodes and takes 3.35M nodes (27 MB)
-    # on 176k columns (40 MB); a 2400-fold one keeps 200 x 49 but passes the
-    # byte budget, TABLE_NODE_BYTES per node of the node budget
+    # at k = 1e-4 a table on 200 columns has ceil(refine / 50) rows: a
+    # 2400-fold recursion keeps 200 x 49 nodes and runs on 480048 columns
+    # (107.6 MB at its peak), within the budget
     spec = dataclasses.replace(ex2, k=1e-4)
-    assert asymptotics.table_size(spec, 200 * 882)[0] == 882 * 3800
-    assert asymptotics.table_budget_excess(spec, 200, 882) is None
-    assert "on 23520000 nodes and 480048 columns (295690752 bytes), over the budget of " \
-           "157286400 bytes" in asymptotics.table_budget_excess(spec, 200, 2400)
-    # at k = 1e-6 the rows stay 4: a 4000-fold recursion takes 4M nodes
-    # (32 MB) on 800k columns (179 MB), over the byte budget by its columns
+    assert asymptotics.table_budget_excess(spec, 200, 2400) is None
+    # at k = 1e-6 the rows stay 4: the recursion runs on 200 refine + 4
+    # columns, within the budget up to 2621-fold
     spec = dataclasses.replace(ex2, k=1e-6)
-    assert asymptotics.table_size(spec, 200 * 4000) == (4_000_000, 800_004)
-    assert "on 4000000 nodes and 800004 columns (211200896 bytes)" \
-        in asymptotics.table_budget_excess(spec, 200, 4000)
+    assert asymptotics.table_budget_excess(spec, 200, 2621) is None
+    assert "would run its recursion on 524404 columns, over the budget of 524288" \
+        in asymptotics.table_budget_excess(spec, 200, 2622)
 
 
 def test_closed_forms_of_example2_at_any_k(ex2):

@@ -224,6 +224,13 @@ def test_nan_source_exit_code(tmp_path, command):
 @pytest.mark.parametrize("command", ["forward", "asymptote", "invert"])
 @pytest.mark.parametrize("old, new, code", [
     pytest.param("mu = 0.05", "mu = -0.05", 4, id="negative-mu"),
+    pytest.param("k = 1", "k = -1", 4, id="negative-k"),
+    pytest.param("x1 = 1", "x1 = -1", 4, id="x1-at-x0"),
+    pytest.param("\na = 1", "\na = 0", 4, id="zero-a"),
+    pytest.param("T = 1", "T = 0", 4, id="zero-T"),
+    pytest.param("h0_star = 0", "h0_star = 1", 4, id="h0-star-on-boundary"),
+    pytest.param("t0 = 0.3", "t0 = 1.5", 4, id="t0-past-T"),
+    pytest.param("h0_star = 0\n", "", 4, id="missing-key"),
     pytest.param("u_minus_a = -3", "u_minus_a = -3 + 0*sqrt(x)", 2, id="nan-trace"),
 ])
 def test_invalid_problem_data_exit_codes(tmp_path, command, old, new, code):
@@ -585,8 +592,14 @@ def test_out_of_memory_exit_code(tiny_config, tmp_path, capsys, monkeypatch, com
 
 @pytest.mark.parametrize("command, text", [
     pytest.param(command, "[forward]\nn = 2000\nm = 3\nrefine = 1\n", id=f"{command}-n")
-    for command in ("forward", "asymptote", "invert", "study")] + [
-    pytest.param("study", "[study]\ngrids = 50 2000\n", id="study-grids")])
+    for command in ("asymptote", "invert")] + [
+    # study refuses a grid that is not square first
+    pytest.param("study", "[forward]\nn = 2000\nm = 2000\nrefine = 1\n", id="study-n"),
+    pytest.param("study", "[study]\ngrids = 50 2000\n", id="study-grids"),
+    # aer forward builds no front, so its grid is not held to the budget:
+    # each phi table of a front on n = 300 would hold 1200 x 1201 nodes
+    pytest.param("forward", "[forward]\nn = 300\nm = 4\nrefine = 1\nsnapshots = 0.001\n",
+                 id="forward-n")])
 def test_table_size_exit_code(tmp_path, capsys, command, text):
     # (4 * 2000)^2 table nodes would take gigabytes: refused before any work
     path = tmp_path / "big.ini"
@@ -595,6 +608,10 @@ def test_table_size_exit_code(tmp_path, capsys, command, text):
     code = main([command, "--preset", "example1", "--config", str(path),
                  "--out", str(tmp_path / "o")])
     assert time.perf_counter() - start < 1.0
+    if command == "forward":
+        assert code == 0
+        assert (tmp_path / "o" / cli.snapshot_file(0.001)).exists()
+        return
     assert code == 4
     budget = aer.asymptotics.TABLE_NODE_BUDGET
     assert f"n = 2000, k = 2: each phi table of the front would hold {8000 * 8001} nodes, " \
@@ -617,7 +634,7 @@ def test_table_columns_exit_code(tmp_path, capsys, command, k):
     err = capsys.readouterr().err
     assert f"n = 50, k = {float(k):g}: each phi table of the front would run its " \
            f"recursion on " in err
-    assert f"columns, over the budget of {aer.asymptotics.TABLE_NODE_BUDGET}" in err
+    assert f"columns, over the budget of {aer.asymptotics.TABLE_COLUMN_BUDGET}" in err
 
 
 @pytest.mark.parametrize("command", ["asymptote", "invert"])
@@ -637,6 +654,25 @@ def test_table_refinement_budget_exit_code(tmp_path, capsys, command, k):
     assert time.perf_counter() - start < 5.0
     assert code in (3, 4)
     assert "numerical failure" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("command, code, message", [
+    pytest.param("asymptote", 2, "assumption violation", id="asymptote"),
+    pytest.param("invert", 3, "the minus table's radicand overflows at k = 1", id="invert"),
+    pytest.param("forward", 3, "solver blow-up", id="forward"),
+])
+def test_overflowing_source_exit_code(tmp_path, capsys, command, code, message):
+    # f = 1e308 overflows the characteristic integrals, the table recursion
+    # and the forward march; the radicand, finiteness and max|u| checks
+    # report it, without a numpy warning on the way
+    path = tmp_path / "f.ini"
+    path.write_text("[problem]\nf = 1e308\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--preset", "example2", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == code
+    assert message in capsys.readouterr().err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -672,14 +708,29 @@ def test_tiny_k_is_refused_before_a_table_is_built(tmp_path):
 
 def test_small_k_refines_within_the_byte_budget(tmp_path):
     # example 2 at k = 1e-4: the first tables are refined 200-fold, to rows
-    # 0.5 = a/2 apart; the plus table then refines to 800-fold, a 2.72M-node
-    # recursion on 160k columns (57.6 MB) that keeps 3400 nodes, inside the
-    # budget, and both branches match their closed forms
+    # 0.5 = a/2 apart; the plus table then refines to 800-fold, a recursion
+    # on 160k columns that stores only the 200 x 17 nodes it keeps.  Both
+    # branches match their closed forms, and the child's peak (VmHWM) stays
+    # under 80 MB
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read the peak RSS from")
     path = tmp_path / "k.ini"
     path.write_text("[problem]\nk = 1e-4\n")
     out = tmp_path / "o"
-    assert main(["asymptote", "--preset", "example2", "--config", str(path),
-                 "--out", str(out)]) == 0
+    code = textwrap.dedent(f"""
+        from aer.cli import main
+        code = main(["asymptote", "--preset", "example2", "--config", {str(path)!r},
+                     "--out", {str(out)!r}])
+        with open("/proc/self/status") as fh:
+            print(code, next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+    """)
+    _, env = _src_env()
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    exit_code, maxrss_kb = map(int, run.stdout.split())
+    assert exit_code == 0, run.stderr
+    assert maxrss_kb < 80 * 1024
     for side, closed in zip(("minus", "plus"), phi2_at_k(1e-4)):
         csv = out / f"phi_{side}.csv"
         with open(csv) as fh:
@@ -709,6 +760,7 @@ def test_huge_mu_fails_assumption1(tmp_path):
     # a jump p = 0.05 <= mu^2 = 0.09, so the layer width would be negative
     pytest.param("mu = 0.3\nu_minus_a = -0.05\nu_plus_a = 0.05\nf = 0",
                  "trace gap does not exceed 2*mu^2", id="small-jump"),
+    pytest.param("u_plus_a = -0.5", "u^{a} not positive", id="negative-upper-trace"),
 ])
 def test_assumption1_exit_code(tmp_path, capsys, command, text, message):
     # invert and study check the traces as asymptote does, before any work
@@ -807,17 +859,28 @@ def test_config_table_and_run_in_step(tmp_path):
                          "n": study["grids"], "seed": study["seeds"]}
 
 
+class _FrontStarted(Exception):
+    pass
+
+
 @pytest.mark.parametrize("preset", ["example1", "example2"])
-def test_table_budget_admits_the_presets(tmp_path, preset):
-    # n = 255 is the largest grid of either preset within the budget
+def test_table_budget_admits_the_presets(tmp_path, capsys, monkeypatch, preset):
+    # n = 255 is the largest grid of either preset within the budget; the
+    # run stops where its front would be built
+    def prepare(*args):
+        raise _FrontStarted
+
+    monkeypatch.setattr(aer.inverse, "prepare", prepare)
     path = tmp_path / "n.ini"
     for n, admitted in ((50, True), (100, True), (255, True), (256, False)):
         path.write_text(f"[forward]\nn = {n}\n")
+        argv = ["invert", "--preset", preset, "--config", str(path), "--out", str(tmp_path / "o")]
         if admitted:
-            assert load_config(preset, str(path)).n == n
+            with pytest.raises(_FrontStarted):
+                main(argv)
         else:
-            with pytest.raises(ConfigError, match="over the budget"):
-                load_config(preset, str(path))
+            assert main(argv) == 4
+            assert "over the budget" in capsys.readouterr().err
 
 
 def test_cmd_study_single_point(tmp_path):
