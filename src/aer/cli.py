@@ -19,7 +19,9 @@ digits so files round-trip bit-exactly.
 
 Exit status: 0 success, 2 assumption violation, 3 numerical failure,
 4 configuration error (a command-line usage error or an unusable --out
-included).
+included).  The --out directory is made by the first file written into
+it, so a run refused before it writes leaves none.  A warning is printed
+as one line, "warning: <message>".
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -311,7 +314,8 @@ def write_front_csv(path: str, front: asymptotics.FrontCurve):
 
 def _atomic_write(path: str, chunks):
     """Write the strings of chunks in turn to path + ".tmp", then rename it
-    to path."""
+    to path, making path's directory first if it does not exist."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.writelines(chunks)
@@ -504,6 +508,22 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
     return 0
 
 
+def _check_out(out: str):
+    """Refuse, before any work, an --out that _atomic_write could not make
+    or write into: one whose nearest existing path is not a writable
+    directory (a file, or a directory without write permission)."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot create output directory {out}: "
+                          f"{path} is not a writable directory")
+
+
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on a usage error, which is aer's assumption-violation
     code; a usage error is a configuration error, so this parser exits 4."""
@@ -523,12 +543,12 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, help="override the inverse seed")
     args = ap.parse_args(argv)
 
+    # a warning reaches the user as one line, not as Python's file:line
+    # header and source line; the filters, and so which warnings show, stay
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         cfg = load_config(args.preset, args.config, args.seed)
-        try:
-            os.makedirs(args.out, exist_ok=True)
-        except OSError as exc:     # --out names a file, or lies under one
-            raise ConfigError(f"cannot create output directory {args.out}: {exc}") from exc
+        _check_out(args.out)
         handler = {"forward": cmd_forward, "asymptote": cmd_asymptote,
                    "invert": cmd_invert, "study": cmd_study}[args.command]
         return handler(cfg, args.out)
@@ -544,6 +564,8 @@ def main(argv=None) -> int:
     except MemoryError:
         print("numerical failure: out of memory; try a smaller grid", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -1,23 +1,50 @@
 """Shared fixtures: the two worked example problems and their expensive
-artifacts (front curves, forward snapshots, the pipeline's prepared
-stages), built once per session and reused across test modules."""
+artifacts (front curves, the pipeline's prepared stages), built once per
+session and reused across test modules; and the acceptance ledger, which
+collects each criterion's measured value against its band."""
+
+import json
 
 import numpy as np
 import pytest
 
-from aer import (
-    Prepared,
-    ProblemSpec,
-    assemble_u0,
-    layer_band,
-    outer_branches,
-    parse,
-    rel_l2_error,
-    smoothing_factors,
-    solve_front,
-)
+from aer import ProblemSpec, parse, prepare, solve_front
 from aer.asymptotics import _phi_derivatives
-from aer.forward import SolverConfig, column_blocks, forward_solve
+
+LEDGER = []     # the session's acceptance records, in the order taken
+
+
+def pytest_addoption(parser):
+    parser.addoption("--ledger", metavar="PATH",
+                     help="write every acceptance value, band and margin to PATH as JSON")
+
+
+@pytest.fixture(scope="session")
+def ledger():
+    """record(criterion, value, band): a measured value against its band
+    (lo, hi), None for an open edge; the margin is the distance to the
+    nearer edge, negative outside.  Record before asserting."""
+    def record(criterion, value, band):
+        lo, hi = band
+        value = float(value)
+        margin = min(value - lo if lo is not None else np.inf,
+                     hi - value if hi is not None else np.inf)
+        LEDGER.append({"criterion": criterion, "value": value, "band": [lo, hi],
+                       "margin": float(margin)})
+    return record
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    path = config.getoption("ledger")
+    if path:
+        with open(path, "w") as fh:
+            json.dump(LEDGER, fh, indent=2)
+    if LEDGER:
+        terminalreporter.section("acceptance ledger")
+    for e in LEDGER:
+        band = "[" + ", ".join("-" if v is None else f"{v:.8g}" for v in e["band"]) + "]"
+        terminalreporter.write_line(f"{e['criterion']:<26} {e['value']:>18.10g} "
+                                    f"{band:>28} {e['margin']:>10.3g}")
 
 
 @pytest.fixture(scope="session")
@@ -135,47 +162,12 @@ def ex2_front(ex2):
 
 
 @pytest.fixture(scope="session")
-def ex1_snapshot_fine(ex1):
-    """Forward solution at t0 on a 4x refined grid (pipeline data source)."""
-    cfg = SolverConfig(ex1.grid(200, 200), ex1.t0, 0.4, [ex1.t0])
-    return forward_solve(ex1, cfg)[0]
+def ex1_prepared(ex1):
+    """The shared stages as the CLI prepares a preset: the forward on the
+    200 x 200 grid, observed on 50 x 50."""
+    return prepare(ex1, ex1.grid(200, 200), 0.4, ex1.grid(50, 50))
 
 
 @pytest.fixture(scope="session")
-def ex2_snapshot_fine(ex2):
-    cfg = SolverConfig(ex2.grid(200, 200), ex2.t0, 0.4, [ex2.t0])
-    return forward_solve(ex2, cfg)[0]
-
-
-def _prepared(spec, snapshot_fine, front):
-    """The pipeline's shared stages on the 50 x 50 observation grid, from the
-    session's 200 x 200 snapshot and its front over the whole horizon."""
-    grid = spec.grid(50, 50)
-    snapshot = snapshot_fine.restrict(grid)
-    u0 = assemble_u0(spec, front, grid, outer_branches(spec, grid))
-    mask = layer_band(front, spec, grid)
-    return Prepared(spec, snapshot, front, rel_l2_error(u0, snapshot), mask,
-                    smoothing_factors(grid, mask), column_blocks(snapshot_fine.grid))
-
-
-@pytest.fixture(scope="session")
-def ex1_prepared(ex1, ex1_snapshot_fine, ex1_front):
-    return _prepared(ex1, ex1_snapshot_fine, ex1_front)
-
-
-@pytest.fixture(scope="session")
-def ex2_prepared(ex2, ex2_snapshot_fine, ex2_front):
-    return _prepared(ex2, ex2_snapshot_fine, ex2_front)
-
-
-@pytest.fixture(scope="session")
-def ex1_snapshot_101(ex1):
-    """Forward solution at t0 on the 101 x 101 production grid."""
-    cfg = SolverConfig(ex1.grid(100, 100), ex1.t0, 0.4, [ex1.t0])
-    return forward_solve(ex1, cfg)[0]
-
-
-@pytest.fixture(scope="session")
-def ex2_snapshot_101(ex2):
-    cfg = SolverConfig(ex2.grid(100, 100), ex2.t0, 0.4, [ex2.t0])
-    return forward_solve(ex2, cfg)[0]
+def ex2_prepared(ex2):
+    return prepare(ex2, ex2.grid(200, 200), 0.4, ex2.grid(50, 50))

@@ -1,7 +1,11 @@
 """Acceptance criteria, one test per criterion.
 
 Each test prints the measured quantity next to its required band before
-asserting, so `pytest -rA` shows a one-line verdict per criterion.
+asserting, so `pytest -rA` shows a one-line verdict per criterion, and
+hands the same value and band to the session ledger (conftest.py), which
+`pytest --ledger PATH` writes as JSON.  The prepared fixtures are
+`aer.prepare` on the 200 x 200 forward and 50 x 50 observation grids, as
+`aer invert` and `aer study` run a preset.
 
 Two assertions are expected to fail.  Measurements of this code establish
 their causes:
@@ -73,7 +77,7 @@ def ex1_delta_sweep(ex1_prepared):
     return med, time.perf_counter() - t_start
 
 
-def test_c01_phi_quadrature_matches_closed_forms(ex1, ex2):
+def test_c01_phi_quadrature_matches_closed_forms(ex1, ex2, ledger):
     rng = np.random.default_rng(7)
     t_start = time.perf_counter()
     worst = 0.0
@@ -86,11 +90,12 @@ def test_c01_phi_quadrature_matches_closed_forms(ex1, ex2):
     elapsed = time.perf_counter() - t_start
     print(f"[C1] max |quadrature - closed form| = {worst:.2e} (tol 1e-7), "
           f"runtime {elapsed:.1f} s (cap 10 s)")
+    ledger("C1 phi quadrature error", worst, (None, 1e-7))
     assert worst <= 1e-7
     assert elapsed < 10.0
 
 
-def test_c02_example1_forward_asymptotic_agreement(ex1, ex1_front):
+def test_c02_example1_forward_asymptotic_agreement(ex1, ex1_front, ledger):
     t_start = time.perf_counter()
     grid = ex1.grid(100, 100)
     snap = forward_solve(ex1, SolverConfig(grid, ex1.t0, 0.4, [ex1.t0]))[0]
@@ -99,6 +104,7 @@ def test_c02_example1_forward_asymptotic_agreement(ex1, ex1_front):
     elapsed = time.perf_counter() - t_start
     print(f"[C2] Example 1 rel_l2_error(U0, forward) = {err:.4f} "
           f"(band [0.015, 0.08], reference 0.0339), runtime {elapsed:.1f} s (cap 120 s)")
+    ledger("C2 ex1 rel_l2(U0, forward)", err, (0.015, 0.08))
     assert elapsed < 120.0
     assert 0.015 <= err <= 0.08, (
         f"measured {err:.4f}: the PDE front lags the front equation (zero "
@@ -107,7 +113,7 @@ def test_c02_example1_forward_asymptotic_agreement(ex1, ex1_front):
         "non-periodic source unwrapped; the seam is not the cause")
 
 
-def test_c03_example2_forward_asymptotic_agreement(ex2, ex2_front):
+def test_c03_example2_forward_asymptotic_agreement(ex2, ex2_front, ledger):
     t_start = time.perf_counter()
     grid = ex2.grid(100, 100)
     snap = forward_solve(ex2, SolverConfig(grid, ex2.t0, 0.4, [ex2.t0]))[0]
@@ -116,35 +122,38 @@ def test_c03_example2_forward_asymptotic_agreement(ex2, ex2_front):
     elapsed = time.perf_counter() - t_start
     print(f"[C3] Example 2 rel_l2_error(U0, forward) = {err:.4f} "
           f"(band [0.02, 0.09], reference 0.0408), runtime {elapsed:.1f} s (cap 60 s)")
+    ledger("C3 ex2 rel_l2(U0, forward)", err, (0.02, 0.09))
     assert elapsed < 60.0
     assert 0.02 <= err <= 0.09
 
 
-def test_c04_example1_inversion(ex1_delta_sweep):
+def test_c04_example1_inversion(ex1_delta_sweep, ledger):
     med, _ = ex1_delta_sweep
     value = med[0.01]
     print(f"[C4] Example 1 median rel_err_f over 5 seeds at delta=1% = {value:.4f} "
           f"(band [0.04, 0.15], reference 0.0814)")
+    ledger("C4 ex1 median rel_err_f", value, (0.04, 0.15))
     assert 0.04 <= value <= 0.15
 
 
-def test_c05_example2_inversion(ex2_prepared):
+def test_c05_example2_inversion(ex2_prepared, ledger):
     errs = [run_aer_pipeline(ex2_prepared, 0.01, seed).metrics["rel_err_f"] for seed in SEEDS]
     value = float(np.median(errs))
     print(f"[C5] Example 2 median rel_err_f over 5 seeds at delta=1% = {value:.4f} "
           f"(band [0.20, 0.55], reference 0.3768)")
+    ledger("C5 ex2 median rel_err_f", value, (0.20, 0.55))
     assert 0.20 <= value <= 0.55, (
         f"measured {value:.4f}: the forward start tanh(x + (y - h0*)/mu) "
         "tilts the initial layer and jumps at the seam; the error is not "
         "monotone in delta (1.405 at delta = 0), so noise is not the limit")
 
 
-def _zero_level(snapshot, grid):
-    """Height where `snapshot`, restricted to `grid`, changes sign in each
-    column (linear between rows); nan where it does not change sign once."""
-    u = snapshot.restrict(grid).values
-    ys = grid.ys
-    level = np.full(grid.n + 1, np.nan)
+def _zero_level(snapshot):
+    """Height where `snapshot` changes sign in each column (linear between
+    rows); nan where it does not change sign once."""
+    u = snapshot.values
+    ys = snapshot.grid.ys
+    level = np.full(snapshot.grid.n + 1, np.nan)
     for i, col in enumerate(u):
         cross = np.flatnonzero(np.sign(col[:-1]) != np.sign(col[1:]))
         if cross.size == 1:
@@ -153,11 +162,11 @@ def _zero_level(snapshot, grid):
     return level
 
 
-def test_c06_mask_indices(ex1, ex1_front, ex2, ex2_front, ex2_snapshot_fine):
+def test_c06_mask_indices(ex1, ex1_front, ex2, ex2_front, ex2_prepared, ledger):
     grid2 = ex2.grid(50, 50)
     m1 = layer_band(ex1_front, ex1, ex1.grid(50, 50))
     m2 = layer_band(ex2_front, ex2, grid2)
-    level = _zero_level(ex2_snapshot_fine, grid2)
+    level = _zero_level(ex2_prepared.snapshot)
 
     def covers(mask):
         return bool(np.all((grid2.ys[mask.j_lo] < level) & (level < grid2.ys[mask.j_hi])))
@@ -168,6 +177,11 @@ def test_c06_mask_indices(ex1, ex1_front, ex2, ex2_front, ex2_snapshot_fine):
           f"{grid2.ys[m2.j_hi]:.2f}) (must contain the forward zero level "
           f"[{np.min(level):.4f}, {np.max(level):.4f}], width 6 +- 2; "
           f"reference (28, 34))")
+    ledger("C6 ex1 j_lo", m1.j_lo, (29, 33))
+    ledger("C6 ex1 j_hi", m1.j_hi, (37, 41))
+    ledger("C6 ex2 lowest zero level", np.min(level), (grid2.ys[m2.j_lo], None))
+    ledger("C6 ex2 highest zero level", np.max(level), (None, grid2.ys[m2.j_hi]))
+    ledger("C6 ex2 band width", m2.j_hi - m2.j_lo, (4, 8))
     assert 29 <= m1.j_lo <= 33 and 37 <= m1.j_hi <= 41
     assert covers(m2) and abs(m2.j_hi - m2.j_lo - 6) <= 2, (
         f"Example 2 mask ({m2.j_lo}, {m2.j_hi}) does not cover the forward "
@@ -176,36 +190,45 @@ def test_c06_mask_indices(ex1, ex1_front, ex2, ex2_front, ex2_snapshot_fine):
     assert not covers(RegionMask(28, 34))
 
 
-def test_c07_delta_rate(ex1_delta_sweep):
+def test_c07_delta_rate(ex1_delta_sweep, ledger):
     med, elapsed = ex1_delta_sweep
     deltas = np.array(sorted(med))
     errs = np.array([med[d] for d in deltas])
     slope = float(np.polyfit(np.log(deltas), np.log(errs), 1)[0])
     print(f"[C7] log-log slope of median rel_err_f vs delta = {slope:.3f} "
           f"(band [0.3, 0.8]), sweep runtime {elapsed:.0f} s (cap 900 s)")
+    ledger("C7 ex1 log-log slope", slope, (0.3, 0.8))
     assert 0.3 <= slope <= 0.8
     assert elapsed < 900.0
 
 
-def test_benchmark_references(ex1_prepared, ex1_delta_sweep):
+def test_benchmark_references(ex1_prepared, ex1_delta_sweep, ex2, ledger):
     """The seed-1 references that the benchmark's output checks hold
-    (bench/check.py) within their 1e-6: rel_err_f of `aer invert --preset
-    example1 --seed 1`, and the C4 median and C7 slope of its study sweep.
-    A change that moves these numbers re-records them here and in the
-    benchmark in the same change, listing old -> new (ROADMAP's rule for
-    items that move numbers)."""
+    (bench/check.py) within their 1e-6: rel_err_f and rel_err_u0 of `aer
+    invert --preset example1 --seed 1`, the C4 median and C7 slope of its
+    study sweep, and the front range of `aer asymptote --preset example2`
+    (its front on the 50 x 50 observation grid up to T).  A change that
+    moves these numbers re-records them here and in the benchmark in the
+    same change, listing old -> new (ROADMAP's rule for items that move
+    numbers)."""
     med, _ = ex1_delta_sweep
     deltas = np.array(sorted(med))
     slope = float(np.polyfit(np.log(deltas), np.log([med[d] for d in deltas]), 1)[0])
+    front = solve_front(ex2, ex2.grid(50, 50), ex2.T)
     measured = {"rel_err_f": run_aer_pipeline(ex1_prepared, 0.01, 1).metrics["rel_err_f"],
-                "c4_median": med[0.01], "c7_slope": slope}
-    references = {"rel_err_f": 0.14325674021644016, "c4_median": 0.1494611249391638,
-                  "c7_slope": 0.5313841051015891}
+                "rel_err_u0": ex1_prepared.u0_rel_error,
+                "c4_median": med[0.01], "c7_slope": slope,
+                "front_min": float(front.h.min()), "front_max": float(front.h.max())}
+    references = {"rel_err_f": 0.14325674021644016, "rel_err_u0": 0.1166013584019243,
+                  "c4_median": 0.1494611249391638, "c7_slope": 0.5313841051015891,
+                  "front_min": 0.0, "front_max": 0.6104871659543036}
+    for name, value in references.items():
+        ledger(f"reference {name}", measured[name], (value - 1e-6, value + 1e-6))
     for name, value in references.items():
         assert abs(measured[name] - value) <= 1e-6, (name, measured[name])
 
 
-def test_c08_width_scaling(ex1, ex1_front):
+def test_c08_width_scaling(ex1, ex1_front, ledger):
     h0, h0x = ex1_front.sample(ex1.t0, np.array([0.0]))
     ratios = []
     for mu in (0.16, 0.08, 0.04, 0.02):
@@ -215,10 +238,11 @@ def test_c08_width_scaling(ex1, ex1_front):
     spread = max(ratios) / min(ratios)
     print(f"[C8] width / (mu |ln mu|) across mu in (0.16..0.02): "
           f"{np.round(ratios, 3)}, spread factor {spread:.2f} (cap 2.0)")
+    ledger("C8 width spread", spread, (None, 2.0))
     assert spread <= 2.0
 
 
-def test_c09_property_suite(ex1, ex1_front):
+def test_c09_property_suite(ex1, ex1_front, ledger):
     lines = []
 
     # layer corrector matches the half-sum at xi = 0 on all front samples
@@ -229,6 +253,7 @@ def test_c09_property_suite(ex1, ex1_front):
     match = np.max(np.abs(pm + np.asarray(eval_q0(ex1, "minus", 0.0, xs, h0, h0x))
                           - 0.5 * (pm + pp)))
     lines.append(f"q0 matching identity {match:.1e} (tol 1e-12)")
+    ledger("C9 q0 matching identity", match, (None, 1e-12))
     assert match <= 1e-12
 
     # exponential tail bound
@@ -249,6 +274,7 @@ def test_c09_property_suite(ex1, ex1_front):
     h, _ = front.sample(1.5, np.linspace(-2, 2, 9))
     front_err = float(np.max(np.abs(h - 1.5)))
     lines.append(f"front closed-form case error {front_err:.1e} (tol 1e-4)")
+    ledger("C9 front closed-form error", front_err, (None, 1e-4))
     assert front_err <= 1e-4
 
     # constant state is an exact fixed point of the solver
@@ -275,6 +301,7 @@ def test_c09_property_suite(ex1, ex1_front):
     reg = smooth_region(obs, "lower", factors, discrepancy="delta4")
     ratio = reg.misfit / 0.01 ** 4
     lines.append(f"delta^4 discrepancy achieved/target = {ratio:.3f} (within [0.95, 1.05])")
+    ledger("C9 delta^4 misfit/target", ratio, (0.95, 1.05))
     assert 0.95 <= ratio <= 1.05
     obs_dup = Observation(noisy, 0.01, RegionMask(31, 34))
     with pytest.raises(DiscrepancyUnreachable):
@@ -302,7 +329,7 @@ def test_c09_property_suite(ex1, ex1_front):
     print("[C9] " + "; ".join(lines))
 
 
-def test_c10_u1_oracle(ex1):
+def test_c10_u1_oracle(ex1, ledger):
     rng = np.random.default_rng(31)
     x = -2.0 + 4.0 * rng.random(100)
     y = -1.95 + 3.9 * rng.random(100)
@@ -319,5 +346,7 @@ def test_c10_u1_oracle(ex1):
     print(f"[C10] max |closed form - RK4 oracle| over 100 points x 2 sides = "
           f"{worst:.2e} (tol 1e-5); constant-data correction max = {flat:.1e} "
           f"(tol 1e-10)")
+    ledger("C10 u1 against RK4 oracle", worst, (None, 1e-5))
+    ledger("C10 u1 on constant data", flat, (None, 1e-10))
     assert worst <= 1e-5
     assert flat <= 1e-10

@@ -379,6 +379,26 @@ def test_unusable_out_exit_code(tiny_config, tmp_path, capsys, out):
     assert "config error: cannot create output directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text, code", [
+    pytest.param(command, "[forward]\nn = 2000\nm = 3\nrefine = 1\n", 4, id=f"{command}-table")
+    for command in ("asymptote", "invert")] + [
+    pytest.param("study", "[forward]\nn = 2000\nm = 2000\nrefine = 1\n", 4, id="study-table"),
+    pytest.param("study", "[forward]\nm = 20\n", 4, id="study-rectangular"),
+    pytest.param("invert", "[problem]\nu_plus_a = -1\n", 2, id="invert-assumption1"),
+])
+def test_refused_run_leaves_no_out(tmp_path, command, text, code):
+    # a run refused by its command's own checks writes nothing, so it makes
+    # no --out; one that exists already is left in place
+    path = tmp_path / "r.ini"
+    path.write_text(text)
+    argv = [command, "--preset", "example1", "--config", str(path), "--out"]
+    assert main(argv + [str(tmp_path / "o" / "sub")]) == code
+    assert not (tmp_path / "o").exists()
+    (tmp_path / "kept").mkdir()
+    assert main(argv + [str(tmp_path / "kept")]) == code
+    assert (tmp_path / "kept").is_dir()
+
+
 def test_cmd_invert_metrics(tiny_config, tmp_path):
     out = str(tmp_path / "inv")
     assert main(["invert", "--config", tiny_config, "--out", out]) == 0
@@ -818,6 +838,19 @@ def test_extreme_grid_spacing_exit_code(tmp_path, text):
     assert "no finite positive diffusion bound" in run.stderr
     assert "Traceback" not in run.stderr
     assert not os.path.exists(tmp_path / "o")
+
+
+def test_warning_is_one_cli_line(tmp_path):
+    # the large-mu warning reaches a CLI user as one line, without Python's
+    # file:line header and source line
+    path = tmp_path / "mu.ini"
+    path.write_text("[problem]\nmu = 0.6\n")
+    _, env = _src_env()
+    run = subprocess.run([sys.executable, "-m", "aer.cli", "asymptote", "--preset", "example2",
+                          "--config", str(path), "--out", str(tmp_path / "o")],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == "warning: mu = 0.6 is not small; expansions may be meaningless\n"
 
 
 def test_study_refuses_rectangular_grid(tmp_path, capsys):

@@ -501,9 +501,8 @@ def test_pipeline_monotone_noise_trend(ex1_prepared):
     assert med[0.04] > med[0.01] > med[0.0025]
 
 
-def test_make_observation_with_gradients_deterministic(ex1, ex1_front, ex1_snapshot_fine):
-    snap = ex1_snapshot_fine.restrict(ex1.grid(50, 50))
-    mask = layer_band(ex1_front, ex1, snap.grid)
+def test_make_observation_with_gradients_deterministic(ex1_prepared):
+    snap, mask = ex1_prepared.snapshot, ex1_prepared.mask
     o1 = make_observation(snap, mask, 0.02, 9, with_gradients=True)
     o2 = make_observation(snap, mask, 0.02, 9, with_gradients=True)
     assert np.array_equal(o1.ux_delta.values, o2.ux_delta.values)
