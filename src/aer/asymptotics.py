@@ -22,8 +22,9 @@ branches.  This module computes, to leading order:
     the resulting layer width,
   * the first order outer correction u1, transported along the same
     characteristics with phi as its integrating factor: one _char_integral
-    of the finite-difference Laplacian of phi per point, refined to 1e-8
-    (U1_TOL) because that Laplacian is smooth to about 1e-8 only.
+    per point of the five-point finite-difference Laplacian of phi
+    (_phi_laplacian), the only derivative of phi that u1 needs, refined to
+    1e-8 (U1_TOL) because that Laplacian is smooth to about 1e-8 only.
 
 Expressions for f and the boundary traces are evaluated at raw arguments,
 without wrapping into [x0, x1]; this is what makes the closed forms for the
@@ -682,10 +683,10 @@ def initial_condition(spec: ProblemSpec, grid: Grid2D) -> Field2D:
 # ---------------------------------------------------------------------------
 # first-order outer correction
 
-def _phi_derivatives(spec: ProblemSpec, side: str, x, y):
-    """The outer branch, its gradient and its Laplacian at the broadcast
-    points (x, y): central finite differences of eval_phi with the step
-    1e-4 L, tied to the domain length (independent of mu)."""
+def _phi_laplacian(spec: ProblemSpec, side: str, x, y):
+    """Laplacian of the outer branch at the broadcast points (x, y): the
+    five-point finite-difference stencil of eval_phi with the step 1e-4 L,
+    tied to the domain length (independent of mu)."""
     h_fd = 1e-4 * spec.length
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -696,11 +697,9 @@ def _phi_derivatives(spec: ProblemSpec, side: str, x, y):
     pts_y = np.concatenate([yf, yf, yf, yf + h_fd, yf - h_fd])
     vals = np.asarray(eval_phi(spec, side, pts_x, pts_y)).reshape(5, xf.size)
     phi0, phi_xp, phi_xm, phi_yp, phi_ym = vals
-    dphi_x = (phi_xp - phi_xm) / (2.0 * h_fd)
-    dphi_y = (phi_yp - phi_ym) / (2.0 * h_fd)
     d2phi_x = (phi_xp - 2.0 * phi0 + phi_xm) / h_fd ** 2
     d2phi_y = (phi_yp - 2.0 * phi0 + phi_ym) / h_fd ** 2
-    return [v.reshape(x.shape) for v in (phi0, dphi_x, dphi_y, d2phi_x + d2phi_y)]
+    return (d2phi_x + d2phi_y).reshape(x.shape)
 
 
 def eval_u1(spec: ProblemSpec, side: str, x, y):
@@ -714,16 +713,17 @@ def eval_u1(spec: ProblemSpec, side: str, x, y):
         u1(x, y) = 1/(k phi(x, y)) * integral of lap(phi) ds
                    from s = x to the boundary foot,
 
-    one _char_integral of the finite-difference Laplacian.  That Laplacian
-    is smooth only to about 1e-8 (round-off over the squared step), so the
-    integral refines to U1_TOL: at QUAD_TOL every point would refine to the
-    panel cap without converging.
+    one _char_integral of _phi_laplacian: the integrating factor absorbs
+    the gradient of phi, so the Laplacian is the only derivative taken.
+    That Laplacian is smooth only to about 1e-8 (round-off over the squared
+    step), so the integral refines to U1_TOL: at QUAD_TOL every point would
+    refine to the panel cap without converging.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     x, y = np.broadcast_arrays(x, y)
     foot, _ = _boundary_foot(spec, side, x, y)
-    integral = _char_integral(lambda s, sigma: _phi_derivatives(spec, side, s, sigma)[3],
+    integral = _char_integral(lambda s, sigma: _phi_laplacian(spec, side, s, sigma),
                               x, y, foot, spec.k, U1_TOL)
     out = integral.reshape(x.shape) / (spec.k * eval_phi(spec, side, x, y))
     return float(out) if x.shape == () else out

@@ -281,18 +281,6 @@ def write_field_csv(path: str, f: Field2D):
     _matrix_csv(path, f.grid.xs, f.grid.ys, f.values)
 
 
-def read_field_csv(path: str, grid: Grid2D | None = None) -> Field2D:
-    with open(path) as fh:
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    xs = np.array([float(v) for v in rows[0][1:]])
-    ys = np.array([float(r[0]) for r in rows[1:]])
-    vals = np.array([[float(v) for v in r[1:]] for r in rows[1:]]).T
-    if grid is None:
-        n, m = len(xs) - 1, len(ys) - 1
-        grid = Grid2D(xs[0], xs[-1], (ys[-1] - ys[0]) / 2.0, n, m)
-    return Field2D(grid, vals)
-
-
 def write_front_csv(path: str, front: asymptotics.FrontCurve):
     """CSV of one row t,x,h0,h0_x per time and front node, times outermost.
 
@@ -511,9 +499,10 @@ def cmd_study(cfg: RunConfig, out: str) -> int:
 def _check_out(out: str):
     """Refuse, before any work, an --out that _atomic_write could not make
     or write into: one whose nearest existing path is not a writable
-    directory (a file, or a directory without write permission)."""
+    directory (a file, a dangling symlink, or a directory without write
+    permission)."""
     path = os.path.abspath(out)
-    while not os.path.exists(path):
+    while not os.path.lexists(path):
         path = os.path.dirname(path)
     if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
         raise ConfigError(f"cannot create output directory {out}: "

@@ -154,7 +154,8 @@ def layer_band(front: FrontCurve, spec: ProblemSpec, grid: Grid2D) -> RegionMask
     the front at the grid's x nodes and t0 (see assemble_u0).
 
     j_lo is the largest row with y <= min_x(h0 - width/2), j_hi the smallest
-    with y >= max_x(h0 + width/2); rows strictly between are excluded.
+    with y >= max_x(h0 + width/2); rows strictly between are excluded.  A
+    layer so thin that both edges snap to one grid row excludes that row.
     """
     h0, h0x = front.sample(spec.t0, grid.xs)
     width = np.asarray(transition_width(spec, grid.xs, h0, h0x))
@@ -162,6 +163,8 @@ def layer_band(front: FrontCurve, spec: ProblemSpec, grid: Grid2D) -> RegionMask
     hi = float(np.max(h0 + 0.5 * width))
     j_lo = int(np.floor((lo + grid.a) / grid.d2 + 1e-12))
     j_hi = int(np.ceil((hi + grid.a) / grid.d2 - 1e-12))
+    if j_lo == j_hi:
+        j_lo, j_hi = j_lo - 1, j_hi + 1
     if j_lo < 0 or j_hi > grid.m:
         raise LayerTooWide("layer too wide for this grid")
     return RegionMask(j_lo, j_hi)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from aer import ProblemSpec, parse, prepare, solve_front
-from aer.asymptotics import _phi_derivatives
 
 LEDGER = []     # the session's acceptance records, in the order taken
 
@@ -107,15 +106,17 @@ def phi2_at_k(k):
 CLOSED_FORMS = {"ex1": (phi1_minus, phi1_plus), "ex2": (phi2_minus, phi2_plus)}
 
 
-def u1_rk4_oracle(spec, side, x, y, n):
+def u1_rk4_oracle(spec, side, phi, x, y, n):
     """u1 at the points (x, y) by n RK4 steps, vectorised over the points,
     on the first-order outer equation du1/ds = (W - P u1)/k along each
     characteristic, from u1 = 0 at its boundary foot; eval_u1 integrates
-    the equation's closed form instead.  The reaction P = (k phi_x +
-    phi_y)/phi and forcing W = -lap(phi)/phi, ratios of the outer branch's
-    finite-difference derivatives, depend on the point only, so each point
-    is evaluated once: k2 and k3 share t + h/2, and k4's point is the next
-    step's k1 when t + h is the next grid time."""
+    the equation's closed form instead.  phi is the side's closed-form
+    branch (CLOSED_FORMS), so the oracle shares no code with eval_phi.  The
+    reaction P = (k phi_x + phi_y)/phi and forcing W = -lap(phi)/phi,
+    ratios of phi's five-point differences with the step 1e-4 L, depend on
+    the point only, so each point is evaluated once: k2 and k3 share
+    t + h/2, and k4's point is the next step's k1 when t + h is the next
+    grid time."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if side == "minus":
@@ -123,10 +124,18 @@ def u1_rk4_oracle(spec, side, x, y, n):
     else:
         s_b = x + spec.k * (spec.a - y)
     span = x - s_b
+    h_fd = 1e-4 * spec.length
 
     def coefficients(t):
         s = s_b + t * span
-        phi0, dphi_x, dphi_y, lap = _phi_derivatives(spec, side, s, y + (s - x) / spec.k)
+        sigma = y + (s - x) / spec.k
+        phi0 = phi(s, sigma)
+        phi_xp, phi_xm = phi(s + h_fd, sigma), phi(s - h_fd, sigma)
+        phi_yp, phi_ym = phi(s, sigma + h_fd), phi(s, sigma - h_fd)
+        dphi_x = (phi_xp - phi_xm) / (2.0 * h_fd)
+        dphi_y = (phi_yp - phi_ym) / (2.0 * h_fd)
+        lap = ((phi_xp - 2.0 * phi0 + phi_xm) / h_fd ** 2
+               + (phi_yp - 2.0 * phi0 + phi_ym) / h_fd ** 2)
         return (spec.k * dphi_x + dphi_y) / phi0, -lap / phi0
 
     def rhs(pw, v):

@@ -56,7 +56,7 @@ from aer import (
     solve_front,
     transition_width,
 )
-from aer.cli import read_field_csv, write_field_csv
+from aer.cli import write_field_csv
 from aer.errors import DiscrepancyUnreachable
 from aer.forward import SolverConfig, forward_solve
 from aer.inverse import Observation
@@ -321,8 +321,8 @@ def test_c09_property_suite(ex1, ex1_front, ledger):
     with tempfile.TemporaryDirectory() as td:
         path = os.path.join(td, "f.csv")
         write_field_csv(path, f)
-        back = read_field_csv(path, g2)
-    rt = bool(np.array_equal(back.values, f.values))
+        back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1:].T
+    rt = bool(np.array_equal(back, f.values))
     lines.append(f"CSV round trip bit-exact: {rt}")
     assert rt
 
@@ -334,16 +334,17 @@ def test_c10_u1_oracle(ex1, ledger):
     x = -2.0 + 4.0 * rng.random(100)
     y = -1.95 + 3.9 * rng.random(100)
     worst = 0.0
-    for side in ("minus", "plus"):
-        closed = np.asarray(eval_u1(ex1, side, x, y))
-        oracle = u1_rk4_oracle(ex1, side, x, y, n=3000)
-        worst = max(worst, float(np.max(np.abs(closed - oracle))))
+    for side, phi in zip(("minus", "plus"), CLOSED_FORMS["ex1"]):
+        u1 = np.asarray(eval_u1(ex1, side, x, y))
+        oracle = u1_rk4_oracle(ex1, side, phi, x, y, n=3000)
+        worst = max(worst, float(np.max(np.abs(u1 - oracle))))
     drift = ProblemSpec(mu=0.08, k=2.0, x0=-2.0, x1=2.0, a=2.0, T=3.0,
                         u_minus_a=parse("-4"), u_plus_a=parse("2"),
                         f=parse("0"), h0_star=0.0, t0=1.0)
     flat = max(float(np.max(np.abs(np.asarray(eval_u1(drift, s, x, y)))))
                for s in ("minus", "plus"))
-    print(f"[C10] max |closed form - RK4 oracle| over 100 points x 2 sides = "
+    print(f"[C10] max |eval_u1 - RK4 oracle on the closed-form branches| over "
+          f"100 points x 2 sides = "
           f"{worst:.2e} (tol 1e-5); constant-data correction max = {flat:.1e} "
           f"(tol 1e-10)")
     ledger("C10 u1 against RK4 oracle", worst, (None, 1e-5))

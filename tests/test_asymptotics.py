@@ -24,7 +24,7 @@ from aer.asymptotics import (
     phi_table,
 )
 from aer.errors import AssumptionViolation
-from conftest import CLOSED_FORMS, phi2_at_k
+from conftest import CLOSED_FORMS, phi2_at_k, u1_rk4_oracle
 
 
 def _symmetric_spec(c=3.0, mu=0.08, a=1.0, T=1.0, t0=0.5, k=1.0):
@@ -620,3 +620,14 @@ def test_u1_matches_closed_form_for_constant_source():
         assert type(one) is float and one == got[0], side
         grid = eval_u1(s, side, x[:3, None], y[None, :4])
         assert grid.shape == (3, 4) and np.array_equal(np.diagonal(grid), got[:3]), side
+
+
+def test_u1_matches_rk4_oracle_on_example2(ex2):
+    # C10 checks u1 on Example 1 only; here Example 2's source, which
+    # oscillates in x, against the same oracle
+    rng = np.random.default_rng(47)
+    x = rng.uniform(-1.0, 1.0, 40)
+    y = rng.uniform(-0.975, 0.975, 40)
+    for side, phi in zip(("minus", "plus"), CLOSED_FORMS["ex2"]):
+        oracle = u1_rk4_oracle(ex2, side, phi, x, y, n=3000)
+        assert np.max(np.abs(np.asarray(eval_u1(ex2, side, x, y)) - oracle)) <= 1e-5, side

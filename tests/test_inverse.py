@@ -161,6 +161,17 @@ def test_layer_band_minimal_exclusion():
     assert mask.j_hi - mask.j_lo in (1, 2)
 
 
+def test_layer_band_excludes_the_row_a_thin_layer_snaps_to():
+    # at mu = 1e-16 both band edges of a still front on the row y = 0 snap
+    # to that row (j_lo == j_hi), so the band excludes it alone
+    s = ProblemSpec(mu=1e-16, k=1.0, x0=-1.0, x1=1.0, a=1.0, T=0.3,
+                    u_minus_a=parse("-1"), u_plus_a=parse("1"),
+                    f=parse("0"), h0_star=0.0, t0=0.2)
+    g = s.grid(20, 20)
+    mask = layer_band(solve_front(s, g, t_end=0.2), s, g)
+    assert (mask.j_lo, mask.j_hi) == (9, 11)
+
+
 def test_layer_band_too_wide():
     s = ProblemSpec(mu=0.45, k=1.0, x0=-1.0, x1=1.0, a=0.5, T=1.0,
                     u_minus_a=parse("-3"), u_plus_a=parse("3"),
