@@ -15,13 +15,14 @@ forms the data product u (k u_x + u_y) on the retained rows, taking the
 differences of the smoothed values there with the grid's stencils, and has
 reconstruct_source fit the source to that product.  Prepared also carries
 each smoothing region's penalty factors, so the bisection's trial weights
-cost a diagonal scaling each.  No state outlives a call (Prepared is the
-caller's, and is only read), so a result depends on its inputs alone,
-whatever ran before it.
+cost a diagonal scaling and one batched product each.  No state outlives a
+call (Prepared is the caller's, and is only read), so a result depends on
+its inputs alone, whatever ran before it.
 
 Both fits (smoothing and reconstruction) build their penalty's Fourier mode
 blocks with _mode_blocks, invert them their own way, and solve exactly with
-the one _folded_periodic_solve.
+the one _folded_periodic_solve, which alone handles the grid's seam (column
+n, stored as a copy of column 0).
 """
 
 from __future__ import annotations
@@ -190,31 +191,41 @@ def _mode_blocks(c: np.ndarray, t_w: np.ndarray, diff: np.ndarray) -> np.ndarray
     return c[:, None, None] * np.diag(t_w) + diff.T @ (t_w[:, None] * diff)
 
 
-def _folded_periodic_solve(weight: np.ndarray, b_inv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """v solving (diag(2, 1, ..., 1) (x) diag(weight) + eps K) v = b exactly.
+def _folded_periodic_solve(weight: np.ndarray, b_inv: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Exact minimiser v of sum_{i <= n, j} weight[j] (v[i, j] - data[i, j])^2
+    + eps v^T K v on the x-periodic grid, where column n is column 0.
 
-    Unknowns are v[i, j], i < n the periodic x columns (column n folded onto
-    column 0, hence its doubled data weight), j < r the rows; b has shape
-    (n, r).  K is block circulant in x with a real symmetric r x r block for
-    each Fourier mode k = 0..n/2.  An rfft along x turns the uniform part
-    into the blocks B_k = diag(weight) + eps K_k, and b_inv is the stack of
-    their inverses, shape (n/2 + 1, r, r).  The extra weight of column 0 is
-    the update U diag(w_s) U^T, U = e_0 (x) (the rows s with nonzero
-    weight), removed exactly by the Woodbury identity with capacitance
-    diag(1/w_s) + G[s, s], where G = (1/n) sum_k mult_k B_k^-1 is the (0, 0)
-    block of B^-1 (modes 0 and n/2 count once, the others twice).
+    data and v hold all n + 1 grid columns, column n of v a copy of column
+    0; rows of zero weight are never read from data (they may hold nan).
+    Folding column n onto column 0 leaves the normal equations
+    (diag(2, 1, ..., 1) (x) diag(weight) + eps K) v = b on the n periodic
+    columns.  K is block circulant in x with a real symmetric r x r block
+    for each Fourier mode k = 0..n/2.  An rfft along x turns the uniform
+    part into the blocks B_k = diag(weight) + eps K_k, and b_inv is the
+    stack of their inverses, shape (n/2 + 1, r, r).  The extra weight of
+    column 0 is the update U diag(w_s) U^T, U = e_0 (x) (the rows s with
+    nonzero weight), removed exactly by the Woodbury identity with
+    capacitance diag(1/w_s) + G[s, s], where G = (1/n) sum_k mult_k B_k^-1
+    is the (0, 0) block of B^-1 (modes 0 and n/2 count once, the others
+    twice).
     """
-    n = b.shape[0]
+    n = data.shape[0] - 1
     mult = np.full(b_inv.shape[0], 2.0)
     mult[0] = 1.0
     if n % 2 == 0:
         mult[-1] = 1.0
-    seam = np.flatnonzero(weight)
+    kept = weight != 0
+    seam = np.flatnonzero(kept)
+    b = np.zeros((n, weight.size))
+    np.copyto(b, data[:n], where=kept)
+    np.add(b[0], data[n], out=b[0], where=kept)
+    b *= weight
     y = np.fft.irfft((b_inv @ np.fft.rfft(b, axis=0)[..., None])[..., 0], n, axis=0)
     g = np.tensordot(mult, b_inv, axes=1) / n
     z = np.zeros(weight.size)
     z[seam] = np.linalg.solve(np.diag(1.0 / weight[seam]) + g[np.ix_(seam, seam)], y[0, seam])
-    return y - np.fft.irfft(b_inv @ z, n, axis=0)
+    v = y - np.fft.irfft(b_inv @ z, n, axis=0)
+    return np.concatenate([v, v[:1]])
 
 
 # ---------------------------------------------------------------------------
@@ -337,21 +348,16 @@ def smooth_region(obs: Observation, region: str, factors: tuple,
     else:
         raise ValueError(f"unknown discrepancy mode {discrepancy!r}")
 
-    n = g.n
     data = obs.u_delta.values[:, rows]          # (n+1, R)
-    N = (n + 1) * r
-    rhs = data[:n, :].copy()
-    rhs[0, :] += data[n, :]                     # column n duplicates column 0
-    rhs /= N
-    weight = np.full(r, 1.0 / N)
+    w = 1.0 / data.size
+    weight = np.full(r, w)
 
     def solve_at(eps):
-        vm = _folded_periodic_solve(weight, _smoothing_inverses(factors, 1.0 / N, eps), rhs)
-        misfit = (np.sum((vm - data[:n, :]) ** 2) + np.sum((vm[0] - data[n]) ** 2)) / N
-        return vm, float(misfit)
+        v = _folded_periodic_solve(weight, _smoothing_inverses(factors, w, eps), data)
+        return v, float(np.mean((v - data) ** 2))
 
-    eps, vm, misfit, misfit_top = _discrepancy_bisect(solve_at, target)
-    return RegionSmoothing(rows, np.vstack([vm, vm[:1, :]]), eps, misfit, target, misfit_top)
+    eps, v, misfit, misfit_top = _discrepancy_bisect(solve_at, target)
+    return RegionSmoothing(rows, v, eps, misfit, target, misfit_top)
 
 
 def _discrepancy_bisect(solve_at, target):
@@ -417,10 +423,9 @@ def reconstruct_source(obs: Observation, product: np.ndarray) -> ReconstructionR
     u (k u_x + u_y); only the rows the mask retains are read.  The fit runs
     over the full grid with penalty eps (||f||^2 + ||f_x||^2 + ||f_y||^2),
     eps = delta^2 with a small floor, so the excluded band is filled in
-    smoothly by the H1 coupling.  After the seam fold the normal equations
-    are uniform in x apart from the doubled data count of column 0, so they
-    are solved exactly by _folded_periodic_solve (Fourier in x, Woodbury
-    for the retained rows of the seam column) from a batched inverse of
+    smoothly by the H1 coupling.  The penalty is uniform in x, so the fit
+    is solved exactly by _folded_periodic_solve (Fourier in x, Woodbury for
+    the retained rows of the seam column) from a batched inverse of
     diag(counts) + eps times the penalty's _mode_blocks; cg_iterations is 0.
     """
     g = obs.u_delta.grid
@@ -428,25 +433,19 @@ def reconstruct_source(obs: Observation, product: np.ndarray) -> ReconstructionR
     retained = obs.mask.retained_rows(m)
     eps = max(obs.delta ** 2, EPS_FLOOR)
 
-    bmat = np.zeros((n, m + 1))
-    bmat[:, retained] = product[:n, retained]
-    bmat[0, retained] += product[n, retained]
     counts = np.zeros(m + 1)
     counts[retained] = 1.0
 
     # penalty eps (||f||^2 + ||f_x||^2 + ||f_y||^2) with the y trapezoid
-    # weights (uniform in x after the fold); mode k of the circulant central
+    # weights (uniform in x); mode k of the circulant central
     # difference in x has squared modulus sin^2(2 pi k / n) / d1^2
     k = np.arange(n // 2 + 1)
     sx2 = np.sin(2.0 * np.pi * k / n) ** 2 / g.d1 ** 2
     penalty = _mode_blocks(1.0 + sx2, g.trapezoid_weights[1, :], _rows_first_diff(m + 1, g.d2))
-    fm = _folded_periodic_solve(counts, np.linalg.inv(np.diag(counts) + eps * penalty), bmat)
-    f_full = np.vstack([fm, fm[:1, :]])
-    f_field = Field2D(g, f_full, obs.u_delta.time)
-
-    diff = f_full[:, retained] - product[:, retained]
+    f = _folded_periodic_solve(counts, np.linalg.inv(np.diag(counts) + eps * penalty), product)
+    diff = f[:, retained] - product[:, retained]
     residual = float(np.sum(diff ** 2))
-    return ReconstructionResult(f_field, eps, residual)
+    return ReconstructionResult(Field2D(g, f, obs.u_delta.time), eps, residual)
 
 
 # ---------------------------------------------------------------------------

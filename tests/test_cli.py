@@ -52,6 +52,16 @@ seed = 1
 """
 
 
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _read_text(path):
+    with open(path) as fh:
+        return fh.read()
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "tiny.ini"
@@ -131,7 +141,7 @@ def test_cmd_forward_writes_snapshots(tiny_config, tmp_path):
     assert main(["forward", "--config", tiny_config, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "u_t0.15.csv"))
     assert os.path.exists(os.path.join(out, "u_t0.3.csv"))
-    summary = json.load(open(os.path.join(out, "forward_summary.json")))
+    summary = _read_json(os.path.join(out, "forward_summary.json"))
     assert summary["snapshots_written"] == [0.15, 0.3]
     assert summary["steps"] == len(summary["dt_history"]) > 0
     assert summary["config"]["problem"]["mu"] == "0.05"
@@ -147,7 +157,7 @@ def test_cmd_forward_writes_the_inversion_data(tiny_config, tmp_path):
     prep = aer.inverse.prepare(cfg.spec, cfg.forward_grid, cfg.cfl, cfg.obs_grid)
     body = np.loadtxt(os.path.join(out, "u_t0.3.csv"), delimiter=",", skiprows=1, ndmin=2)
     assert body[:, 1:].T.tobytes() == prep.snapshot.values.tobytes()
-    summary = json.load(open(os.path.join(out, "forward_summary.json")))
+    summary = _read_json(os.path.join(out, "forward_summary.json"))
     assert sum(summary["dt_history"]) == pytest.approx(0.3, abs=1e-12)
 
 
@@ -169,7 +179,7 @@ def test_cmd_forward_snapshot_within_time_tol_of_zero(tmp_path):
     assert main(["forward", "--preset", "example1", "--config", str(path),
                  "--out", str(out)]) == 0
     assert (out / "u_t5e-14.csv").exists()
-    summary = json.load(open(out / "forward_summary.json"))
+    summary = _read_json(out / "forward_summary.json")
     assert summary["snapshots_written"] == [5e-14]
 
 
@@ -179,7 +189,7 @@ def test_cmd_asymptote_outputs(tiny_config, tmp_path):
     for name in ("phi_minus.csv", "phi_plus.csv", "front.csv",
                  "width_profile.csv", "assumptions.json"):
         assert os.path.exists(os.path.join(out, name)), name
-    report = json.load(open(os.path.join(out, "assumptions.json")))
+    report = _read_json(os.path.join(out, "assumptions.json"))
     assert report["assumption1"]["ok"] and report["assumption2"]["ok"]
 
 
@@ -189,7 +199,7 @@ def test_cmd_asymptote_assumption_violation_exit_code(tmp_path):
     path.write_text(bad)
     out = str(tmp_path / "asy_bad")
     assert main(["asymptote", "--config", str(path), "--out", out]) == 2
-    report = json.load(open(os.path.join(out, "assumptions.json")))
+    report = _read_json(os.path.join(out, "assumptions.json"))
     assert not report["assumption1"]["ok"]
 
 
@@ -201,8 +211,9 @@ def test_cmd_asymptote_nan_radicand_exit_code(tmp_path):
     path = tmp_path / "nan.ini"
     path.write_text(bad)
     out = str(tmp_path / "asy_nan")
-    assert main(["asymptote", "--config", str(path), "--out", out]) == 2
-    report = json.load(open(os.path.join(out, "assumptions.json")))
+    with pytest.warns(UserWarning, match="characteristic integral did not reach requested tolerance"):
+        assert main(["asymptote", "--config", str(path), "--out", out]) == 2
+    report = _read_json(os.path.join(out, "assumptions.json"))
     assert report["assumption1"]["ok"]
     assert not report["assumption2"]["ok"]
 
@@ -320,7 +331,7 @@ def test_summary_records_resolved_config(tiny_config, tmp_path):
     # every [forward] and [inverse] key with the value the run used
     out = str(tmp_path / "inv")
     assert main(["invert", "--config", tiny_config, "--out", out]) == 0
-    config = json.load(open(os.path.join(out, "metrics.json")))["config"]
+    config = _read_json(os.path.join(out, "metrics.json"))["config"]
     assert sorted(config["forward"]) == ["cfl", "m", "n", "refine", "snapshots"]
     assert sorted(config["inverse"]) == ["delta", "discrepancy", "gradient_measured",
                                          "noise", "seed"]
@@ -402,7 +413,7 @@ def test_refused_run_leaves_no_out(tmp_path, command, text, code):
 def test_cmd_invert_metrics(tiny_config, tmp_path):
     out = str(tmp_path / "inv")
     assert main(["invert", "--config", tiny_config, "--out", out]) == 0
-    metrics = json.load(open(os.path.join(out, "metrics.json")))
+    metrics = _read_json(os.path.join(out, "metrics.json"))
     for key in ("rel_err_u0", "rel_err_f", "eps_minus", "eps_plus", "eps_f",
                 "m_minus", "m_plus", "seed"):
         assert key in metrics, key
@@ -420,7 +431,7 @@ def test_cmd_invert_records_the_bracket_top(tmp_path, delta):
     path.write_text(TINY.replace("delta = 0.01", f"delta = {delta}"))
     out = str(tmp_path / "inv")
     assert main(["invert", "--config", str(path), "--out", out]) == 0
-    metrics = json.load(open(os.path.join(out, "metrics.json")))
+    metrics = _read_json(os.path.join(out, "metrics.json"))
     for key in ("misfit_top_minus", "misfit_top_plus"):
         if delta > 0:
             assert math.isfinite(metrics[key]) and metrics[key] >= 0.95, key
@@ -433,7 +444,7 @@ def test_cmd_invert_gradient_branch(tmp_path):
     path.write_text(TINY + "gradient_measured = true\n")
     out = str(tmp_path / "invg")
     assert main(["invert", "--config", str(path), "--out", out]) == 0
-    metrics = json.load(open(os.path.join(out, "metrics.json")))
+    metrics = _read_json(os.path.join(out, "metrics.json"))
     assert metrics["branch"] == "measured-gradients"
     assert metrics["eps_minus"] is None
     assert not os.path.exists(os.path.join(out, "u_eps_lower.csv"))
@@ -449,9 +460,9 @@ def test_cmd_study_sweep_and_fit(tmp_path, monkeypatch):
     path.write_text(TINY + "\n[study]\ndeltas = 0.02 0.01\nseeds = 1 2\n")
     out = str(tmp_path / "study")
     assert main(["study", "--config", str(path), "--out", out]) == 0
-    rows = open(os.path.join(out, "study.csv")).read().strip().splitlines()
+    rows = _read_text(os.path.join(out, "study.csv")).strip().splitlines()
     assert len(rows) == 1 + 4
-    summary = json.load(open(os.path.join(out, "study_summary.json")))
+    summary = _read_json(os.path.join(out, "study_summary.json"))
     assert "delta" in summary["fits"]
     assert len(summary["fits"]["delta"]["values"]) == 2
 
@@ -469,7 +480,7 @@ def test_summaries_record_forward_blocks(tmp_path, monkeypatch):
                                 ("study", "study_summary.json", [2, 2])):
         out = str(tmp_path / command)
         assert main([command, "--config", str(path), "--out", out]) == 0
-        assert json.load(open(os.path.join(out, name)))["forward_blocks"] == want
+        assert _read_json(os.path.join(out, name))["forward_blocks"] == want
 
 
 def test_cmd_study_zero_source(tmp_path):
@@ -479,14 +490,14 @@ def test_cmd_study_zero_source(tmp_path):
     path.write_text("[problem]\nf = 0\n\n[study]\ndeltas = 0.02 0.01\nseeds = 1\n")
     out = str(tmp_path / "zero")
     assert main(["study", "--preset", "example1", "--config", str(path), "--out", out]) == 0
-    lines = open(os.path.join(out, "study.csv")).read().splitlines()
+    lines = _read_text(os.path.join(out, "study.csv")).splitlines()
     cols = lines[0].split(",")
     assert len(lines) == 1 + 2
     for line in lines[1:]:
         row = dict(zip(cols, line.split(",")))
         assert row["rel_err_f"] == ""
         assert float(row["rel_err_u0"]) > 0.0
-    summary = json.load(open(os.path.join(out, "study_summary.json")))
+    summary = _read_json(os.path.join(out, "study_summary.json"))
     assert summary["fits"] == {}
     assert summary["runs"] == 2
 
@@ -499,8 +510,9 @@ def test_cmd_study_mu_one(tmp_path):
     out = str(tmp_path / "mu1")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert main(["study", "--config", str(path), "--out", out]) == 0
-    lines = open(os.path.join(out, "study.csv")).read().splitlines()
+        with pytest.warns(UserWarning, match="mu = 1.0 is not small"):
+            assert main(["study", "--config", str(path), "--out", out]) == 0
+    lines = _read_text(os.path.join(out, "study.csv")).splitlines()
     row = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert row["width_scaled"] == ""
     assert math.isfinite(float(row["width_x0"]))
@@ -518,7 +530,7 @@ def test_cmd_study_rows_do_not_depend_on_grid_order(tmp_path):
                         f"[study]\ngrids = {grids}\n")
         out = str(tmp_path / grids.replace(" ", "-"))
         assert main(["study", "--preset", "example1", "--config", str(path), "--out", out]) == 0
-        lines = open(os.path.join(out, "study.csv")).read().splitlines()
+        lines = _read_text(os.path.join(out, "study.csv")).splitlines()
         rows[grids] = sorted(lines[1:])
     assert rows["12 24"] == rows["24 12"]
 
@@ -542,7 +554,7 @@ def test_cmd_study_band_and_width_once_per_group(tmp_path, monkeypatch):
     path.write_text(TINY + "\n[study]\ngrids = 12 24\ndeltas = 0.02 0.01\nseeds = 1 2\n")
     out = str(tmp_path / "groups")
     assert main(["study", "--config", str(path), "--out", out]) == 0
-    rows = open(os.path.join(out, "study.csv")).read().strip().splitlines()
+    rows = _read_text(os.path.join(out, "study.csv")).strip().splitlines()
     assert len(rows) == 1 + 8
     assert calls == {"layer_band": 2, "transition_width": 2}
 
@@ -800,8 +812,9 @@ def test_study_checks_every_group_before_any_work(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(aer.inverse, "prepare", lambda *args: calls.append(args))
     path = tmp_path / "mus.ini"
     path.write_text("[study]\nmus = 0.08 3\n")
-    code = main(["study", "--preset", "example2", "--config", str(path),
-                 "--out", str(tmp_path / "o")])
+    with pytest.warns(UserWarning, match="mu = 3.0 is not small"):
+        code = main(["study", "--preset", "example2", "--config", str(path),
+                     "--out", str(tmp_path / "o")])
     assert code == 2
     assert "Assumption 1 violated: trace gap does not exceed 2*mu^2" in capsys.readouterr().err
     assert calls == []
@@ -924,13 +937,13 @@ def test_cmd_study_single_point(tmp_path):
                     + "\n[study]\ndeltas = 0.02\nseeds = 3\n")
     out = str(tmp_path / "study1")
     assert main(["study", "--config", str(path), "--out", out]) == 0
-    rows = open(os.path.join(out, "study.csv")).read().strip().splitlines()
+    rows = _read_text(os.path.join(out, "study.csv")).strip().splitlines()
     assert len(rows) == 2
-    summary = json.load(open(os.path.join(out, "study_summary.json")))
+    summary = _read_json(os.path.join(out, "study_summary.json"))
     assert summary["fits"] == {}
     inv = str(tmp_path / "invert3")
     assert main(["invert", "--config", str(path), "--seed", "3", "--out", inv]) == 0
-    metrics = json.load(open(os.path.join(inv, "metrics.json")))
+    metrics = _read_json(os.path.join(inv, "metrics.json"))
     row = dict(zip(rows[0].split(","), rows[1].split(",")))
     for key in ("rel_err_f", "rel_err_u0"):
         assert float(row[key]) == metrics[key], key

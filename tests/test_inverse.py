@@ -201,6 +201,9 @@ def test_smooth_region_calibrated_postcondition():
     for region in ("lower", "upper"):
         reg = _smooth(obs, region)
         assert 0.95 * reg.target <= reg.misfit <= 1.05 * reg.target
+        # the seam columns carry independent noise draws; the fit keeps the
+        # solve's n + 1 columns, column n a copy of column 0
+        assert np.array_equal(reg.u_eps[-1], reg.u_eps[0])
         rows = reg.rows
         err = np.sqrt(np.mean((reg.u_eps - exact.values[:, rows]) ** 2))
         noise = np.sqrt(np.mean((obs.u_delta.values - exact.values)[:, rows] ** 2))
@@ -287,6 +290,16 @@ def _dense_rows_second_diff(r, d):
     return A / d ** 2
 
 
+def _folded_rhs(data, N):
+    """Right-hand side of the smoothing's normal equations on the n periodic
+    columns, formed as the solve forms it: column n of the (n + 1)-column
+    data added to column 0, then times the weight 1 / N."""
+    b = data[:-1].copy()
+    b[0] += data[-1]
+    b *= 1.0 / N
+    return b
+
+
 @pytest.mark.parametrize("n", [7, 8, 50])
 @pytest.mark.parametrize("r", [3, 4, 6])
 @pytest.mark.parametrize("eps", [1e-14, 1e-4, 1e2])
@@ -298,7 +311,15 @@ def test_smoothing_solver_matches_dense_solve(n, r, eps):
     # bisection bracket's ends, where the data weight meets P_0's null space
     # (the affine functions of y) and where the penalty dominates, and a
     # weight in between.  The solver scales the spectral factors of the
-    # mode blocks, so this checks them against the assembled matrix.
+    # mode blocks, so this checks them against the assembled matrix.  The
+    # data span all n + 1 grid columns; the solve folds column n onto
+    # column 0 and returns column n as a copy of column 0.  At eps = 1e2
+    # cond(A) reaches 2e8, and the solver's forward error against an
+    # extended-precision solution reads up to 1.9e-9 on this data, so the
+    # check is the normwise backward error ||A v - b|| / (||A||_2 ||v|| +
+    # ||b||), which no conditioning enters (measured: at most 2.7e-16).  For
+    # eps <= 1e-4, where cond(A) <= 2e2, it bounds the forward error by
+    # about 4e-12.
     d1, d2 = 4.0 / n, 0.2
     N = (n + 1) * r
     cxx = (np.roll(np.eye(n), 1, axis=0) - 2.0 * np.eye(n) + np.roll(np.eye(n), -1, axis=0)) / d1 ** 2
@@ -310,11 +331,14 @@ def test_smoothing_solver_matches_dense_solve(n, r, eps):
     counts = np.ones(n)
     counts[0] = 2.0
     A = np.kron(np.diag(counts), np.eye(r)) / N + eps * K
-    b = np.random.default_rng(n * r).standard_normal((n, r))
-    want = np.linalg.solve(A, b.ravel()).reshape(n, r)
+    data = np.random.default_rng(n * r).standard_normal((n + 1, r))
+    b = _folded_rhs(data, N).ravel()
     got = _folded_periodic_solve(
-        np.full(r, 1.0 / N), _smoothing_inverses(_penalty_factors(n, r, d1, d2), 1.0 / N, eps), b)
-    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+        np.full(r, 1.0 / N), _smoothing_inverses(_penalty_factors(n, r, d1, d2), 1.0 / N, eps), data)
+    assert got.shape == (n + 1, r) and np.array_equal(got[n], got[0])
+    v = got[:n].ravel()
+    residual = np.linalg.norm(A @ v - b)
+    assert residual <= 1e-14 * (np.linalg.norm(A, 2) * np.linalg.norm(v) + np.linalg.norm(b))
 
 
 @pytest.mark.parametrize("r", [13, 26, 32])
@@ -340,10 +364,13 @@ def test_smoothing_solver_backward_error_at_production_size(r):
     C = np.kron(np.diag(counts), np.eye(r)) / N
     norm_k = np.linalg.eigvalsh(K)[-1]
     factors = _penalty_factors(n, r, d1, d2)
-    b = np.random.default_rng(r).standard_normal((n, r))
+    data = np.random.default_rng(r).standard_normal((n + 1, r))
+    b = _folded_rhs(data, N)
     for eps in (1e-14, 1e-4, 1e2):
         v = _folded_periodic_solve(
-            np.full(r, 1.0 / N), _smoothing_inverses(factors, 1.0 / N, eps), b).ravel()
+            np.full(r, 1.0 / N), _smoothing_inverses(factors, 1.0 / N, eps), data)
+        assert v.shape == (n + 1, r) and np.array_equal(v[n], v[0]), eps
+        v = v[:n].ravel()
         residual = np.linalg.norm((C + eps * K) @ v - b.ravel())
         norm_a = max(2.0 / N, eps * norm_k)
         assert residual <= 1e-14 * (norm_a * np.linalg.norm(v) + np.linalg.norm(b)), eps
@@ -430,6 +457,21 @@ def test_reconstruction_satisfies_normal_equations(eps):
     wy[[0, -1]] *= 0.5
     grad += eps * (wy * fc + dx.T @ (wy * (dx @ fc)) + (wy * (fc @ dy.T)) @ dy)
     assert np.linalg.norm(grad) <= 1e-10 * np.linalg.norm(bc)
+
+
+def test_reconstruct_never_reads_band_rows():
+    # the band rows of the product have zero weight, so nan there changes
+    # nothing, bit for bit
+    obs, _ = _quadratic_observation()
+    band = np.arange(obs.mask.j_lo + 1, obs.mask.j_hi)
+    product = obs.u_delta.values ** 2
+    product[:, band] = 0.0
+    zeros = reconstruct_source(obs, product)
+    product[:, band] = np.nan
+    nans = reconstruct_source(obs, product)
+    assert np.all(np.isfinite(nans.f_delta.values))
+    assert nans.f_delta.values.tobytes() == zeros.f_delta.values.tobytes()
+    assert nans.residual == zeros.residual
 
 
 def test_data_product_scales_quadratically():
